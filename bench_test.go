@@ -1,7 +1,7 @@
 // Benchmarks regenerating every table and figure of the paper (scaled
-// workloads; see DESIGN.md §4 for the experiment index) plus ablation
-// benches for the design choices XtraPuLP introduces: the
-// initialization strategy, the dynamic multiplier, and the vertex
+// workloads; the internal/harness package doc indexes the experiments)
+// plus ablation benches for the design choices XtraPuLP introduces:
+// the initialization strategy, the dynamic multiplier, and the vertex
 // distribution.
 //
 // Run all of them with:
@@ -115,7 +115,7 @@ func benchExchangeMode(b *testing.B, async bool) {
 func BenchmarkXtraPuLP8RanksSync(b *testing.B)       { benchExchangeMode(b, false) }
 func BenchmarkXtraPuLP8RanksAsyncDelta(b *testing.B) { benchExchangeMode(b, true) }
 
-// Ablations: design choices called out in DESIGN.md.
+// Ablations: the design choices listed at the top of this file.
 
 // BenchmarkAblationInitBFS/Random/Block compare the paper's hybrid
 // initialization (§III.B) against the random and block alternatives.

@@ -60,3 +60,64 @@ func TestArchitectureDocPresent(t *testing.T) {
 		}
 	}
 }
+
+var (
+	// bareDocRef matches a NAME.md not qualified by a directory.
+	bareDocRef = regexp.MustCompile(`(?:^|[^\w./-])([\w-]+\.md)\b`)
+	cmdRef     = regexp.MustCompile(`\bcmd/([\w-]+)`)
+)
+
+// Every document and command the README, the docs, the verify skill,
+// and the Go sources mention must exist: a bare NAME.md at the root or
+// under docs/, a cmd/NAME as a directory. The benchmark tree and lint
+// fixtures are out of scope, as are the history logs (CHANGES.md,
+// ROADMAP.md), which name retired files on purpose.
+func TestDocReferencesResolve(t *testing.T) {
+	files := []string{"README.md", filepath.Join(".claude", "skills", "verify", "SKILL.md")}
+	docs, err := filepath.Glob(filepath.Join("docs", "*.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	files = append(files, docs...)
+	err = filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			name := d.Name()
+			if path == "benchmark" || name == "testdata" || (name != "." && strings.HasPrefix(name, ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		// This file spells out the patterns it checks for.
+		if strings.HasSuffix(path, ".go") && path != "docs_test.go" {
+			files = append(files, path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exists := func(path string) bool {
+		_, err := os.Stat(path)
+		return err == nil
+	}
+	for _, f := range files {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range bareDocRef.FindAllStringSubmatch(string(src), -1) {
+			if name := m[1]; !exists(name) && !exists(filepath.Join("docs", name)) {
+				t.Errorf("%s mentions %s, which is neither at the repository root nor under docs/", f, name)
+			}
+		}
+		for _, m := range cmdRef.FindAllStringSubmatch(string(src), -1) {
+			dir := filepath.Join("cmd", m[1])
+			if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
+				t.Errorf("%s mentions %s, which is not a command directory", f, dir)
+			}
+		}
+	}
+}

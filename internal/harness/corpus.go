@@ -5,7 +5,8 @@ import (
 )
 
 // testGraph is a named proxy instance standing in for one of the
-// paper's Table I inputs (see DESIGN.md for the substitution mapping).
+// paper's Table I inputs (corpus records which paper graphs each proxy
+// substitutes for).
 type testGraph struct {
 	name  string
 	class string // social | crawl | rmat | mesh

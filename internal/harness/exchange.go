@@ -1,10 +1,7 @@
 package harness
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"os"
 	"runtime"
 	"time"
 
@@ -44,176 +41,15 @@ import (
 //     the power iteration's ∞-norm on the expand messages, collapsing
 //     the Allreduces column from iterations+1 to a constant.
 //
-// With Config.JSONPath set, the same measurements are written as JSON
-// (BENCH_exchange.json) for machine consumption.
-//
 //repro:deterministic
 func Exchange(cfg Config) error {
-	var rows []ExchangeRow
-	if err := exchangePartition(cfg, &rows); err != nil {
+	if err := exchangePartition(cfg); err != nil {
 		return err
 	}
-	if err := exchangeAnalytics(cfg, &rows); err != nil {
+	if err := exchangeAnalytics(cfg); err != nil {
 		return err
 	}
-	if err := exchangeSpMV(cfg, &rows); err != nil {
-		return err
-	}
-	return writeExchangeJSON(cfg, rows)
-}
-
-// ExchangeSocket is the exchange comparison's partitioning path
-// measured over an externally formed socket world: every rank of the
-// world calls it with the same Config on its own communicator (see
-// repro.SocketComm), the runs are collective, and rank 0 prints the
-// table and writes cfg.JSONPath. Only the partitioning path runs —
-// the analytics and SpMV comparisons spin up one in-process world per
-// measurement (mpi.Run) and have no external-comm form — so the
-// artifact is partition-only and stamped Transport "socket";
-// ValidateExchangeJSON accepts exactly that shape for the socket
-// substrate. Edge cuts are bit-identical to the proc substrate at the
-// same seed and world size: the transport is below the engine's
-// determinism line.
-//
-//repro:deterministic
-func ExchangeSocket(c *mpi.Comm, cfg Config) error {
-	w := cfg.W
-	if c.Rank() != 0 || w == nil {
-		w = io.Discard
-	}
-	seed := cfg.seed()
-	const parts = 16
-	var rows []ExchangeRow
-	fmt.Fprintf(w, "Partitioning path over the socket transport (%d ranks):\n", c.Size())
-	t := newTable(w, "Graph", "Ranks", "Threads", "Mode", "Time(s)", "ExchElems", "Reduction", "Allreduces", "EdgeCut")
-	for _, tg := range representatives(cfg.Scale, seed) {
-		var syncVol int64
-		for _, async := range []bool{false, true} {
-			// On external comms the communicator defines the thread
-			// budget (Config.ThreadsPerRank is ignored). The sync/async
-			// cut equality and the cross-substrate bit-identity both
-			// need serial partitioning, so the launcher should form the
-			// world with one thread — cmd/experiments' default.
-			_, rep, err := repro.XtraPuLPComm(c, tg.gen, repro.Config{
-				Parts: parts, RandomDist: true, Seed: seed,
-				AsyncExchange: async, PipeDepth: cfg.PipeDepth,
-			})
-			if err != nil {
-				return fmt.Errorf("exchange: %s async=%v: %w", tg.name, async, err)
-			}
-			mode, reduction := modeCells(async, &syncVol, rep.ExchangeVolume)
-			t.add(tg.name, fmt.Sprintf("%d", c.Size()), fmt.Sprintf("%d", c.Threads()), mode, secs(rep.TotalTime),
-				fmt.Sprintf("%d", rep.ExchangeVolume), reduction,
-				fmt.Sprintf("%d", rep.ReductionOps),
-				fmt.Sprintf("%.3f", rep.Quality.EdgeCutRatio))
-			rows = append(rows, ExchangeRow{
-				Path: "partition", Graph: tg.name, Ranks: c.Size(), Mode: mode, Threads: c.Threads(),
-				WallSeconds: rep.TotalTime.Seconds(), ExchElems: rep.ExchangeVolume,
-				Reductions: ptr(rep.ReductionOps), EdgeCut: ptr(rep.Quality.EdgeCutRatio),
-			})
-		}
-	}
-	t.flush()
-	if c.Rank() != 0 {
-		return nil
-	}
-	return writeExchangeJSONAs(cfg, "socket", rows)
-}
-
-// ExchangeRow is one machine-readable measurement of the exchange
-// comparison. Fields a path does not measure are pointers left nil and
-// omitted from the JSON, so a consumer can tell "measured zero" (the
-// async engine's headline allocation result) from "not applicable".
-type ExchangeRow struct {
-	// Path is the communication path: partition, analytics, or spmv.
-	Path  string `json:"path"`
-	Graph string `json:"graph"`
-	Ranks int    `json:"ranks"`
-	// Layout is set for spmv rows (1d or 2d).
-	Layout string `json:"layout,omitempty"`
-	// Mode is sync or async-delta.
-	Mode string `json:"mode"`
-	// Threads is the intra-rank thread budget the row's sweeps ran
-	// with (the partition path is always 1; see Config.Threads).
-	Threads     int     `json:"threads"`
-	WallSeconds float64 `json:"wallSeconds"`
-	// ExchElems is the total element volume all ranks sent.
-	ExchElems int64 `json:"exchElems"`
-	// Reductions counts Allreduce operations (all three paths; for spmv
-	// it is the per-rank count from spmv.Result.Reductions — the async
-	// norm piggyback collapses it to a constant independent of the
-	// iteration count).
-	Reductions *int64 `json:"reductions,omitempty"`
-	// AllocsPerRound is the measured steady-state heap allocations of
-	// one boundary value round across all ranks (analytics path; the
-	// async engine measures software-pipelined rounds).
-	AllocsPerRound *float64 `json:"allocsPerRound,omitempty"`
-	// PipelineDepth is the exchanger's observed in-flight round
-	// high-water mark during the measurement (analytics path, async
-	// mode; 2 = a second round was posted while the first was still
-	// outstanding).
-	PipelineDepth *int64 `json:"pipelineDepth,omitempty"`
-	// NormPiggyback reports whether SpMV's async engine rode the
-	// per-iteration ∞-norm on the expand messages (spmv path, async
-	// mode).
-	NormPiggyback *bool `json:"normPiggyback,omitempty"`
-	// HCWaves is the number of concurrent BFS waves the Harmonic
-	// Centrality measurement ran (analytics path: 1 in sync mode,
-	// PipeDepth/2 in async mode).
-	HCWaves *int64 `json:"hcWaves,omitempty"`
-	// HCReductions counts the Allreduce operations of the HC
-	// measurement alone; the multi-wave engine must come in strictly
-	// below the sequential loop (benchcheck gates it).
-	HCReductions *int64 `json:"hcReductions,omitempty"`
-	// HCSecPerSource is the HC measurement's wall time divided by its
-	// source count (analytics path).
-	HCSecPerSource *float64 `json:"hcSecPerSource,omitempty"`
-	// EdgeCut is the partition quality (partition path).
-	EdgeCut *float64 `json:"edgeCut,omitempty"`
-	// SweepSeconds is the wall-clock time rank 0 spent inside the
-	// row's intra-rank parallel sweeps — relaxation and frontier
-	// expansion for analytics rows, the local row-sum kernel for spmv
-	// rows — excluding all communication. Partition rows leave it nil.
-	SweepSeconds *float64 `json:"sweepSeconds,omitempty"`
-}
-
-// ptr boxes a measured value for ExchangeRow's optional fields.
-func ptr[T any](v T) *T { return &v }
-
-// writeExchangeJSON writes the collected rows to cfg.JSONPath (no-op
-// when unset). The harness drives in-process worlds (mpi.Run), so the
-// substrate is stamped proc; the socket-world harness
-// (ExchangeSocket) stamps its own name through writeExchangeJSONAs.
-func writeExchangeJSON(cfg Config, rows []ExchangeRow) error {
-	return writeExchangeJSONAs(cfg, "proc", rows)
-}
-
-// writeExchangeJSONAs writes the collected rows to cfg.JSONPath (no-op
-// when unset) stamped with the named rank substrate.
-func writeExchangeJSONAs(cfg Config, transport string, rows []ExchangeRow) error {
-	if cfg.JSONPath == "" {
-		return nil
-	}
-	// exchangeDoc is shared with the schema validator, so the written
-	// and validated shapes cannot drift apart.
-	doc := exchangeDoc{Experiment: "exchange", Transport: transport, Scale: cfg.Scale.String(),
-		Seed: cfg.seed(), PipeDepth: cfg.pipeDepth(), Rows: rows}
-	f, err := os.Create(cfg.JSONPath)
-	if err != nil {
-		return fmt.Errorf("exchange: %w", err)
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		f.Close() //lint:ignore errcheck the encode error is the root cause; report it instead
-		return fmt.Errorf("exchange: %w", err)
-	}
-	// Close errors matter here: a full disk surfaces at Close, and
-	// swallowing it would upload a silently truncated artifact.
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("exchange: writing %s: %w", cfg.JSONPath, err)
-	}
-	return nil
+	return exchangeSpMV(cfg)
 }
 
 // modeCells names a comparison row and computes its volume reduction
@@ -231,7 +67,7 @@ func modeCells(async bool, syncVol *int64, vol int64) (mode, reduction string) {
 }
 
 // exchangePartition is the partitioning-path comparison.
-func exchangePartition(cfg Config, rows *[]ExchangeRow) error {
+func exchangePartition(cfg Config) error {
 	seed := cfg.seed()
 	const parts = 16
 	ranks := scalePick(cfg.Scale, 4, 8)
@@ -255,11 +91,6 @@ func exchangePartition(cfg Config, rows *[]ExchangeRow) error {
 				fmt.Sprintf("%d", rep.ExchangeVolume), reduction,
 				fmt.Sprintf("%d", rep.ReductionOps),
 				fmt.Sprintf("%.3f", rep.Quality.EdgeCutRatio))
-			*rows = append(*rows, ExchangeRow{
-				Path: "partition", Graph: tg.name, Ranks: ranks, Mode: mode, Threads: 1,
-				WallSeconds: rep.TotalTime.Seconds(), ExchElems: rep.ExchangeVolume,
-				Reductions: ptr(rep.ReductionOps), EdgeCut: ptr(rep.Quality.EdgeCutRatio),
-			})
 		}
 	}
 	t.flush()
@@ -303,8 +134,8 @@ func measureValueRoundAllocs(c *mpi.Comm, dg *dgraph.Graph) (float64, int64) {
 		pending := 0
 		// Reset the lifetime high-water mark (the analytics already
 		// drove it to 2) so the reported depth is what THIS measurement
-		// loop achieves — the benchcheck gate must fail if the
-		// pipelined schedule below regresses.
+		// loop achieves: the PipeDepth column must drop if the pipelined
+		// schedule below regresses.
 		ex.MaxDepth = 0
 		depth = func() int64 { return int64(ex.MaxDepth) }
 		round = func() {
@@ -355,7 +186,7 @@ func measureValueRoundAllocs(c *mpi.Comm, dg *dgraph.Graph) (float64, int64) {
 // mode, Config.PipeDepth/2 concurrent waves).
 //
 //repro:timing
-func exchangeAnalytics(cfg Config, rows *[]ExchangeRow) error {
+func exchangeAnalytics(cfg Config) error {
 	seed := cfg.seed()
 	ranks := scalePick(cfg.Scale, 4, 8)
 	prIters := scalePick(cfg.Scale, 10, 20)
@@ -428,17 +259,6 @@ func exchangeAnalytics(cfg Config, rows *[]ExchangeRow) error {
 				fmt.Sprintf("%d", hcWaves),
 				fmt.Sprintf("%d", hcRed),
 				fmt.Sprintf("%.4f", hcPerSrc))
-			row := ExchangeRow{
-				Path: "analytics", Graph: tg.name, Ranks: ranks, Mode: mode, Threads: threads,
-				WallSeconds: wall.Seconds(), ExchElems: volume,
-				Reductions: ptr(reductions), AllocsPerRound: ptr(allocs),
-				HCWaves: ptr(hcWaves), HCReductions: ptr(hcRed),
-				HCSecPerSource: ptr(hcPerSrc), SweepSeconds: ptr(sweep.Seconds()),
-			}
-			if async {
-				row.PipelineDepth = ptr(depth)
-			}
-			*rows = append(*rows, row)
 		}
 	}
 	t.flush()
@@ -446,7 +266,7 @@ func exchangeAnalytics(cfg Config, rows *[]ExchangeRow) error {
 }
 
 // exchangeSpMV measures the expand/fold phases under both layouts.
-func exchangeSpMV(cfg Config, rows *[]ExchangeRow) error {
+func exchangeSpMV(cfg Config) error {
 	seed := cfg.seed()
 	ranks := scalePick(cfg.Scale, 4, 16)
 	iters := scalePick(cfg.Scale, 10, 100)
@@ -468,7 +288,7 @@ func exchangeSpMV(cfg Config, rows *[]ExchangeRow) error {
 				}
 				var volume, reductions int64
 				var piggyback bool
-				var wall, sweep time.Duration
+				var sweep time.Duration
 				var runErr error
 				mpi.RunThreads(ranks, threads, func(c *mpi.Comm) {
 					res, err := spmv.Run(c, shared, placement, spmv.Options{
@@ -482,7 +302,7 @@ func exchangeSpMV(cfg Config, rows *[]ExchangeRow) error {
 					}
 					v := mpi.AllreduceScalar(c, res.CommVolume, mpi.Sum)
 					if c.Rank() == 0 {
-						volume, wall = v, res.Time
+						volume = v
 						reductions, piggyback = res.Reductions, res.NormPiggyback
 						sweep = res.MultiplyTime
 					}
@@ -495,15 +315,6 @@ func exchangeSpMV(cfg Config, rows *[]ExchangeRow) error {
 					fmt.Sprintf("%d", volume), reduction,
 					fmt.Sprintf("%d", reductions),
 					fmt.Sprintf("%v", piggyback))
-				row := ExchangeRow{
-					Path: "spmv", Graph: tg.name, Ranks: ranks, Layout: layout,
-					Mode: mode, Threads: threads, WallSeconds: wall.Seconds(), ExchElems: volume,
-					Reductions: ptr(reductions), SweepSeconds: ptr(sweep.Seconds()),
-				}
-				if async {
-					row.NormPiggyback = ptr(piggyback)
-				}
-				*rows = append(*rows, row)
 			}
 		}
 	}

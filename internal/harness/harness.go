@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/dgraph"
 	"repro/internal/par"
 )
 
@@ -50,11 +49,6 @@ type Config struct {
 	Scale Scale
 	// Seed fixes all randomness.
 	Seed uint64
-	// JSONPath, when non-empty, makes experiments with machine-readable
-	// output (currently exchange) also write their measurements as JSON
-	// to this file, so benchmark trajectories can be tracked across
-	// commits.
-	JSONPath string
 	// TermEpoch is forwarded to the analytics runs of experiments that
 	// drive the async engine (currently exchange): on incomplete rank
 	// neighborhoods the overlapped analytics perform their exact
@@ -80,15 +74,6 @@ type Config struct {
 
 // threads returns the effective intra-rank thread budget of the run.
 func (c *Config) threads() int { return par.ResolveThreads(c.Threads) }
-
-// pipeDepth returns the effective exchange pipeline depth of the run
-// (the knob normalized to the engine default).
-func (c *Config) pipeDepth() int {
-	if c.PipeDepth == 0 {
-		return dgraph.DefaultPipeDepth
-	}
-	return c.PipeDepth
-}
 
 // value of Seed when the caller leaves it zero.
 const defaultSeed = 1

@@ -4,12 +4,14 @@ import (
 	"go/ast"
 )
 
-// ErrCheck is the curated unchecked-error check for the artifact and
-// file-handling paths: results written to disk silently truncate when
-// Create/Encode/Flush/Close errors are dropped, and a benchmark
-// harness that cannot trust its own JSON is worse than none. Only the
-// os / encoding-json / bufio / tabwriter surfaces the harness actually
-// uses are checked — this is a contract gate, not a general linter.
+// ErrCheck is the curated unchecked-error check for the file-writing
+// paths: output written to disk silently truncates when
+// Create/Encode/Flush/Close errors are dropped, and the files the
+// repository writes are read back by other tools — edge lists
+// (graph/io.go), part assignments (partition/io.go), and the
+// reprolint -json findings (lint/audit.go). Only the os / encoding-json
+// / bufio / tabwriter surfaces those writers use are checked — this is
+// a contract gate, not a general linter.
 // A deferred Close is allowed (the error has nowhere to go); a bare
 // `f.Close()` statement is not.
 var ErrCheck = &Analyzer{
