@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"math"
 	"testing"
 )
 
@@ -128,7 +129,9 @@ func TestRunSpMVBothLayouts(t *testing.T) {
 		}
 		checks = append(checks, res.Checksum)
 	}
-	if checks[0] != checks[1] {
+	// 1D and 2D fold partial sums in different orders, so the final
+	// norm agrees only to rounding across layouts.
+	if math.Abs(checks[0]-checks[1]) > 1e-12*math.Max(checks[0], checks[1]) {
 		t.Errorf("layout checksums differ: %v", checks)
 	}
 }

@@ -39,7 +39,7 @@ import (
 //     async engine also bypasses self-destined shares and — on
 //     complete expand neighborhoods (NormRide column) — piggybacks
 //     the power iteration's ∞-norm on the expand messages, collapsing
-//     the Allreduces column from iterations+1 to a constant.
+//     the Allreduces column from iterations to a constant 2.
 //
 //repro:deterministic
 func Exchange(cfg Config) error {

@@ -1,7 +1,7 @@
-// Cross-thread determinism for the SpMV engine: the checksum (final
-// ∞-norm of the iterated vector) must be bit-identical at every
-// intra-rank thread count, in both exchange modes, under both layouts,
-// on both rank substrates. The localMultiply row sweep accumulates
+// Cross-thread determinism for the SpMV engine: the checksum (the
+// global ∞-norm the last iteration divides by) must be bit-identical
+// at every intra-rank thread count, in both exchange modes, under both
+// layouts, on both rank substrates. The localMultiply row sweep accumulates
 // per-row in CSR order inside each chunk and rows never straddle
 // chunks, so the worker count cannot perturb a single IEEE operation —
 // this test is the acceptance gate for that claim.

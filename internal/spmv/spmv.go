@@ -24,7 +24,7 @@ package spmv
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/graph"
@@ -97,8 +97,11 @@ type Result struct {
 	// bypass counts only values sent to other ranks. The piggybacked
 	// norm element is framing, not a vector value, and is not counted.
 	CommVolume int64
-	// Checksum is the final ∞-norm of the iterated vector (identical on
-	// every rank; used to verify layout-independence of the numerics).
+	// Checksum is the global ∞-norm the last iteration divides by,
+	// ‖A·x_{k−1}‖∞ (0 when that product is zero), identical on every
+	// rank. It is bit-identical across engines, thread counts and
+	// substrates under one layout; 1D and 2D fold partial sums in
+	// different orders, so across layouts it agrees only to rounding.
 	Checksum float64
 	// MultiplyTime is the wall clock this rank spent inside the local
 	// row-sum kernel (localMultiply) across all iterations — the
@@ -106,11 +109,11 @@ type Result struct {
 	// communication.
 	MultiplyTime time.Duration
 	// Reductions is the number of Allreduce operations this rank
-	// performed during Run: iterations+1 for the synchronous engine
-	// (one norm per iteration plus the checksum), a small constant for
-	// the async engine on complete rank neighborhoods (completeness
-	// detection, the trailing deferred normalization, and the
-	// checksum — independent of the iteration count).
+	// performed during Run: iterations for the synchronous engine (one
+	// norm per iteration); 2 for the async engine on complete rank
+	// neighborhoods (completeness detection and the trailing deferred
+	// normalization, independent of the iteration count); and
+	// iterations+1 for the async engine's per-iteration fallback.
 	Reductions int64
 	// NormPiggyback reports whether the async engine rode the
 	// per-iteration ∞-norm on the expand messages (complete rank
@@ -145,7 +148,6 @@ type matrix struct {
 
 	// Owned vector entries, sorted by gid.
 	vecGIDs []int64
-	vecIdx  map[int64]int
 	x       []float64
 
 	// Local nonzeros in CSR over present rows; columns are local
@@ -226,10 +228,24 @@ func gridDims(p int) (pr, pc int) {
 	return pr, p / pr
 }
 
+// rowHere reports whether row u can hold nonzeros on rank me: only on
+// its owner under 1D, on any rank of the owner's processor row under 2D.
+func rowHere(layout Layout, parts []int32, pr, me int, u int64) bool {
+	if layout == OneD {
+		return int(parts[u]) == me
+	}
+	return int(parts[u])%pr == me%pr
+}
+
 // build prepares the rank-local SpMV state. Every rank passes the same
-// shared graph and global partition (simulation convenience: setup is
-// not part of the timed region, matching the paper which times only
-// the 100 SpMV operations).
+// shared graph and global partition (simulation convenience). Run
+// starts Result.Time after build returns, matching the paper, which
+// times only the 100 SpMV operations; a caller timing the whole Run
+// call (the benchmark's spmv_s) includes this set-up.
+//
+// Every schedule comes out of gid-ascending linear passes, so each
+// index list is born in gid order; only one row's column segment is
+// ever sorted, and no maps are built.
 func build(c *mpi.Comm, g *graph.Graph, parts []int32, layout Layout) (*matrix, error) {
 	p := c.Size()
 	me := c.Rank()
@@ -257,140 +273,107 @@ func build(c *mpi.Comm, g *graph.Graph, parts []int32, layout Layout) (*matrix, 
 			m.vecGIDs = append(m.vecGIDs, v)
 		}
 	}
-	m.vecIdx = make(map[int64]int, len(m.vecGIDs))
-	for i, gid := range m.vecGIDs {
-		m.vecIdx[gid] = i
-	}
 	m.x = make([]float64, len(m.vecGIDs))
 	m.y = make([]float64, len(m.vecGIDs))
 	for i := range m.x {
 		m.x[i] = 1.0 / float64(g.N)
 	}
 
-	// Local nonzeros: arcs (u -> v) with nzRank == me, grouped by row.
-	type nz struct{ u, v int64 }
-	var mine []nz
+	// Local nonzeros: arcs (u -> v) with nzRank == me, as CSR over the
+	// rows that have any. Adjacency is unsorted and keeps duplicate
+	// arcs, so each row's column segment is sorted in place and
+	// duplicates stay duplicate nonzeros. cols holds column gids until
+	// the slots are known, sized by the candidate rows' degree sum
+	// (exact under 1D); col marks each distinct column with 1.
+	var arcs int64
 	for u := int64(0); u < g.N; u++ {
+		if rowHere(layout, parts, pr, me, u) {
+			arcs += g.Degree(u)
+		}
+	}
+	cols := make([]int64, 0, arcs)
+	col := make([]int32, g.N)
+	for u := int64(0); u < g.N; u++ {
+		if !rowHere(layout, parts, pr, me, u) {
+			continue
+		}
+		start := len(cols)
 		for _, v := range g.Neighbors(u) {
 			if nzRank(layout, parts, pr, pc, u, v) == me {
-				mine = append(mine, nz{u, v})
+				cols = append(cols, v)
+				col[v] = 1
 			}
 		}
-	}
-	sort.Slice(mine, func(i, j int) bool {
-		if mine[i].u != mine[j].u {
-			return mine[i].u < mine[j].u
+		if len(cols) > start {
+			slices.Sort(cols[start:])
+			m.rowGIDs = append(m.rowGIDs, u)
+			m.rowPtr = append(m.rowPtr, int64(start))
 		}
-		return mine[i].v < mine[j].v
-	})
-	colSet := make(map[int64]int32)
-	for i := 0; i < len(mine); {
-		j := i
-		for j < len(mine) && mine[j].u == mine[i].u {
-			j++
-		}
-		m.rowGIDs = append(m.rowGIDs, mine[i].u)
-		m.rowPtr = append(m.rowPtr, int64(i))
-		i = j
 	}
-	m.rowPtr = append(m.rowPtr, int64(len(mine)))
-	// Column index assignment happens after the receive order is fixed:
-	// xbuf is filled src-major, then by gid, so colGIDs must be sorted
-	// (owner-rank, gid).
-	distinct := make(map[int64]struct{})
-	for _, e := range mine {
-		distinct[e.v] = struct{}{}
-	}
-	m.colGIDs = make([]int64, 0, len(distinct))
-	for v := range distinct {
-		m.colGIDs = append(m.colGIDs, v)
-	}
-	sort.Slice(m.colGIDs, func(i, j int) bool {
-		oi, oj := parts[m.colGIDs[i]], parts[m.colGIDs[j]]
-		if oi != oj {
-			return oi < oj
-		}
-		return m.colGIDs[i] < m.colGIDs[j]
-	})
-	for i, v := range m.colGIDs {
-		colSet[v] = int32(i)
-	}
-	m.colIdx = make([]int32, len(mine))
-	for i, e := range mine {
-		m.colIdx[i] = colSet[e.v]
-	}
-	m.xbuf = make([]float64, len(m.colGIDs))
-	m.partial = make([]float64, len(m.rowGIDs))
+	m.rowPtr = append(m.rowPtr, int64(len(cols)))
 
-	// Expand schedule. Sender side: for each owned vector entry v, the
-	// set of ranks holding nonzeros with column v — enumerated via the
-	// symmetric adjacency.
-	sendSets := make([]map[int64]struct{}, p)
-	for d := range sendSets {
-		sendSets[d] = make(map[int64]struct{})
-	}
-	for _, v := range m.vecGIDs {
-		for _, u := range g.Neighbors(v) { // arc (u, v): row u, col v
-			dst := nzRank(layout, parts, pr, pc, u, v)
-			sendSets[dst][v] = struct{}{}
-		}
-	}
-	m.expandSend = make([][]int, p)
-	for d := 0; d < p; d++ {
-		gids := make([]int64, 0, len(sendSets[d]))
-		for v := range sendSets[d] {
-			gids = append(gids, v)
-		}
-		sort.Slice(gids, func(i, j int) bool { return gids[i] < gids[j] })
-		idxs := make([]int, len(gids))
-		for i, v := range gids {
-			idxs[i] = m.vecIdx[v]
-		}
-		m.expandSend[d] = idxs
-	}
-
-	// Fold schedule: my present rows grouped by the row's vector owner;
-	// symmetric receive from ranks holding nonzeros in my rows.
-	m.foldSend = make([][]int, p)
-	for ri, u := range m.rowGIDs {
-		m.foldSend[parts[u]] = append(m.foldSend[parts[u]], ri)
-	}
-	// Receive side: for each owned vector entry u, the ranks holding
-	// row-u nonzeros, each sending one partial per iteration, ordered
-	// by gid within each src (matching sender's rowGIDs order).
-	recvSets := make([]map[int64]struct{}, p)
-	for s := range recvSets {
-		recvSets[s] = make(map[int64]struct{})
-	}
-	for _, u := range m.vecGIDs {
-		for _, v := range g.Neighbors(u) { // arc (u, v) lives at nzRank
-			src := nzRank(layout, parts, pr, pc, u, v)
-			recvSets[src][u] = struct{}{}
-		}
-	}
-	m.foldRecv = make([][]int, p)
-	for s := 0; s < p; s++ {
-		gids := make([]int64, 0, len(recvSets[s]))
-		for u := range recvSets[s] {
-			gids = append(gids, u)
-		}
-		sort.Slice(gids, func(i, j int) bool { return gids[i] < gids[j] })
-		idxs := make([]int, len(gids))
-		for i, u := range gids {
-			idxs[i] = m.vecIdx[u]
-		}
-		m.foldRecv[s] = idxs
-	}
-
-	// colGIDs is sorted (owner rank, gid), so per-source xbuf segments
-	// are contiguous; colOff is their prefix index.
+	// xbuf is filled src-major, then by gid, so colGIDs is ordered
+	// (owner rank, gid): a counting sort by owner over an ascending gid
+	// scan. colOff is its per-owner prefix index. The placement scan
+	// overwrites each marked col[v] with v's slot; it visits every v
+	// once, so a slot of 0 never reads as "unmarked".
 	m.colOff = make([]int, p+1)
-	for _, v := range m.colGIDs {
-		m.colOff[parts[v]+1]++
+	for v, mark := range col {
+		if mark != 0 {
+			m.colOff[parts[v]+1]++
+		}
 	}
 	for r := 0; r < p; r++ {
 		m.colOff[r+1] += m.colOff[r]
 	}
+	next := slices.Clone(m.colOff[:p])
+	m.colGIDs = make([]int64, m.colOff[p])
+	for v, mark := range col {
+		if mark != 0 {
+			s := next[parts[v]]
+			next[parts[v]]++
+			m.colGIDs[s] = int64(v)
+			col[v] = int32(s)
+		}
+	}
+	m.colIdx = make([]int32, len(cols))
+	for e, v := range cols {
+		m.colIdx[e] = col[v]
+	}
+	m.xbuf = make([]float64, len(m.colGIDs))
+	m.partial = make([]float64, len(m.rowGIDs))
+
+	// Expand and fold-receive schedules, from the symmetric adjacency of
+	// each owned entry w: arc (u, w) puts column w on nzRank(u, w),
+	// which needs x[w]; arc (w, u) puts a row-w nonzero on nzRank(w, u),
+	// which folds one partial into y[w]. Vector indices ascend, so each
+	// list is in gid order — the order the sender ships (and the
+	// receiver's rowGIDs) — and a per-rank stamp of 1 + the last index
+	// appended drops repeats.
+	m.expandSend = make([][]int, p)
+	m.foldRecv = make([][]int, p)
+	sent := make([]int, p)
+	recvd := make([]int, p)
+	for i, w := range m.vecGIDs {
+		for _, u := range g.Neighbors(w) {
+			if d := nzRank(layout, parts, pr, pc, u, w); sent[d] <= i {
+				sent[d] = i + 1
+				m.expandSend[d] = append(m.expandSend[d], i)
+			}
+			if s := nzRank(layout, parts, pr, pc, w, u); recvd[s] <= i {
+				recvd[s] = i + 1
+				m.foldRecv[s] = append(m.foldRecv[s], i)
+			}
+		}
+	}
+
+	// Fold send schedule: my present rows grouped by the row's vector
+	// owner.
+	m.foldSend = make([][]int, p)
+	for ri, u := range m.rowGIDs {
+		m.foldSend[parts[u]] = append(m.foldSend[parts[u]], ri)
+	}
+
 	for d := 0; d < p; d++ {
 		if d != me && len(m.expandSend[d]) > 0 {
 			m.expandOut = append(m.expandOut, d)
@@ -646,17 +629,25 @@ func (m *matrix) expandPiggyback(me int) int64 {
 }
 
 // Run executes opt.Iterations chained multiplies (x ← A x / ‖A x‖∞)
-// and reports timing, traffic, and a layout-independent checksum.
+// and reports timing, traffic, and the final norm as a checksum.
 //
 //repro:deterministic
-//repro:timing
 func Run(c *mpi.Comm, g *graph.Graph, parts []int32, opt Options) (Result, error) {
+	res, _, err := run(c, g, parts, opt)
+	return res, err
+}
+
+// run is Run that also returns the rank's matrix, whose x holds this
+// rank's share of the iterated vector.
+//
+//repro:timing
+func run(c *mpi.Comm, g *graph.Graph, parts []int32, opt Options) (Result, *matrix, error) {
 	if opt.Iterations <= 0 {
 		opt.Iterations = 100
 	}
 	m, err := build(c, g, parts, opt.Layout)
 	if err != nil {
-		return Result{}, err
+		return Result{}, nil, err
 	}
 	m.async = opt.Async
 	redBase := c.Stats().ReductionOps
@@ -685,27 +676,26 @@ func Run(c *mpi.Comm, g *graph.Graph, parts []int32, opt Options) (Result, error
 			continue
 		}
 		norm := mpi.AllreduceScalar(c, local, mpi.Max)
+		res.Checksum = norm
 		if norm == 0 {
 			norm = 1
 		}
 		par.For(0, len(m.y), m.threads, func(i int) { m.x[i] = m.y[i] / norm })
 	}
-	if m.normPiggyback && opt.Iterations > 0 {
+	if m.normPiggyback {
 		// Settle the last iteration's deferred normalization: the one
 		// reduction the piggyback leaves, independent of the iteration
 		// count.
 		norm := mpi.AllreduceScalar(c, m.pendNorm, mpi.Max)
+		res.Checksum = norm
 		if norm == 0 {
 			norm = 1
 		}
 		par.For(0, len(m.x), m.threads, func(i int) { m.x[i] = m.x[i] / norm })
 	}
 	res.Time = time.Since(start)
-	local := par.MaxFloat64(0, len(m.x), m.threads, 0,
-		func(i int) float64 { return math.Abs(m.x[i]) })
-	res.Checksum = mpi.AllreduceScalar(c, local, mpi.Max)
 	res.Reductions = c.Stats().ReductionOps - redBase
 	res.NormPiggyback = m.normPiggyback
 	res.MultiplyTime = m.mulTime
-	return res, nil
+	return res, m, nil
 }
