@@ -233,8 +233,11 @@ func WCC(g *dgraph.Graph) ([]int64, Result) {
 // community detection and returns owned community labels plus the
 // GLOBAL number of distinct communities (hash-partitioned exact count,
 // identical on every rank — the LP analogue of WCC's component count).
-// Result.Iterations reports the rounds actually executed, which is
-// below iters when propagation reaches a fixed point early.
+// Each round a vertex with neighbours takes the label most frequent
+// among them, ties to the smallest label (see plurality); isolated
+// vertices keep their own. Result.Iterations reports the rounds
+// actually executed, which is below iters when propagation reaches a
+// fixed point early.
 //
 //repro:deterministic
 //repro:timing
@@ -245,37 +248,51 @@ func LabelProp(g *dgraph.Graph, iters int) ([]int64, Result) {
 		labels[lid] = gid
 	}
 	e := newEngine(g)
-	// One plurality-count map per worker thread: relax runs with the
-	// sweep's tid and touches only its own scratch. The plurality pick
-	// itself is map-iteration-order independent (max count, ties to the
-	// smallest label), so the result does not depend on Go's randomized
-	// map order.
-	counts := make([]map[int64]int64, e.threads)
-	for i := range counts {
-		counts[i] = make(map[int64]int64, 64)
-	}
+	// One neighbour-label buffer per worker thread: relax runs with the
+	// sweep's tid and touches only its own scratch, which grows to the
+	// largest degree once and is reused for every later vertex.
+	scratch := make([][]int64, e.threads)
 	relax := func(v int32, tid int) (int64, bool) {
 		cur := labels[v]
 		nbrs := g.Neighbors(v)
 		if len(nbrs) == 0 {
 			return cur, false
 		}
-		c := counts[tid]
-		clear(c)
+		buf := scratch[tid][:0]
 		for _, u := range nbrs {
-			c[labels[u]]++
+			buf = append(buf, labels[u])
 		}
-		best, bestN := cur, c[cur]
-		for l, n := range c {
-			if n > bestN || (n == bestN && l < best) {
-				best, bestN = l, n
-			}
-		}
+		scratch[tid] = buf
+		best := plurality(buf)
 		return best, best != cur
 	}
 	ran := e.propagate(labels, relax, iters)
 	comms := globalDistinct(g, labels[:g.NLocal])
 	return labels[:g.NLocal], Result{Name: "LP", Iterations: ran, Time: time.Since(start), SweepTime: e.sweepTime, Value: float64(comms)}
+}
+
+// plurality returns the most frequent label in buf, ties to the
+// smallest label. It sorts buf in place and takes the longest run of
+// equal labels, so it needs no count table and its cost depends only
+// on len(buf). buf must be non-empty.
+//
+//repro:hotpath
+func plurality(buf []int64) int64 {
+	slices.Sort(buf)
+	best, bestN := buf[0], 0
+	for i := 0; i < len(buf); {
+		j := i + 1
+		for j < len(buf) && buf[j] == buf[i] {
+			j++
+		}
+		// Runs arrive in ascending label order, so a strictly longer
+		// run is the only way to displace the current best.
+		if j-i > bestN {
+			best, bestN = buf[i], j-i
+		}
+		i = j
+	}
+	return best
 }
 
 // globalDistinct counts the distinct values among every rank's owned
@@ -287,19 +304,12 @@ func LabelProp(g *dgraph.Graph, iters int) ([]int64, Result) {
 // shared communities. Collective; every rank returns the same count.
 func globalDistinct(g *dgraph.Graph, labels []int64) int64 {
 	nprocs := g.Comm.Size()
-	local := make(map[int64]struct{}, 64)
-	for _, l := range labels {
-		local[l] = struct{}{}
-	}
-	// Sort the locally distinct labels before filling the send buffer:
-	// filling in map iteration order would make the wire bytes (the
-	// order within each destination's segment) differ per run, breaking
-	// frame-level replay even though the final count is unaffected.
-	distinctLocal := make([]int64, 0, len(local))
-	for l := range local {
-		distinctLocal = append(distinctLocal, l)
-	}
+	// Sorted and deduplicated, the send buffer's per-destination
+	// segments come out ascending, so the wire bytes are the same on
+	// every run.
+	distinctLocal := slices.Clone(labels)
 	slices.Sort(distinctLocal)
+	distinctLocal = slices.Compact(distinctLocal)
 	counts := make([]int, nprocs)
 	dest := func(l int64) int { return int(uint64(l) % uint64(nprocs)) }
 	for _, l := range distinctLocal {
@@ -318,11 +328,8 @@ func globalDistinct(g *dgraph.Graph, labels []int64) int64 {
 		cursor[d]++
 	}
 	recv, _ := mpi.Alltoallv(g.Comm, sendBuf, counts)
-	distinct := make(map[int64]struct{}, len(recv))
-	for _, l := range recv {
-		distinct[l] = struct{}{}
-	}
-	return mpi.AllreduceScalar(g.Comm, int64(len(distinct)), mpi.Sum)
+	slices.Sort(recv)
+	return mpi.AllreduceScalar(g.Comm, int64(len(slices.Compact(recv))), mpi.Sum)
 }
 
 // KCore computes the approximate k-core decomposition by iterated
