@@ -195,9 +195,18 @@ func PageRank(g *dgraph.Graph, iters int, damping float64) ([]float64, Result) {
 	return vals[:g.NLocal], Result{Name: "PR", Iterations: iters, Time: elapsed, SweepTime: e.sweepTime, Value: norm}
 }
 
-// WCC labels every vertex with the minimum global id reachable from it
-// (hook-free min-label propagation) and returns owned labels plus the
-// component count.
+// WCC labels every vertex with the minimum global id in its connected
+// component and returns owned labels plus the component count.
+//
+// It runs local-then-global, after HPCGraph's connectivity: a serial
+// union-find over the rank's owned arcs (ghosts as members) first
+// collapses every rank-local piece of a component, each starting from
+// its members' minimum gid (a ghost's gid is a safe start: the ghost
+// lies in the same global component). The engine's rounds then only
+// carry minima across ranks — each round's hook folds every ghost's
+// current label into its local piece — so the rounds are bounded by
+// the hops between rank-local pieces plus one confirming round, not by
+// the graph's diameter. Result.Iterations counts those rounds.
 //
 //repro:deterministic
 //repro:timing
@@ -207,14 +216,22 @@ func WCC(g *dgraph.Graph) ([]int64, Result) {
 	for lid, gid := range g.L2G {
 		labels[lid] = gid
 	}
+	comp := localComponents(g)
+	// compMin[r] is the smallest label known for the local piece rooted
+	// at r; it only ever falls, and only between rounds.
+	compMin := slices.Clone(labels)
+	for lid, r := range comp {
+		compMin[r] = min(compMin[r], labels[lid])
+	}
 	e := newEngine(g)
-	relax := func(v int32, _ int) (int64, bool) {
-		best := labels[v]
-		for _, u := range g.Neighbors(v) {
-			if labels[u] < best {
-				best = labels[u]
-			}
+	e.pre = func() {
+		for gh := g.NLocal; gh < len(comp); gh++ {
+			r := comp[gh]
+			compMin[r] = min(compMin[r], labels[gh])
 		}
+	}
+	relax := func(v int32, _ int) (int64, bool) {
+		best := compMin[comp[v]]
 		return best, best < labels[v]
 	}
 	iters := e.propagate(labels, relax, 0)
@@ -227,6 +244,39 @@ func WCC(g *dgraph.Graph) ([]int64, Result) {
 	})
 	comps := mpi.AllreduceScalar(g.Comm, rootsLocal, mpi.Sum)
 	return labels[:g.NLocal], Result{Name: "WCC", Iterations: iters, Time: time.Since(start), SweepTime: e.sweepTime, Value: float64(comps)}
+}
+
+// localComponents runs a serial union-find over the owned arcs, ghosts
+// included as members, and returns each local id's component root.
+// Finds halve paths and unions link the larger root under the smaller,
+// so every root is its component's smallest lid, whatever the order
+// of the unions.
+func localComponents(g *dgraph.Graph) []int32 {
+	parent := make([]int32, g.NTotal())
+	for i := range parent {
+		parent[i] = int32(i)
+	}
+	find := func(x int32) int32 {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
+		}
+		return x
+	}
+	for v := int32(0); int(v) < g.NLocal; v++ {
+		for _, u := range g.Neighbors(v) {
+			a, b := find(v), find(u)
+			if a < b {
+				parent[b] = a
+			} else if b < a {
+				parent[a] = b
+			}
+		}
+	}
+	for i := range parent {
+		parent[i] = find(int32(i))
+	}
+	return parent
 }
 
 // LabelProp runs up to iters rounds of plurality label propagation
@@ -337,6 +387,14 @@ func globalDistinct(g *dgraph.Graph, labels []int64) int64 {
 // of its neighbors' estimates), which converges to the exact coreness.
 // maxIters bounds the rounds, matching the paper's approximate variant.
 //
+// Estimates only fall, so a round commits h only when h < core[v].
+// Each relaxation first runs Montresor et al.'s count test (see
+// hIndexAtLeast): when at least core[v] neighbours still hold an
+// estimate ≥ core[v], the h-index is ≥ core[v] and nothing can change,
+// so the full h-index is computed only for vertices whose estimate
+// must drop. Coreness, rounds and the maximum are exactly those of the
+// plain rule.
+//
 //repro:deterministic
 //repro:timing
 func KCore(g *dgraph.Graph, maxIters int) ([]int64, Result) {
@@ -356,9 +414,14 @@ func KCore(g *dgraph.Graph, maxIters int) ([]int64, Result) {
 		scratch[i].bkts = make([]int64, 0, 256)
 	}
 	relax := func(v int32, tid int) (int64, bool) {
+		nbrs := g.Neighbors(v)
+		if cv := core[v]; hIndexAtLeast(nbrs, core, cv) {
+			// h-index ≥ cv: the estimate cannot drop this round.
+			return cv, false
+		}
 		s := &scratch[tid]
 		s.hbuf = s.hbuf[:0]
-		for _, u := range g.Neighbors(v) {
+		for _, u := range nbrs {
 			s.hbuf = append(s.hbuf, core[u])
 		}
 		var h int64
@@ -380,6 +443,27 @@ func KCore(g *dgraph.Graph, maxIters int) ([]int64, Result) {
 		maxCore = mpi.AllreduceScalar(g.Comm, localMax(), mpi.Max)
 	}
 	return core[:g.NLocal], Result{Name: "KC", Iterations: iters, Time: time.Since(start), SweepTime: e.sweepTime, Value: float64(maxCore)}
+}
+
+// hIndexAtLeast reports whether at least c of the neighbours nbrs
+// hold a value vals[u] ≥ c — equivalently, whether the h-index of
+// their values is ≥ c. It stops at the c-th witness.
+//
+//repro:hotpath
+func hIndexAtLeast(nbrs []int32, vals []int64, c int64) bool {
+	if c <= 0 {
+		return true
+	}
+	var n int64
+	for _, u := range nbrs {
+		// Branch-free count: c-1-vals[u] is negative exactly when
+		// vals[u] >= c (values are non-negative, c ≥ 1).
+		n += int64(uint64(c-1-vals[u]) >> 63)
+		if n >= c {
+			return true
+		}
+	}
+	return false
 }
 
 // hIndex returns the largest h such that at least h values in vals are

@@ -172,42 +172,7 @@ func TestLabelPropMatchesSerialReference(t *testing.T) {
 	}
 }
 
-// BenchmarkLabelProp times ten LP rounds on a skewed graph over two
-// ranks on the async engine and on a regular mesh on one rank. The
-// shards are built once per benchmark; only LabelProp is timed.
+// BenchmarkLabelProp times ten LP rounds (see benchAnalytic).
 func BenchmarkLabelProp(b *testing.B) {
-	cases := []struct {
-		name  string
-		g     *gen.Generator
-		ranks int
-		async bool
-	}{
-		{"rmat14_2ranks_async", gen.RMAT(14, 16, 1), 2, true},
-		{"grid32_1rank", gen.Grid3D(32, 32, 32), 1, false},
-	}
-	for _, tc := range cases {
-		b.Run(tc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			mpi.Run(tc.ranks, func(c *mpi.Comm) {
-				dg, err := dgraph.FromEdgeChunks(c, tc.g.N, tc.g.EdgesChunk(c.Rank(), c.Size()),
-					dgraph.HashDist{P: c.Size(), Seed: 7})
-				if err != nil {
-					b.Error(err)
-					return
-				}
-				defer dg.Close()
-				dg.SetAsyncExchange(tc.async)
-				// Every rank has built its shard before the clock
-				// starts, and only rank 0 touches the timer.
-				c.Barrier()
-				if c.Rank() == 0 {
-					b.ResetTimer()
-				}
-				c.Barrier()
-				for range b.N {
-					LabelProp(dg, 10)
-				}
-			})
-		})
-	}
+	benchAnalytic(b, func(dg *dgraph.Graph) { LabelProp(dg, 10) })
 }

@@ -35,7 +35,9 @@ import (
 // bfsPipelined), Harmonic Centrality batches whole BFS waves onto the
 // depth-k pipeline (hc_waves.go), and analytics with a final max
 // reduction can ride it on the same tally frames (engine.aux, used by
-// K-Core).
+// K-Core). A round-start hook (engine.pre) lets an analytic fold the
+// settled ghost values into its own frozen state before the sweeps;
+// WCC uses it to lower whole rank-local components at once.
 
 // engine bundles the mode-selected exchange machinery of one analytic
 // run: blocking collective helpers in sync mode, split-phase delta
@@ -57,6 +59,13 @@ type engine struct {
 	aux    func() int64
 	auxVal int64
 	auxOK  bool
+
+	// pre, when set before propagate, runs on the main goroutine at the
+	// top of every round in both modes, after the previous round's
+	// ghost values have settled and before any sweep. It may update
+	// state that relax reads, which then stays frozen for the round —
+	// WCC folds ghost labels into its local-component minima here.
+	pre func()
 
 	// Arenas reused across rounds.
 	changed []int32
@@ -176,17 +185,19 @@ func (e *engine) overlapped() bool { return e.ex != nil }
 // Rounds are two phase-Jacobi sweeps: the boundary sweep computes
 // updates from the round-start state and applies them all at once,
 // then the interior sweep computes from round-start + applied-boundary
-// state. relax must therefore be pure — read vals, return the new
-// value — never write it; the engine commits updates between phases.
-// That phase discipline is what makes the parallel sweeps exact: every
-// worker reads the same frozen state regardless of chunk boundaries,
-// so per-round state and the fixed point are bit-identical across
-// thread counts AND across modes (both relax boundary-then-interior
-// with the same two commit points). The overlapped mode relaxes
-// interior vertices while the boundary messages are in flight; its
-// termination counter is one round stale (the count shipped with round
-// r's messages is round r-1's), so convergence costs one extra no-op
-// round, which by definition changes nothing.
+// state. relax must therefore be pure — read vals and state that stays
+// frozen during the sweeps (anything e.pre updates at round start),
+// return the new value — never write either; the engine commits
+// updates between phases. That phase discipline is what makes the
+// parallel sweeps exact: every worker reads the same frozen state
+// regardless of chunk boundaries, so per-round state and the fixed
+// point are bit-identical across thread counts AND across modes (both
+// run e.pre, then relax boundary-then-interior with the same two
+// commit points). The overlapped mode relaxes interior vertices while
+// the boundary messages are in flight; its termination counter is one
+// round stale (the count shipped with round r's messages is round
+// r-1's), so convergence costs one extra no-op round, which by
+// definition changes nothing.
 func (e *engine) propagate(vals []int64, relax func(v int32, tid int) (int64, bool), maxIters int) int {
 	g := e.g
 	bnd, inr := g.BoundaryVertices(), g.InteriorVertices()
@@ -196,6 +207,9 @@ func (e *engine) propagate(vals []int64, relax func(v int32, tid int) (int64, bo
 	if !e.overlapped() {
 		for maxIters <= 0 || iters < maxIters {
 			iters++
+			if e.pre != nil {
+				e.pre()
+			}
 			e.changed = e.changed[:0]
 			e.sweep(bnd)
 			e.applySweep(vals)
@@ -215,6 +229,9 @@ func (e *engine) propagate(vals []int64, relax func(v int32, tid int) (int64, bo
 	prevLocal := int64(1) // round 0 "changed something": never converged at entry
 	for maxIters <= 0 || iters < maxIters {
 		iters++
+		if e.pre != nil {
+			e.pre()
+		}
 		e.changed = e.changed[:0]
 		e.sweep(bnd)
 		e.applySweep(vals)
