@@ -21,10 +21,11 @@ type AnalyticsConfig struct {
 	// HCSources bounds the harmonic centrality BFS count (the paper
 	// uses 100).
 	HCSources int
-	// AsyncExchange routes the analytics' boundary exchanges
-	// (ExchangeInt64/ExchangeFloat64/PushToOwners) through the async
-	// delta engine instead of the bulk-synchronous Alltoallv. Results
-	// are identical; exchanged-element volume is lower.
+	// AsyncExchange runs the analytics on the async delta engine: each
+	// analytic drives split-phase DeltaExchanger rounds directly, with
+	// convergence counters piggybacked on the messages, instead of
+	// bulk-synchronous Alltoallv exchanges plus per-round Allreduces.
+	// Results are identical; exchanged-element volume is lower.
 	AsyncExchange bool
 	// TermEpoch bounds termination-test staleness in async mode on
 	// INCOMPLETE rank neighborhoods, mirroring Config.SizeEpoch for the

@@ -16,7 +16,8 @@ import (
 // their owners, refreshes ghost copies, and tests global termination.
 //
 // On the async engine the rounds run split-phase AND pipelined to
-// depth two: the boundary part of the frontier — the only part that
+// depth two, as the one-wave case of the wave engine (bfsWaves,
+// hc_waves.go): the boundary part of the frontier — the only part that
 // can discover ghosts — expands first and its discoveries are pushed
 // with BeginPush while the PREVIOUS depth's ghost-refresh round is
 // still in flight, so two rounds of messages overlap each other plus
@@ -47,20 +48,13 @@ func bfsRun(g *dgraph.Graph, e *engine, srcGID int64) (levels []int64, ecc int64
 		// an empty level array is pure noise.)
 		return make([]int64, 0), 0
 	}
-	all := make([]int64, g.NTotal())
-	for i := range all {
-		all[i] = -1
-	}
-	var frontier []int32
-	if lid, ok := g.G2L[srcGID]; ok {
-		all[lid] = 0
-		if !g.IsGhost(lid) {
-			frontier = append(frontier, lid)
-		}
-	}
 	if e.overlapped() {
-		bfsPipelined(g, e, all, frontier)
+		// The one-wave case of the wave engine; the lone batch is the
+		// last, so its levels may be kept.
+		bfsWaves(g, e, []int64{srcGID}, 1, func(l []int64) { levels = l })
 	} else {
+		all := make([]int64, g.NTotal())
+		frontier := seedLevels(g, all, srcGID, nil)
 		depth := int64(0)
 		for {
 			rd := bfsRound{next: make([]int32, 0, len(frontier))}
@@ -84,15 +78,36 @@ func bfsRun(g *dgraph.Graph, e *engine, srcGID int64) (levels []int64, ecc int64
 			depth++
 			frontier = next
 		}
+		levels = all[:g.NLocal]
 	}
-	maxLevel := par.MaxInt64(0, g.NLocal, e.threads, 0, func(v int) int64 { return all[v] })
-	return all[:g.NLocal], mpi.AllreduceScalar(g.Comm, maxLevel, mpi.Max)
+	// The reduction reads a never-reassigned copy, which its closure
+	// captures by value: capturing the assigned levels itself would
+	// move it to the heap on every sweep.
+	owned := levels
+	maxLevel := par.MaxInt64(0, g.NLocal, e.threads, 0, func(v int) int64 { return owned[v] })
+	return levels, mpi.AllreduceScalar(g.Comm, maxLevel, mpi.Max)
+}
+
+// seedLevels resets the level array all to unvisited, gives the source
+// srcGID level 0 wherever this rank holds a copy of it, and returns
+// frontier holding the source if this rank owns it.
+func seedLevels(g *dgraph.Graph, all []int64, srcGID int64, frontier []int32) []int32 {
+	for i := range all {
+		all[i] = -1
+	}
+	if lid, ok := g.G2L[srcGID]; ok {
+		all[lid] = 0
+		if !g.IsGhost(lid) {
+			frontier = append(frontier, lid)
+		}
+	}
+	return frontier
 }
 
 // bfsRound accumulates one BFS round's discoveries. expandFrontier is
 // the frontier-expansion step BOTH engines share — a single
 // definition, so the bit-identical-across-engines invariant cannot
-// drift between the sync loop and the pipelined loop: unvisited
+// drift between the sync loop and the wave engine: unvisited
 // neighbors get this round's level, ghosts queue for the owner push,
 // owned vertices join the next frontier.
 type bfsRound struct {
@@ -101,7 +116,7 @@ type bfsRound struct {
 	ghostLevels []int64
 }
 
-// Frontier filters for expandFrontier: the pipelined schedules expand
+// Frontier filters for expandFrontier: the wave engine expands
 // the boundary part of the frontier (the only part that can discover
 // ghosts) before the interior part.
 const (
@@ -165,98 +180,6 @@ func (e *engine) expandFrontier(rd *bfsRound, all []int64, frontier []int32, dep
 	e.sweepTime += time.Since(start)
 }
 
-// bfsPipelined is the overlapped BFS loop: depth d+1's discovery push
-// is posted while depth d's ghost refresh is still in flight, keeping
-// two value rounds in the exchanger pipeline at all times.
-//
-// Per round:
-//
-//	expand boundary frontier        (ghosts may be one refresh stale)
-//	BeginPush(discoveries)          ── round 2r+1 in flight
-//	expand interior frontier        ── overlaps both rounds
-//	FlushValues                     ── settles round 2r-2's refresh,
-//	                                   yields the PREVIOUS frontier's
-//	                                   global size (termination)
-//	FlushPush → merge discoveries   ── settles round 2r+1
-//	BeginValues(new frontier)       ── round 2r+2 in flight
-//
-// Termination is observed one round late (the refresh that certifies a
-// globally empty frontier settles while the next — necessarily empty —
-// push round is already posted), so convergence costs one trailing
-// empty round; on incomplete neighborhoods the exact Allreduce runs
-// every e.termEpoch rounds, adding at most termEpoch-1 further empty
-// rounds. Empty rounds expand an empty frontier and therefore cannot
-// change levels.
-func bfsPipelined(g *dgraph.Graph, e *engine, all []int64, frontier []int32) {
-	ex := e.ex
-	pendingValues := false
-	prevLen := int64(0)
-	depth := int64(0)
-	round := 0
-	for {
-		round++
-		rd := bfsRound{next: make([]int32, 0, len(frontier))}
-		// Boundary frontier first: only boundary vertices have ghost
-		// neighbors, so this prefix feeds the push round. The previous
-		// round's ghost refresh may still be in flight, so a ghost
-		// copy can be stale here; the resulting redundant push claims
-		// a level no smaller than the owner's (rounds are level-
-		// synchronous), and the owner's first-discovery-wins merge
-		// drops it.
-		e.expandFrontier(&rd, all, frontier, depth, bfsBoundaryOnly)
-		ex.BeginPush(rd.ghostFound, rd.ghostLevels, nil)
-		e.expandFrontier(&rd, all, frontier, depth, bfsInteriorOnly)
-		done := false
-		if pendingValues {
-			// Settle the previous round's ghost refresh (posted before
-			// this round's push — flushes are FIFO). Owner levels are
-			// authoritative and final, so applying them after this
-			// round's expansion only corrects stale ghost copies.
-			outL, outP, tr := ex.FlushValues()
-			for i, lid := range outL {
-				all[lid] = outP[i]
-			}
-			pendingValues = false
-			if e.complete {
-				done = tr.Sum(0) == 0
-			} else if round%e.termEpoch == 0 {
-				done = mpi.AllreduceScalar(g.Comm, prevLen, mpi.Sum) == 0
-			}
-		}
-		recvL, recvP, _ := ex.FlushPush()
-		if done {
-			// The previous frontier was globally empty, so this round
-			// expanded nothing and the push just flushed was empty on
-			// every rank: exit with the pipeline drained.
-			break
-		}
-		next := rd.next
-		for i, lid := range recvL {
-			if all[lid] < 0 {
-				all[lid] = recvP[i]
-				next = append(next, lid)
-			}
-		}
-		// Ghost refresh of the new frontier, with the frontier size
-		// riding the messages as the termination counter; it settles
-		// mid-next-round.
-		e.payload = e.payload[:0]
-		for _, v := range next {
-			e.payload = append(e.payload, all[v])
-		}
-		var tally []int64
-		if e.complete {
-			e.tally[0] = int64(len(next))
-			tally = e.tally[:1]
-		}
-		ex.BeginValues(next, e.payload, tally)
-		pendingValues = true
-		prevLen = int64(len(next))
-		depth++
-		frontier = next
-	}
-}
-
 // HarmonicCentrality computes harmonic centrality for the given source
 // vertices (the paper uses 100 sources on WDC12; scaled runs pass
 // fewer): for each source a full BFS accumulates 1/d(s, v) onto every
@@ -277,16 +200,22 @@ func HarmonicCentrality(g *dgraph.Graph, sources []int64) ([]float64, Result) {
 	start := time.Now()
 	hc := make([]float64, g.NLocal)
 	e := newEngine(g)
+	// Parallel over vertices, sequential over sources: each hc[v]
+	// accumulates its sources in source order in both modes, so the
+	// float sums are bit-identical across engines and wave counts.
+	accumulate := func(levels []int64) {
+		par.For(0, g.NLocal, e.threads, func(v int) {
+			if levels[v] > 0 {
+				hc[v] += 1.0 / float64(levels[v])
+			}
+		})
+	}
 	if e.overlapped() && g.NGlobal > 0 {
-		harmonicWaves(g, e, sources, hc)
+		bfsWaves(g, e, sources, HCWaves(g), accumulate)
 	} else {
 		for _, s := range sources {
 			levels, _ := bfsRun(g, e, s)
-			par.For(0, g.NLocal, e.threads, func(v int) {
-				if levels[v] > 0 {
-					hc[v] += 1.0 / float64(levels[v])
-				}
-			})
+			accumulate(levels)
 		}
 	}
 	maxHC := par.MaxFloat64(0, len(hc), e.threads, 0, func(i int) float64 { return hc[i] })

@@ -3,18 +3,19 @@ package analytics
 import (
 	"repro/internal/dgraph"
 	"repro/internal/mpi"
-	"repro/internal/par"
 )
 
-// Multi-wave Harmonic Centrality. HC runs one full distributed BFS per
-// source, and the waves are completely independent — yet the
-// sequential loop pays every source the full round-trip latency of
-// every BFS level, one after another. This engine batches sources into
-// concurrent waves that share one deep exchange pipeline: with the
-// exchanger built at depth d (Graph.SetPipeDepth), d/2 waves advance
-// together, each keeping its discovery-push round and its ghost-refresh
-// round in flight — so the pipeline always holds d rounds while each
-// rank sweeps the waves' frontiers back to back.
+// The overlapped BFS engine: every async BFS sweep runs here. HC runs
+// one full distributed BFS per source, and the sources are completely
+// independent — yet a sequential loop pays every source the full
+// round-trip latency of every BFS level, one after another. This
+// engine batches sources into k concurrent waves that share one deep
+// exchange pipeline: each wave keeps its discovery-push round and its
+// ghost-refresh round in flight, so with the exchanger built at depth
+// d (Graph.SetPipeDepth) HC runs k = d/2 waves (HCWaves) and the
+// pipeline holds d rounds while each rank sweeps the waves' frontiers
+// back to back. A single BFS (BFS, SCC's sweeps, ApproxDiameter) is the
+// one-wave case: one source, k = 1, two rounds in flight.
 //
 // The schedule is a fixed four-phase cycle over the batch's wave slots
 // (skipping inactive ones), which keeps the exchanger's FIFO flush
@@ -23,7 +24,7 @@ import (
 //
 //	phase P: per wave — expand boundary frontier, BeginPush the
 //	         discoveries, expand interior frontier
-//	         (pipeline now holds k refreshes + k pushes = depth rounds)
+//	         (pipeline now holds k refreshes + k pushes = 2k rounds)
 //	phase F: per wave — FlushValues the wave's refresh from the
 //	         PREVIOUS cycle: correct stale ghost copies, fold the
 //	         wave's termination counter
@@ -34,12 +35,12 @@ import (
 //
 // Every wave's rounds are stamped with its slot as the round tag's
 // wave id (DeltaExchanger.SetRoundWave), so a skewed schedule panics
-// naming the wave and the round. Each wave individually runs exactly
-// the single-BFS pipelined schedule (bfsPipelined): same expansion
-// order, same one-cycle ghost staleness, same first-discovery-wins
-// merge — so its levels are bit-identical to a solo BFS, and because
-// the per-source contributions are accumulated in source order after
-// the batch completes, the centralities are bit-identical to the
+// naming the wave and the round. Every wave runs the same per-source
+// schedule whatever k is: same expansion order, same one-cycle ghost
+// staleness, same first-discovery-wins merge — so its levels are
+// bit-identical to a solo BFS and to the synchronous loop, and because
+// HC accumulates the per-source contributions in source order after
+// each batch completes, the centralities are bit-identical to the
 // sequential loop's float sums at every depth and in both modes.
 //
 // Termination is per wave and piggybacked: the counter a wave's
@@ -47,23 +48,24 @@ import (
 // per wave, which expands nothing), and on incomplete rank
 // neighborhoods each wave falls back to its own exact Allreduce every
 // termEpoch of ITS rounds — wave round counts are identical on every
-// rank, so the collective schedule stays agreed. A finished wave goes
-// quiet (posts nothing, flushes nothing) while its batch mates drain;
-// slots refill only at batch boundaries, which is what keeps
-// accumulation order — and therefore the float sums — deterministic.
+// rank, so the collective schedule stays agreed, and a fixed point
+// reached mid-epoch costs at most termEpoch-1 further empty cycles. A
+// finished wave goes quiet (posts nothing, flushes nothing) while its
+// batch mates drain; slots refill only at batch boundaries, which is
+// what keeps the order of the done callbacks — and therefore HC's
+// float sums — deterministic.
 //
-// On complete neighborhoods a wave costs ZERO reductions: unlike the
-// sequential loop, which pays one eccentricity Allreduce per source
-// inside BFS, the wave engine never needs eccentricities at all.
+// On complete neighborhoods a wave costs ZERO reductions: the engine
+// never needs eccentricities, so HC pays none, and a solo BFS pays
+// only bfsRun's final eccentricity Allreduce.
 
-// hcWave is one BFS wave's private state: its level array, frontier,
+// bfsWave is one BFS wave's private state: its level array, frontier,
 // and termination bookkeeping. Waves share the exchanger pipeline but
 // nothing else.
-type hcWave struct {
+type bfsWave struct {
 	all      []int64
 	frontier []int32
 	rd       bfsRound
-	payload  []int64
 	tally    [1]int64 // per-wave: BeginValues aliases it until the flush
 	prevLen  int64
 	depth    int64
@@ -74,17 +76,8 @@ type hcWave struct {
 }
 
 // reset re-arms the wave for a new source.
-func (w *hcWave) reset(g *dgraph.Graph, src int64) {
-	for i := range w.all {
-		w.all[i] = -1
-	}
-	w.frontier = w.frontier[:0]
-	if lid, ok := g.G2L[src]; ok {
-		w.all[lid] = 0
-		if !g.IsGhost(lid) {
-			w.frontier = append(w.frontier, lid)
-		}
-	}
+func (w *bfsWave) reset(g *dgraph.Graph, src int64) {
+	w.frontier = seedLevels(g, w.all, src, w.frontier[:0])
 	w.prevLen, w.depth, w.round = 0, 0, 0
 	w.pendingV, w.done = false, false
 	w.active = true
@@ -110,14 +103,17 @@ func HCWaves(g *dgraph.Graph) int {
 	return k
 }
 
-// harmonicWaves runs the batched multi-wave BFS sweeps and accumulates
-// 1/d(s,v) onto hc for every source, in source order.
-func harmonicWaves(g *dgraph.Graph, e *engine, sources []int64, hc []float64) {
+// bfsWaves is the overlapped BFS engine: it runs one BFS per source as
+// batches of k concurrent waves on the exchanger pipeline and calls
+// done with each source's owned-vertex levels, in source order. The
+// levels alias the wave's arena, which the next batch overwrites, so
+// done must consume them before returning unless theirs is the last
+// batch. k = 1 is the solo BFS (bfsRun's async branch).
+func bfsWaves(g *dgraph.Graph, e *engine, sources []int64, k int, done func(levels []int64)) {
 	ex := e.ex
-	k := HCWaves(g)
-	waves := make([]*hcWave, k)
+	waves := make([]*bfsWave, k)
 	for i := range waves {
-		waves[i] = &hcWave{all: make([]int64, g.NTotal())}
+		waves[i] = &bfsWave{all: make([]int64, g.NTotal())}
 	}
 	for lo := 0; lo < len(sources); lo += k {
 		batch := sources[lo:min(lo+k, len(sources))]
@@ -126,11 +122,14 @@ func harmonicWaves(g *dgraph.Graph, e *engine, sources []int64, hc []float64) {
 			waves[slot].reset(g, s)
 		}
 		for active > 0 {
-			// Phase P: post every active wave's discovery push. The
-			// wave's own refresh from the previous cycle may still be
-			// in flight, so ghost reads here carry the same one-cycle
-			// staleness as the solo pipelined BFS — redundant pushes
-			// are deduped owner-side.
+			// Phase P: post every active wave's discovery push. Only
+			// boundary vertices have ghost neighbors, so the boundary
+			// prefix of the frontier feeds the push. The wave's own
+			// refresh from the previous cycle may still be in flight,
+			// so a ghost copy read here can be one cycle stale; the
+			// resulting redundant push claims a level no smaller than
+			// the owner's (rounds are level-synchronous), and the
+			// owner's first-discovery-wins merge drops it.
 			for slot, w := range waves[:len(batch)] {
 				if !w.active {
 					continue
@@ -192,35 +191,28 @@ func harmonicWaves(g *dgraph.Graph, e *engine, sources []int64, hc []float64) {
 				}
 				next := w.rd.next
 				ex.SetRoundWave(slot)
-				w.payload = w.payload[:0]
+				// BeginValues copies the payload out before it returns,
+				// so every wave shares the engine's payload arena.
+				e.payload = e.payload[:0]
 				for _, v := range next {
-					w.payload = append(w.payload, w.all[v])
+					e.payload = append(e.payload, w.all[v])
 				}
 				var tally []int64
 				if e.complete {
 					w.tally[0] = int64(len(next))
 					tally = w.tally[:1]
 				}
-				ex.BeginValues(next, w.payload, tally)
+				ex.BeginValues(next, e.payload, tally)
 				w.pendingV = true
 				w.prevLen = int64(len(next))
 				w.depth++
 				w.frontier = next
 			}
 		}
-		// Accumulate the batch in source order: levels are
-		// bit-identical to solo BFS runs, so summing in source order
-		// reproduces the sequential loop's float sums exactly.
+		// The whole batch has drained, and slots hold the batch in
+		// source order, so done sees the sources in source order.
 		for slot := range batch {
-			all := waves[slot].all
-			// Parallel over vertices, sequential over slots: each hc[v]
-			// still accumulates its sources in source order, so the
-			// float sums match the sequential loop bit for bit.
-			par.For(0, g.NLocal, e.threads, func(v int) {
-				if all[v] > 0 {
-					hc[v] += 1.0 / float64(all[v])
-				}
-			})
+			done(waves[slot].all[:g.NLocal])
 		}
 	}
 	ex.SetRoundWave(0)

@@ -31,13 +31,15 @@ import (
 //     reached mid-epoch costs at most TermEpoch-1 extra no-op rounds
 //     before the next check observes it.
 //
-// BFS additionally pipelines its rounds (two in flight, see
-// bfsPipelined), Harmonic Centrality batches whole BFS waves onto the
-// depth-k pipeline (hc_waves.go), and analytics with a final max
-// reduction can ride it on the same tally frames (engine.aux, used by
-// K-Core). A round-start hook (engine.pre) lets an analytic fold the
-// settled ghost values into its own frozen state before the sweeps;
-// WCC uses it to lower whole rank-local components at once.
+// BFS additionally pipelines its rounds on the wave engine
+// (hc_waves.go): a lone BFS is one wave with two rounds in flight, and
+// Harmonic Centrality batches depth/2 BFS waves onto the depth-k
+// pipeline. Analytics with a final max reduction can ride it on the
+// same tally frames (engine.aux, used by K-Core). A round-start hook
+// (engine.pre) lets an analytic fold the settled ghost values into its
+// own frozen state before the sweeps; WCC uses it to lower whole
+// rank-local components at once. Every analytic drives the exchanger
+// directly; none goes through Graph's blocking helpers in async mode.
 
 // engine bundles the mode-selected exchange machinery of one analytic
 // run: blocking collective helpers in sync mode, split-phase delta

@@ -49,27 +49,40 @@ func TestTermEpochIncompleteNeighborhood(t *testing.T) {
 // The overlapped BFS must actually pipeline: the discovery push of
 // depth d+1 is posted while depth d's ghost refresh is still in
 // flight, so the exchanger's in-flight high-water mark reaches
-// dgraph.DefaultPipeDepth on any multi-round search.
+// dgraph.DefaultPipeDepth on any multi-round search. A lone BFS is the
+// one-wave case of the wave engine, so a deeper exchanger (depth 8, the
+// benchmark's) must not change that: still exactly two rounds in
+// flight, and levels equal to the synchronous loop's.
 func TestBFSOverlappedPipelinesDepthTwo(t *testing.T) {
 	g := gen.ChungLu(1<<10, 1<<13, 2.2, 9)
-	mpi.Run(4, func(c *mpi.Comm) {
-		dg, err := dgraph.FromEdgeChunks(c, g.N, g.EdgesChunk(c.Rank(), c.Size()),
-			dgraph.HashDist{P: c.Size(), Seed: 7})
-		if err != nil {
-			t.Errorf("rank %d: %v", c.Rank(), err)
-			return
-		}
-		defer dg.Close()
-		dg.SetAsyncExchange(true)
-		_, ecc := BFS(dg, 0)
-		if ecc < 2 {
-			t.Errorf("rank %d: eccentricity %d too small to exercise pipelining", c.Rank(), ecc)
-		}
-		if got := dg.AsyncExchanger().MaxDepth; got != dgraph.DefaultPipeDepth {
-			t.Errorf("rank %d: BFS reached pipeline depth %d, want %d (push must overlap the pending refresh)",
-				c.Rank(), got, dgraph.DefaultPipeDepth)
-		}
-	})
+	for _, depth := range []int{0, 8} {
+		mpi.Run(4, func(c *mpi.Comm) {
+			dg, err := dgraph.FromEdgeChunks(c, g.N, g.EdgesChunk(c.Rank(), c.Size()),
+				dgraph.HashDist{P: c.Size(), Seed: 7})
+			if err != nil {
+				t.Errorf("rank %d: %v", c.Rank(), err)
+				return
+			}
+			defer dg.Close()
+			dg.SetPipeDepth(depth)
+			want, _ := BFS(dg, 0)
+			dg.SetAsyncExchange(true)
+			levels, ecc := BFS(dg, 0)
+			if ecc < 2 {
+				t.Errorf("depth %d: rank %d: eccentricity %d too small to exercise pipelining", depth, c.Rank(), ecc)
+			}
+			if got := dg.AsyncExchanger().MaxDepth; got != dgraph.DefaultPipeDepth {
+				t.Errorf("depth %d: rank %d: BFS reached pipeline depth %d, want %d (push must overlap the pending refresh)",
+					depth, c.Rank(), got, dgraph.DefaultPipeDepth)
+			}
+			for v := range want {
+				if levels[v] != want[v] {
+					t.Errorf("depth %d: rank %d: level of lid %d is %d async, %d sync", depth, c.Rank(), v, levels[v], want[v])
+					return
+				}
+			}
+		})
+	}
 }
 
 // K-Core's coreness maximum piggybacks on the convergence counter

@@ -265,3 +265,8 @@ func BenchmarkWCC(b *testing.B) {
 func BenchmarkKCore(b *testing.B) {
 	benchAnalytic(b, func(dg *dgraph.Graph) { KCore(dg, 50) })
 }
+
+// BenchmarkSCC times one SCC run: two BFS sweeps from the pivot.
+func BenchmarkSCC(b *testing.B) {
+	benchAnalytic(b, func(dg *dgraph.Graph) { SCC(dg) })
+}

@@ -26,13 +26,13 @@ import (
 //     piggybacked tally frame (mpi.AppendTally) that lets a round
 //     double as the iteration's reduction.
 //   - Value flow (BeginValues/FlushValues): full 64-bit payloads
-//     owner → ghost, for the analytics helpers
-//     ExchangeInt64/ExchangeFloat64 and the overlapped analytics
-//     engines. Begin posts the sends and the drainer; the caller
-//     computes interior work while messages are in flight and settles
-//     ghosts at Flush.
+//     owner → ghost, for the overlapped analytics engines (the async
+//     counterpart of ExchangeInt64/ExchangeFloat64). Begin posts the
+//     sends and the drainer; the caller computes interior work while
+//     messages are in flight and settles ghosts at Flush.
 //   - Reverse flow (BeginPush/FlushPush): full 64-bit payloads
-//     ghost → owner, for frontier algorithms (PushToOwners).
+//     ghost → owner, for frontier algorithms (the overlapped BFS; the
+//     async counterpart of PushToOwners).
 //
 // Value rounds carry their tally frames per source (TallyRound)
 // instead of pre-summed, so float partial sums can be folded in global
@@ -210,18 +210,17 @@ const MinPipeDepth = 2
 // owner, both with optional per-source tally frames (TallyRound).
 // Begin posts the sends and the drainer, so the caller can compute
 // interior work while the messages are in flight; Flush joins and
-// returns the incoming pairs. ExchangeValues and PushValues are the
-// blocking compositions behind Graph.SetAsyncExchange.
+// returns the incoming pairs.
 //
 // Rounds pipeline to the graph's configured depth (SetPipeDepth,
 // default DefaultPipeDepth): after BeginValues (or BeginPush), further
 // Begin* calls of any kind may be posted before the first round's
 // Flush, keeping up to depth rounds of messages in flight; each Flush
 // settles the oldest pending round, in FIFO order. The overlapped BFS
-// uses this to keep depth d's ghost-refresh round and depth d+1's
-// discovery push in flight simultaneously, and the multi-wave HC
-// engine interleaves depth/2 independent BFS waves' rounds — stamped
-// with per-wave round tags via SetRoundWave — on the same pipeline.
+// engine uses this to keep each wave's depth-d ghost-refresh round and
+// depth-d+1 discovery push in flight simultaneously, and for HC it
+// interleaves depth/2 independent BFS waves' rounds — stamped with
+// per-wave round tags via SetRoundWave — on the same pipeline.
 //
 // Every rank must call the same sequence of rounds or peers deadlock,
 // exactly as they would skipping a collective. Calling Flush without
@@ -722,7 +721,7 @@ func (ex *DeltaExchanger) NeighborhoodComplete() bool {
 	return ex.complete == 1
 }
 
-// Value-flow wire format (ExchangeValues and PushValues). One message
+// Value-flow wire format (BeginValues and BeginPush). One message
 // per neighbor pair per round, all-int64:
 //
 //	[]                          no pairs this round
@@ -989,27 +988,4 @@ func (ex *DeltaExchanger) FlushPush() ([]int32, []int64, TallyRound) {
 	res := ex.join()
 	tr := TallyRound{own: own, srcs: ex.plan.sendRanks, flat: res.tallies, n: n, rank: int32(ex.g.Comm.Rank())}
 	return res.outL, res.outP, tr
-}
-
-// ExchangeValues ships full 64-bit payloads for the given owned
-// vertices to every neighbor ghosting them — the value-flow engine
-// behind ExchangeInt64/ExchangeFloat64 in async mode — and returns the
-// (ghost lid, payload) pairs received from neighbors. It is the
-// blocking composition of BeginValues and FlushValues; it must not
-// overlap a pending round.
-func (ex *DeltaExchanger) ExchangeValues(lids []int32, payloads []int64) ([]int32, []int64) {
-	ex.BeginValues(lids, payloads, nil)
-	outL, outP, _ := ex.FlushValues()
-	return outL, outP
-}
-
-// PushValues ships full 64-bit payloads for the given ghost vertices to
-// their owning ranks — the reverse flow behind PushToOwners in async
-// mode — and returns the (owned lid, payload) pairs received. It is
-// the blocking composition of BeginPush and FlushPush; it must not
-// overlap a pending round.
-func (ex *DeltaExchanger) PushValues(lids []int32, payloads []int64) ([]int32, []int64) {
-	ex.BeginPush(lids, payloads, nil)
-	outL, outP, _ := ex.FlushPush()
-	return outL, outP
 }

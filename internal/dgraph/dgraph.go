@@ -54,9 +54,9 @@ type Graph struct {
 	boundaryMark []bool
 	// deltaEx caches the graph's delta exchanger (AsyncExchanger).
 	deltaEx *DeltaExchanger
-	// asyncRoute, when true, routes ExchangeInt64, ExchangeFloat64, and
-	// PushToOwners through the delta engine (SetAsyncExchange).
-	asyncRoute bool
+	// async selects the analytics engine's async mode
+	// (SetAsyncExchange).
+	async bool
 	// termEpoch is the analytics termination-epoch knob (SetTermEpoch).
 	termEpoch int
 	// pipeDepth is the exchange-pipeline depth knob (SetPipeDepth).
@@ -402,8 +402,8 @@ func (g *Graph) ExchangeUpdates(q []Update) []Update {
 // rank-neighborhood completeness detection — on first use, so the
 // first call per graph must happen at the same point on every rank
 // (see NewDeltaExchanger). The instance is shared by every consumer of
-// the graph (the partitioner's update rounds and the generic value
-// exchanges), so the boundary plan is derived once.
+// the graph (the partitioner's update rounds and the async analytics'
+// value rounds), so the boundary plan is derived once.
 func (g *Graph) AsyncExchanger() *DeltaExchanger {
 	if g.deltaEx == nil {
 		g.deltaEx = g.NewDeltaExchanger()
@@ -453,9 +453,10 @@ func (g *Graph) TermEpoch() int {
 // SetAsyncExchange, or any analytics run in async mode); setting it
 // afterwards panics rather than silently not applying. 0 keeps the
 // default (DefaultPipeDepth); values below MinPipeDepth are rejected,
-// because the split-phase BFS schedule needs two rounds in flight.
-// Depths above 2*MinPipeDepth let the multi-wave HC engine run depth/2
-// concurrent BFS waves. Every rank must set the same value.
+// because every BFS wave keeps a push and a refresh in flight. Among
+// the analytics only HC uses more: it runs depth/2 concurrent BFS
+// waves, while a lone BFS (as in SCC and ApproxDiameter) keeps two
+// rounds in flight at any depth. Every rank must set the same value.
 func (g *Graph) SetPipeDepth(d int) {
 	if d != 0 && d < MinPipeDepth {
 		panic(fmt.Sprintf("dgraph: SetPipeDepth(%d): depth below %d rejected (the split-phase schedules keep a push and a refresh in flight)", d, MinPipeDepth))
@@ -477,61 +478,54 @@ func (g *Graph) normalizePipeDepth(d int) int {
 	return d
 }
 
-// SetAsyncExchange selects the transport behind ExchangeInt64,
-// ExchangeFloat64, and PushToOwners: false (the default) keeps the
-// bulk-synchronous Alltoallv engine, true routes them through the
-// async delta engine's packed per-neighbor messages. Every rank of the
-// communicator must select the same mode — the two transports have
+// SetAsyncExchange selects the analytics engine's mode: false (the
+// default) runs the analytics bulk-synchronously over ExchangeInt64,
+// ExchangeFloat64, PushToOwners and per-round Allreduces; true makes
+// them drive the delta exchanger's split-phase rounds directly, with
+// piggybacked convergence counters. Turning it on builds the exchanger
+// eagerly (a collective, see NewDeltaExchanger). Every rank of the
+// communicator must select the same mode — the two engines have
 // different collective footprints and mixing them deadlocks, exactly
 // like mismatched collectives under MPI.
 func (g *Graph) SetAsyncExchange(on bool) {
-	g.asyncRoute = on
+	g.async = on
 	if on {
 		g.AsyncExchanger()
 	}
 }
 
-// AsyncExchange reports whether the generic exchange helpers are
-// routed through the delta engine.
-func (g *Graph) AsyncExchange() bool { return g.asyncRoute }
+// AsyncExchange reports whether the analytics run on the async delta
+// engine (SetAsyncExchange).
+func (g *Graph) AsyncExchange() bool { return g.async }
 
 // ExchangeInt64 pushes 64-bit values (labels, core numbers, levels) for
 // the given owned vertices to the ranks ghosting them and applies the
-// symmetric incoming updates into vals (indexed by local id). The
-// transport is either the bulk-synchronous Alltoallv engine or, after
-// SetAsyncExchange(true), the delta engine's packed per-neighbor
-// point-to-point messages; results are identical either way.
+// symmetric incoming updates into vals (indexed by local id), over the
+// bulk-synchronous Alltoallv engine whatever SetAsyncExchange selects.
+// The async analytics ship the same values with
+// DeltaExchanger.BeginValues/FlushValues instead.
 func (g *Graph) ExchangeInt64(lids []int32, vals []int64) {
 	payloads := make([]int64, len(lids))
 	for i, lid := range lids {
 		payloads[i] = vals[lid]
 	}
-	outL, outP := g.exchangeValues(lids, payloads)
+	outL, outP := g.exchangeRaw(lids, payloads)
 	for i, lid := range outL {
 		vals[lid] = outP[i]
 	}
 }
 
 // ExchangeFloat64 is ExchangeInt64 for float64 values (ranks, scores),
-// shipped bit-exactly through the same mode-selected transport.
+// shipped bit-exactly over the same Alltoallv engine.
 func (g *Graph) ExchangeFloat64(lids []int32, vals []float64) {
 	payloads := make([]int64, len(lids))
 	for i, lid := range lids {
 		payloads[i] = int64(math.Float64bits(vals[lid]))
 	}
-	outL, outP := g.exchangeValues(lids, payloads)
+	outL, outP := g.exchangeRaw(lids, payloads)
 	for i, lid := range outL {
 		vals[lid] = math.Float64frombits(uint64(outP[i]))
 	}
-}
-
-// exchangeValues dispatches the owner → ghost value exchange to the
-// configured transport.
-func (g *Graph) exchangeValues(lids []int32, payloads []int64) ([]int32, []int64) {
-	if g.asyncRoute {
-		return g.AsyncExchanger().ExchangeValues(lids, payloads)
-	}
-	return g.exchangeRaw(lids, payloads)
 }
 
 // BoundaryVertices returns the owned local ids that have at least one
@@ -655,14 +649,10 @@ func (g *Graph) Validate() error {
 // ranks that own them — the reverse direction of the owner → ghost
 // exchanges, needed by frontier algorithms (BFS) where a rank
 // discovers vertices it does not own. It returns the received pairs
-// translated to owned local ids. Like the forward helpers it runs on
-// the mode-selected transport: Alltoallv (gid, payload) pairs by
-// default, packed per-neighbor point-to-point messages after
-// SetAsyncExchange(true).
+// translated to owned local ids. Like the forward helpers it ships
+// (gid, payload) pairs over Alltoallv; the async BFS pushes with
+// DeltaExchanger.BeginPush/FlushPush instead.
 func (g *Graph) PushToOwners(lids []int32, payloads []int64) ([]int32, []int64) {
-	if g.asyncRoute {
-		return g.AsyncExchanger().PushValues(lids, payloads)
-	}
 	nprocs := g.Comm.Size()
 	sendCounts := make([]int, nprocs)
 	for _, lid := range lids {

@@ -52,15 +52,16 @@
 // released by DeltaExchanger.Close — Graph.Close calls it at teardown;
 // a finalizer exists only as a backstop for dropped exchangers.
 //
-// SetAsyncExchange routes the generic helpers (ExchangeInt64,
-// ExchangeFloat64, PushToOwners) through the delta engine; the
-// partitioner drives the update flow (Begin/Flush) directly, and the
-// overlapped analytics engines drive the split-phase value flows (BFS
-// keeping two rounds in flight, the multi-wave HC engine keeping two
-// per wave). SetTermEpoch bounds the overlapped analytics'
-// termination-Allreduce cadence on incomplete rank neighborhoods.
-// Both transports deliver identical results — the choice is pure
-// transport, observable only in mpi.Stats traffic counters and wall
+// The generic helpers (ExchangeInt64, ExchangeFloat64, PushToOwners)
+// always run on the bulk-synchronous Alltoallv engine. The delta
+// engine has no blocking wrappers: the partitioner drives the update
+// flow (Begin/Flush) directly, and with SetAsyncExchange(true) the
+// overlapped analytics engines drive the split-phase value flows
+// directly (every BFS wave keeping a push and a refresh in flight —
+// one wave for BFS, depth/2 for HC). SetTermEpoch bounds the
+// overlapped analytics' termination-Allreduce cadence on incomplete
+// rank neighborhoods. Both engines deliver identical results — the
+// choice is observable only in mpi.Stats traffic counters and wall
 // time.
 //
 // # Hot-path annotation

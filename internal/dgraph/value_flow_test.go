@@ -1,6 +1,7 @@
 package dgraph
 
 import (
+	"math"
 	"sort"
 	"testing"
 
@@ -23,9 +24,25 @@ func pairSet(lids []int32, vals []int64) [][2]int64 {
 	return out
 }
 
-// The generic value exchange must deliver exactly what the synchronous
-// Alltoallv transport delivers, for both the owner → ghost direction
-// (ExchangeInt64) and the ghost → owner direction (PushToOwners).
+// valueRound ships vals[lids] owner → ghost over one split-phase delta
+// round and applies the received payloads into vals — the async
+// counterpart of Graph.ExchangeInt64.
+func valueRound(ex *DeltaExchanger, lids []int32, vals []int64) {
+	payloads := make([]int64, len(lids))
+	for i, lid := range lids {
+		payloads[i] = vals[lid]
+	}
+	ex.BeginValues(lids, payloads, nil)
+	outL, outP, _ := ex.FlushValues()
+	for i, lid := range outL {
+		vals[lid] = outP[i]
+	}
+}
+
+// The delta value flows must deliver exactly what the synchronous
+// Alltoallv helpers deliver, for both the owner → ghost direction
+// (BeginValues vs ExchangeInt64) and the ghost → owner direction
+// (BeginPush vs PushToOwners).
 func TestValueFlowsMatchSyncTransport(t *testing.T) {
 	g := gen.RMAT(10, 8, 3)
 	mpi.Run(4, func(c *mpi.Comm) {
@@ -35,6 +52,7 @@ func TestValueFlowsMatchSyncTransport(t *testing.T) {
 			return
 		}
 		defer dg.Close()
+		ex := dg.AsyncExchanger()
 
 		// Owner → ghost: a sparse subset of owned vertices.
 		var lids []int32
@@ -49,14 +67,12 @@ func TestValueFlowsMatchSyncTransport(t *testing.T) {
 			}
 		}
 		syncVals := append([]int64(nil), base...)
-		dg.SetAsyncExchange(false)
 		dg.ExchangeInt64(lids, syncVals)
 		asyncVals := append([]int64(nil), base...)
-		dg.SetAsyncExchange(true)
-		dg.ExchangeInt64(lids, asyncVals)
+		valueRound(ex, lids, asyncVals)
 		for i := range syncVals {
 			if syncVals[i] != asyncVals[i] {
-				t.Errorf("rank %d: ExchangeInt64 diverges at lid %d: sync %d async %d",
+				t.Errorf("rank %d: BeginValues diverges from ExchangeInt64 at lid %d: sync %d async %d",
 					c.Rank(), i, syncVals[i], asyncVals[i])
 				return
 			}
@@ -72,26 +88,25 @@ func TestValueFlowsMatchSyncTransport(t *testing.T) {
 				payloads = append(payloads, dg.L2G[lid]*13%997)
 			}
 		}
-		dg.SetAsyncExchange(false)
 		sL, sP := dg.PushToOwners(ghosts, payloads)
-		dg.SetAsyncExchange(true)
-		aL, aP := dg.PushToOwners(ghosts, payloads)
+		ex.BeginPush(ghosts, payloads, nil)
+		aL, aP, _ := ex.FlushPush()
 		sp, ap := pairSet(sL, sP), pairSet(aL, aP)
 		if len(sp) != len(ap) {
-			t.Errorf("rank %d: PushToOwners delivered %d pairs async, %d sync", c.Rank(), len(ap), len(sp))
+			t.Errorf("rank %d: BeginPush delivered %d pairs, PushToOwners %d", c.Rank(), len(ap), len(sp))
 			return
 		}
 		for i := range sp {
 			if sp[i] != ap[i] {
-				t.Errorf("rank %d: PushToOwners pair %d: sync %v async %v", c.Rank(), i, sp[i], ap[i])
+				t.Errorf("rank %d: pushed pair %d: PushToOwners %v BeginPush %v", c.Rank(), i, sp[i], ap[i])
 				return
 			}
 		}
 	})
 }
 
-// ExchangeFloat64 must ship float payloads bit-exactly through the
-// delta transport.
+// Float payloads must cross a delta value round bit-exactly, matching
+// ExchangeFloat64.
 func TestValueFlowFloat64BitExact(t *testing.T) {
 	g := gen.ER(300, 1500, 11)
 	mpi.Run(3, func(c *mpi.Comm) {
@@ -110,10 +125,17 @@ func TestValueFlowFloat64BitExact(t *testing.T) {
 			return vals
 		}
 		syncVals, asyncVals := mk(), mk()
-		dg.SetAsyncExchange(false)
 		dg.ExchangeFloat64(bv, syncVals)
-		dg.SetAsyncExchange(true)
-		dg.ExchangeFloat64(bv, asyncVals)
+		payloads := make([]int64, len(bv))
+		for i, v := range bv {
+			payloads[i] = int64(math.Float64bits(asyncVals[v]))
+		}
+		ex := dg.AsyncExchanger()
+		ex.BeginValues(bv, payloads, nil)
+		outL, outP, _ := ex.FlushValues()
+		for i, lid := range outL {
+			asyncVals[lid] = math.Float64frombits(uint64(outP[i]))
+		}
 		for i := range syncVals {
 			if syncVals[i] != asyncVals[i] {
 				t.Errorf("rank %d: float payload diverges at lid %d: %v vs %v",
@@ -142,17 +164,15 @@ func TestValueFlowDenseEncodingVolume(t *testing.T) {
 			vals[v] = int64(v)
 		}
 
-		dg.SetAsyncExchange(false)
+		ex := dg.AsyncExchanger()
 		c.ResetStats()
 		dg.ExchangeInt64(bv, vals)
 		syncSent := c.Stats().ElemsSent
 
-		dg.SetAsyncExchange(true)
 		c.ResetStats()
-		dg.ExchangeInt64(bv, vals)
+		valueRound(ex, bv, vals)
 		asyncSent := c.Stats().ElemsSent
 
-		ex := dg.AsyncExchanger()
 		var want int64
 		for _, r := range ex.NeighborRanks() {
 			want += 1 + int64(len(ex.SharedSendGIDs(int(r))))

@@ -26,11 +26,9 @@ func isBeginName(name string) bool {
 }
 
 // isFlushName covers everything that retires outstanding rounds: the
-// Flush family, Close (which drains), and the blocking round-trip
-// helpers that flush internally.
+// Flush family and Close (which drains).
 func isFlushName(name string) bool {
-	return strings.HasPrefix(name, "Flush") || name == "Close" ||
-		name == "ExchangeValues" || name == "PushValues"
+	return strings.HasPrefix(name, "Flush") || name == "Close"
 }
 
 // exCall is one Begin*/Flush*-family call on a DeltaExchanger, in
