@@ -5,13 +5,15 @@
 // PuLP runs the same three conceptual stages as XtraPuLP — label
 // propagation initialization, weighted vertex balancing, constrained
 // refinement, then edge balancing — but in shared memory: part sizes
-// are tracked exactly with atomic counters as vertices move, so no
-// distributed size estimation or damping multiplier is needed.
+// are tracked exactly, so no distributed size estimation or damping
+// multiplier is needed. Each sweep cuts the vertices into fixed chunks
+// that propose moves in parallel; the moves are then admitted serially
+// against the exact sizes, so the constraints hold and the output is
+// the same at every thread count.
 package pulp
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/graph"
@@ -35,9 +37,7 @@ type Options struct {
 	SingleConstraint bool
 	// Threads bounds intra-process parallelism. The repo-wide rule:
 	// 0 (or negative) selects one worker per core (par.DefaultThreads),
-	// an explicit 1 runs serial. PuLP's moves read neighbor parts
-	// updated concurrently by other workers, so runs are deterministic
-	// only at Threads = 1.
+	// an explicit 1 runs serial. The partition does not depend on it.
 	Threads int
 	// Seed drives the randomized initialization.
 	Seed uint64
@@ -67,18 +67,43 @@ type Report struct {
 	Quality   partition.Quality
 }
 
+// chunkGrain is the fixed length of the vertex chunks every sweep is
+// cut into. The decomposition depends only on the vertex count, never
+// on the thread count, so each chunk computes the same proposals
+// whichever worker runs it, and a run is bit-identical at every thread
+// count (the decomposition par.SumFloat64Ordered uses for its folds).
+const chunkGrain = 4096
+
 // solver bundles the mutable state of one run.
 type solver struct {
 	g   *graph.Graph
 	opt Options
 	p   int
 
-	parts []int32
-	sv    []int64 // exact vertex counts per part (atomic)
-	se    []int64 // exact degree sums per part (atomic)
+	parts  []int32 // committed labels; read-only while chunks propose
+	sv     []int64 // exact committed vertex counts per part
+	se     []int64 // exact committed degree sums per part
+	chunks []chunk
 
 	imbV, imbE float64
 	idealV     float64
+}
+
+// chunk is one fixed range of vertices and its per-sweep scratch. Its
+// proposals land in own and in the tally deltas at once, so later
+// vertices of the chunk see them. Initialization also reads neighbor
+// labels through own (Gauss-Seidel within a chunk), which grows a
+// community across a whole chunk in one sweep. The constrained stages
+// read committed labels only (Jacobi): on RMAT graphs that met the
+// edge constraint, where in-chunk label reads left the edge imbalance
+// at 1.4-2.2.
+type chunk struct {
+	lo, hi int64
+	own    []int32   // labels of lo..hi-1 as this chunk sees them
+	dv, de []int64   // tally deltas of this sweep's proposals
+	cnt    []float64 // degree-weighted neighbor parts
+	hits   []int64   // neighbor parts
+	moves  []int64   // proposing vertices, ascending
 }
 
 // Partition computes a p-way partition of g with PuLP-MM.
@@ -99,6 +124,17 @@ func Partition(g *graph.Graph, opt Options) ([]int32, Report, error) {
 		parts: make([]int32, g.N),
 		sv:    make([]int64, opt.NumParts),
 		se:    make([]int64, opt.NumParts),
+	}
+	for lo := int64(0); lo < g.N; lo += chunkGrain {
+		s.chunks = append(s.chunks, chunk{
+			lo:   lo,
+			hi:   min(lo+chunkGrain, g.N),
+			own:  make([]int32, min(chunkGrain, g.N-lo)),
+			dv:   make([]int64, s.p),
+			de:   make([]int64, s.p),
+			cnt:  make([]float64, s.p),
+			hits: make([]int64, s.p),
+		})
 	}
 	s.imbV = (1 + opt.VertImbalance) * float64(g.N) / float64(s.p)
 	s.imbE = (1 + opt.EdgeImbalance) * float64(g.NumArcs()) / float64(s.p)
@@ -147,119 +183,159 @@ func (s *solver) recount() {
 	}
 }
 
-// move transfers vertex v from part x to part w, maintaining tallies.
-func (s *solver) move(v int64, x, w int32) {
-	atomic.AddInt64(&s.sv[x], -1)
-	atomic.AddInt64(&s.sv[w], 1)
-	d := s.g.Degree(v)
-	atomic.AddInt64(&s.se[x], -d)
-	atomic.AddInt64(&s.se[w], d)
-	atomic.StoreInt32(&s.parts[v], w)
+// sweep visits every vertex once. Chunks run propose in parallel, each
+// over its own vertices in ascending order; propose returns the part
+// vertex v (now in part x) wants, and a change is recorded in the
+// chunk's view at once. Then the proposals are admitted serially in
+// ascending chunk and vertex order: admit re-checks each one against
+// the exact committed tallies, so concurrent chunks can never jointly
+// overfill a part, and a rejected vertex keeps its part.
+func (s *solver) sweep(propose func(c *chunk, v int64, x int32) int32, admit func(v int64, x, w int32) bool) {
+	par.For(0, len(s.chunks), s.threads(), func(ci int) {
+		c := &s.chunks[ci]
+		copy(c.own, s.parts[c.lo:c.hi])
+		for v := c.lo; v < c.hi; v++ {
+			x := c.own[v-c.lo]
+			if w := propose(c, v, x); w != x {
+				d := s.g.Degree(v)
+				c.dv[x]--
+				c.dv[w]++
+				c.de[x] -= d
+				c.de[w] += d
+				c.own[v-c.lo] = w
+				c.moves = append(c.moves, v)
+			}
+		}
+	})
+	for ci := range s.chunks {
+		c := &s.chunks[ci]
+		for _, v := range c.moves {
+			x, w := s.parts[v], c.own[v-c.lo]
+			if !admit(v, x, w) {
+				continue
+			}
+			d := s.g.Degree(v)
+			s.sv[x]--
+			s.sv[w]++
+			s.se[x] -= d
+			s.se[w] += d
+			s.parts[v] = w
+		}
+		c.moves = c.moves[:0]
+		clear(c.dv)
+		clear(c.de)
+	}
 }
 
-// loadPart reads a label with atomic semantics (threads race benignly,
-// as in the original asynchronous shared-memory implementation).
-func (s *solver) loadPart(v int64) int32 {
-	return atomic.LoadInt32(&s.parts[int(v)])
+// label is u's part as chunk c sees it. parts is s.parts, passed in
+// so the neighbor loop keeps it in a register.
+func (c *chunk) label(parts []int32, u int64) int32 {
+	// Branch-free: whether a neighbor lies in the chunk is
+	// unpredictable, so a branch on it mispredicts. in is all ones when
+	// 0 <= d < len(own) and zero otherwise; both loads run, and in
+	// selects the chunk's view.
+	d := u - c.lo
+	in := (^d & (d - int64(len(c.own)))) >> 63
+	l := parts[u]
+	return l ^ (l^c.own[d&in])&int32(in)
 }
+
+// sizeV and sizeE are part i's vertex count and degree sum as chunk c
+// sees them: the committed tallies plus c's own proposals.
+func (s *solver) sizeV(c *chunk, i int32) float64 { return float64(s.sv[i] + c.dv[i]) }
+func (s *solver) sizeE(c *chunk, i int32) float64 { return float64(s.se[i] + c.de[i]) }
+
+// degreeVotes fills c.cnt with the degree-weighted committed parts of
+// v's neighbors.
+func (s *solver) degreeVotes(c *chunk, v int64) []float64 {
+	cnt := c.cnt
+	clear(cnt)
+	for _, u := range s.g.Neighbors(v) {
+		cnt[s.parts[u]] += float64(s.g.Degree(u))
+	}
+	return cnt
+}
+
+// admitAll is the admission of unconstrained sweeps.
+func admitAll(int64, int32, int32) bool { return true }
 
 // initLP assigns random parts and runs a few rounds of unconstrained
 // degree-weighted label propagation, PuLP's initialization.
 func (s *solver) initLP() {
-	threads := s.threads()
-	par.ForChunk(0, int(s.g.N), threads, func(lo, hi, tid int) {
-		r := rng.NewStream(s.opt.Seed, uint64(tid))
-		for v := lo; v < hi; v++ {
+	par.For(0, len(s.chunks), s.threads(), func(ci int) {
+		c := &s.chunks[ci]
+		r := rng.NewStream(s.opt.Seed, uint64(ci))
+		for v := c.lo; v < c.hi; v++ {
 			s.parts[v] = int32(r.Intn(s.p))
 		}
 	})
-	counts := make([][]float64, threads)
-	for t := range counts {
-		counts[t] = make([]float64, s.p)
-	}
+	s.recount()
 	for iter := 0; iter < s.opt.InitIters; iter++ {
-		par.ForChunk(0, int(s.g.N), threads, func(lo, hi, tid int) {
-			cnt := counts[tid]
-			for v := lo; v < hi; v++ {
-				for i := range cnt {
-					cnt[i] = 0
-				}
-				for _, u := range s.g.Neighbors(int64(v)) {
-					cnt[s.loadPart(u)] += float64(s.g.Degree(u))
-				}
-				x := s.loadPart(int64(v))
-				w, best := x, cnt[x]
-				for i := 0; i < s.p; i++ {
-					if cnt[i] > best {
-						best, w = cnt[i], int32(i)
-					}
-				}
-				if w != x {
-					atomic.StoreInt32(&s.parts[v], w)
+		s.sweep(func(c *chunk, v int64, x int32) int32 {
+			cnt, parts := c.cnt, s.parts
+			clear(cnt)
+			for _, u := range s.g.Neighbors(v) {
+				cnt[c.label(parts, u)] += float64(s.g.Degree(u))
+			}
+			w, best := x, cnt[x]
+			for i := 0; i < s.p; i++ {
+				if cnt[i] > best {
+					best, w = cnt[i], int32(i)
 				}
 			}
-		})
+			return w
+		}, admitAll)
 	}
-	s.recount()
 }
 
 // vertBalance moves vertices from parts above the ideal size toward
 // underweight parts, weighting neighbor parts by ideal/size − 1 and
 // teleporting when no underweight neighbor part exists.
 func (s *solver) vertBalance() {
-	threads := s.threads()
-	for iter := 0; iter < s.opt.Ibal; iter++ {
-		par.ForChunk(0, int(s.g.N), threads, func(lo, hi, tid int) {
-			cnt := make([]float64, s.p)
-			for vi := lo; vi < hi; vi++ {
-				v := int64(vi)
-				x := s.loadPart(v)
-				if float64(atomic.LoadInt64(&s.sv[x])) <= s.idealV {
-					continue
-				}
-				for i := range cnt {
-					cnt[i] = 0
-				}
-				for _, u := range s.g.Neighbors(v) {
-					cnt[s.loadPart(u)] += float64(s.g.Degree(u))
-				}
-				w, best := x, 0.0
-				for i := 0; i < s.p; i++ {
-					size := float64(atomic.LoadInt64(&s.sv[i]))
-					if size+1 > s.imbV {
-						continue
-					}
-					if size < 1 {
-						size = 1
-					}
-					wt := s.idealV/size - 1
-					if wt < 0 {
-						wt = 0
-					}
-					if sc := cnt[i] * wt; sc > best {
-						best, w = sc, int32(i)
-					}
-				}
-				if w == x || best <= 0 {
-					w, _ = s.mostUnderweight(x)
-				}
-				if w != x {
-					s.move(v, x, w)
-				}
+	propose := func(c *chunk, v int64, x int32) int32 {
+		if s.sizeV(c, x) <= s.idealV {
+			return x
+		}
+		cnt := s.degreeVotes(c, v)
+		w, best := x, 0.0
+		for i := int32(0); i < int32(s.p); i++ {
+			size := s.sizeV(c, i)
+			if size+1 > s.imbV {
+				continue
 			}
-		})
+			if size < 1 {
+				size = 1
+			}
+			wt := s.idealV/size - 1
+			if wt < 0 {
+				wt = 0
+			}
+			if sc := cnt[i] * wt; sc > best {
+				best, w = sc, i
+			}
+		}
+		if w == x || best <= 0 {
+			w = s.mostUnderweight(c, x)
+		}
+		return w
+	}
+	admit := func(_ int64, x, w int32) bool {
+		return float64(s.sv[x]) > s.idealV && float64(s.sv[w]+1) <= s.imbV
+	}
+	for iter := 0; iter < s.opt.Ibal; iter++ {
+		s.sweep(propose, admit)
 	}
 }
 
 // mostUnderweight returns the part with the highest vertex deficit
-// (excluding x) that can still accept a vertex.
-func (s *solver) mostUnderweight(x int32) (int32, bool) {
+// (excluding x) that can still accept a vertex, or x if none can.
+func (s *solver) mostUnderweight(c *chunk, x int32) int32 {
 	w, bestW := x, 0.0
-	for i := 0; i < s.p; i++ {
-		if int32(i) == x {
+	for i := int32(0); i < int32(s.p); i++ {
+		if i == x {
 			continue
 		}
-		size := float64(atomic.LoadInt64(&s.sv[i]))
+		size := s.sizeV(c, i)
 		if size+1 > s.imbV {
 			continue
 		}
@@ -267,92 +343,81 @@ func (s *solver) mostUnderweight(x int32) (int32, bool) {
 			size = 1
 		}
 		if wv := s.idealV/size - 1; wv > bestW {
-			bestW, w = wv, int32(i)
+			bestW, w = wv, i
 		}
 	}
-	return w, w != x
+	return w
 }
 
 // refine is plurality label propagation constrained by the vertex cap,
 // and additionally by the edge cap once the edge stage is active so
 // refinement cannot undo edge balance.
 func (s *solver) refine(enforceEdge bool) {
-	threads := s.threads()
-	for iter := 0; iter < s.opt.Iref; iter++ {
-		par.ForChunk(0, int(s.g.N), threads, func(lo, hi, tid int) {
-			cnt := make([]int64, s.p)
-			for vi := lo; vi < hi; vi++ {
-				v := int64(vi)
-				for i := range cnt {
-					cnt[i] = 0
-				}
-				for _, u := range s.g.Neighbors(v) {
-					cnt[s.loadPart(u)]++
-				}
-				x := s.loadPart(v)
-				dv := float64(s.g.Degree(v))
-				w, best := x, cnt[x]
-				for i := 0; i < s.p; i++ {
-					if cnt[i] <= best {
-						continue
-					}
-					if float64(atomic.LoadInt64(&s.sv[i]))+1 > s.imbV {
-						continue
-					}
-					if enforceEdge && float64(atomic.LoadInt64(&s.se[i]))+dv > s.imbE {
-						continue
-					}
-					best, w = cnt[i], int32(i)
-				}
-				if w != x {
-					s.move(v, x, w)
-				}
+	fits := func(sv, se, dv float64) bool {
+		return sv+1 <= s.imbV && (!enforceEdge || se+dv <= s.imbE)
+	}
+	propose := func(c *chunk, v int64, x int32) int32 {
+		cnt := c.hits
+		clear(cnt)
+		for _, u := range s.g.Neighbors(v) {
+			cnt[s.parts[u]]++
+		}
+		dv := float64(s.g.Degree(v))
+		w, best := x, cnt[x]
+		for i, n := range cnt {
+			if n <= best || !fits(s.sizeV(c, int32(i)), s.sizeE(c, int32(i)), dv) {
+				continue
 			}
-		})
+			best, w = n, int32(i)
+		}
+		return w
+	}
+	admit := func(v int64, _, w int32) bool {
+		return fits(float64(s.sv[w]), float64(s.se[w]), float64(s.g.Degree(v)))
+	}
+	for iter := 0; iter < s.opt.Iref; iter++ {
+		s.sweep(propose, admit)
 	}
 }
 
 // edgeBalance shifts degree weight out of parts exceeding the edge
 // target into edge-underweight parts, respecting the vertex cap.
 func (s *solver) edgeBalance() {
-	threads := s.threads()
-	for iter := 0; iter < s.opt.Ibal; iter++ {
-		par.ForChunk(0, int(s.g.N), threads, func(lo, hi, tid int) {
-			cnt := make([]float64, s.p)
-			for vi := lo; vi < hi; vi++ {
-				v := int64(vi)
-				x := s.loadPart(v)
-				if float64(atomic.LoadInt64(&s.se[x])) <= s.imbE {
-					continue
-				}
-				for i := range cnt {
-					cnt[i] = 0
-				}
-				for _, u := range s.g.Neighbors(v) {
-					cnt[s.loadPart(u)] += float64(s.g.Degree(u))
-				}
-				dv := float64(s.g.Degree(v))
-				w, best := x, 0.0
-				for i := 0; i < s.p; i++ {
-					ei := float64(atomic.LoadInt64(&s.se[i]))
-					if ei+dv > s.imbE || float64(atomic.LoadInt64(&s.sv[i]))+1 > s.imbV {
-						continue
-					}
-					if ei < 1 {
-						ei = 1
-					}
-					wt := s.imbE/ei - 1
-					if wt < 0 {
-						wt = 0
-					}
-					if sc := (cnt[i] + 1) * wt; sc > best {
-						best, w = sc, int32(i)
-					}
-				}
-				if w != x && best > 0 {
-					s.move(v, x, w)
-				}
+	fits := func(sv, se, dv float64) bool {
+		return se+dv <= s.imbE && sv+1 <= s.imbV
+	}
+	propose := func(c *chunk, v int64, x int32) int32 {
+		if s.sizeE(c, x) <= s.imbE {
+			return x
+		}
+		cnt := s.degreeVotes(c, v)
+		dv := float64(s.g.Degree(v))
+		w, best := x, 0.0
+		for i := int32(0); i < int32(s.p); i++ {
+			ei := s.sizeE(c, i)
+			if !fits(s.sizeV(c, i), ei, dv) {
+				continue
 			}
-		})
+			if ei < 1 {
+				ei = 1
+			}
+			wt := s.imbE/ei - 1
+			if wt < 0 {
+				wt = 0
+			}
+			if sc := (cnt[i] + 1) * wt; sc > best {
+				best, w = sc, i
+			}
+		}
+		if best <= 0 {
+			return x
+		}
+		return w
+	}
+	admit := func(v int64, x, w int32) bool {
+		return float64(s.se[x]) > s.imbE && fits(float64(s.sv[w]), float64(s.se[w]), float64(s.g.Degree(v)))
+	}
+	for iter := 0; iter < s.opt.Ibal; iter++ {
+		s.sweep(propose, admit)
 	}
 }

@@ -77,13 +77,56 @@ func TestSingleConstraintSkipsEdgeStage(t *testing.T) {
 func TestDeterministicSingleThread(t *testing.T) {
 	g := gen.RMAT(9, 8, 13).MustBuild()
 	opt := DefaultOptions(4)
-	opt.Threads = 1 // determinism is only promised serial
+	opt.Threads = 1 // TestPartitionCrossThread covers other counts
 	a, _, _ := Partition(g, opt)
 	b, _, _ := Partition(g, opt)
 	for v := range a {
 		if a[v] != b[v] {
 			t.Fatalf("vertex %d differs across identical runs", v)
 		}
+	}
+}
+
+// TestPartitionCrossThread pins the partition to the thread count's
+// independence: every count gives the serial run's labels, and both
+// constraints hold. The graphs span several chunks, so the parallel
+// proposals and their serial admission both run.
+func TestPartitionCrossThread(t *testing.T) {
+	cases := []struct {
+		name string
+		g    *gen.Generator
+		p    int
+	}{
+		{"chunglu", gen.ChungLu(16384, 131072, 2.2, 7), 8},
+		{"rmat", gen.RMAT(14, 8, 5), 16},
+		{"mesh", gen.Grid3D(24, 24, 24), 8},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			g := c.g.MustBuild()
+			opt := DefaultOptions(c.p)
+			opt.Threads = 1
+			ref, _, err := Partition(g, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			q := partition.Evaluate(g, ref, c.p)
+			if q.VertexImbalance > 1.12 || q.EdgeImbalance > 1.6 {
+				t.Errorf("imbalance vertex %.3f edge %.3f", q.VertexImbalance, q.EdgeImbalance)
+			}
+			for _, threads := range []int{2, 4, 8} {
+				opt.Threads = threads
+				parts, _, err := Partition(g, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for v := range ref {
+					if parts[v] != ref[v] {
+						t.Fatalf("threads=%d: vertex %d in part %d, serial %d", threads, v, parts[v], ref[v])
+					}
+				}
+			}
+		})
 	}
 }
 
