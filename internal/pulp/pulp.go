@@ -6,10 +6,10 @@
 // propagation initialization, weighted vertex balancing, constrained
 // refinement, then edge balancing — but in shared memory: part sizes
 // are tracked exactly, so no distributed size estimation or damping
-// multiplier is needed. Each sweep cuts the vertices into fixed chunks
-// that propose moves in parallel; the moves are then admitted serially
-// against the exact sizes, so the constraints hold and the output is
-// the same at every thread count.
+// multiplier is needed. Initialization runs serially. Every later sweep
+// cuts the vertices into fixed chunks that propose moves in parallel;
+// the moves are then admitted serially against the exact sizes, so the
+// constraints hold and the output is the same at every thread count.
 package pulp
 
 import (
@@ -73,8 +73,9 @@ type Report struct {
 // whichever worker runs it, and a run is bit-identical at every thread
 // count (the decomposition par.SumFloat64Ordered uses for its folds).
 // Over RMAT 17 and a 64³ mesh at 16 parts, seeds 1-10, grains 4096 and
-// 8192 tied on cut and on wall time at one and two threads; 16384 broke
-// the edge constraint on one RMAT seed (imbalance 1.72).
+// 8192 tied on cut and on wall time at one and two threads, and 16384
+// cut RMAT 17 2 % worse. The smaller grain leaves more chunks for more
+// threads.
 const chunkGrain = 4096
 
 // solver bundles the mutable state of one run.
@@ -86,6 +87,7 @@ type solver struct {
 	parts  []int32 // committed labels; read-only while chunks propose
 	sv     []int64 // exact committed vertex counts per part
 	se     []int64 // exact committed degree sums per part
+	tele   []int32 // per part, this sweep's mostUnderweight target
 	chunks []chunk
 
 	imbV, imbE float64
@@ -93,19 +95,21 @@ type solver struct {
 }
 
 // chunk is one fixed range of vertices and its per-sweep scratch. Its
-// proposals land in own and in the tally deltas at once, so later
-// vertices of the chunk see them. Initialization also reads neighbor
-// labels through own (Gauss-Seidel within a chunk), which grows a
-// community across a whole chunk in one sweep. The constrained stages
-// read committed labels only (Jacobi): on RMAT graphs that met the
-// edge constraint, where in-chunk label reads left the edge imbalance
-// at 1.4-2.2.
+// proposals land in the tally deltas at once, so later vertices of the
+// chunk see the sizes they imply. Neighbor labels are read committed
+// only (Jacobi): in-chunk label reads left the edge imbalance on RMAT
+// graphs at 1.3-2.5.
 type chunk struct {
 	lo, hi int64
-	own    []int32 // labels of lo..hi-1 as this chunk sees them
 	dv, de []int64 // tally deltas of this sweep's proposals
 	cnt    []int64 // per-part neighbor votes
-	moves  []int64 // proposing vertices, ascending
+	moves  []move  // this sweep's proposals, in vertex order
+}
+
+// move is a proposal: vertex v to part w.
+type move struct {
+	v int64
+	w int32
 }
 
 // Partition computes a p-way partition of g with PuLP-MM.
@@ -126,12 +130,12 @@ func Partition(g *graph.Graph, opt Options) ([]int32, Report, error) {
 		parts: make([]int32, g.N),
 		sv:    make([]int64, opt.NumParts),
 		se:    make([]int64, opt.NumParts),
+		tele:  make([]int32, opt.NumParts),
 	}
 	for lo := int64(0); lo < g.N; lo += chunkGrain {
 		s.chunks = append(s.chunks, chunk{
 			lo:  lo,
 			hi:  min(lo+chunkGrain, g.N),
-			own: make([]int32, min(chunkGrain, g.N-lo)),
 			dv:  make([]int64, s.p),
 			de:  make([]int64, s.p),
 			cnt: make([]int64, s.p),
@@ -186,32 +190,33 @@ func (s *solver) recount() {
 
 // sweep visits every vertex once. Chunks run propose in parallel, each
 // over its own vertices in ascending order; propose returns the part
-// vertex v (now in part x) wants, and a change is recorded in the
-// chunk's view at once. Then the proposals are admitted serially in
+// vertex v (now in part x) wants, and a change enters the chunk's tally
+// deltas at once. Then the proposals are admitted serially in
 // ascending chunk and vertex order: admit re-checks each one against
 // the exact committed tallies, so concurrent chunks can never jointly
 // overfill a part, and a rejected vertex keeps its part.
 func (s *solver) sweep(propose func(c *chunk, v int64, x int32) int32, admit func(v int64, x, w int32) bool) {
+	for x := range s.tele {
+		s.tele[x] = s.mostUnderweight(int32(x))
+	}
 	par.For(0, len(s.chunks), s.threads(), func(ci int) {
 		c := &s.chunks[ci]
-		copy(c.own, s.parts[c.lo:c.hi])
 		for v := c.lo; v < c.hi; v++ {
-			x := c.own[v-c.lo]
+			x := s.parts[v]
 			if w := propose(c, v, x); w != x {
 				d := s.g.Degree(v)
 				c.dv[x]--
 				c.dv[w]++
 				c.de[x] -= d
 				c.de[w] += d
-				c.own[v-c.lo] = w
-				c.moves = append(c.moves, v)
+				c.moves = append(c.moves, move{v, w})
 			}
 		}
 	})
 	for ci := range s.chunks {
 		c := &s.chunks[ci]
-		for _, v := range c.moves {
-			x, w := s.parts[v], c.own[v-c.lo]
+		for _, m := range c.moves {
+			v, x, w := m.v, s.parts[m.v], m.w
 			if !admit(v, x, w) {
 				continue
 			}
@@ -226,18 +231,6 @@ func (s *solver) sweep(propose func(c *chunk, v int64, x int32) int32, admit fun
 		clear(c.dv)
 		clear(c.de)
 	}
-}
-
-// label is u's part as chunk c sees it. parts is s.parts, passed in
-// so the neighbor loop keeps it in a register.
-func (c *chunk) label(parts []int32, u int64) int32 {
-	// Branch-free select: in is all ones when 0 <= d < len(own) and
-	// zero otherwise. On RMAT 17 it took 7 % less CPU time than a range
-	// check with a branch; on a 64³ mesh the two tied.
-	d := u - c.lo
-	in := (^d & (d - int64(len(c.own)))) >> 63
-	l := parts[u]
-	return l ^ (l^c.own[d&in])&int32(in)
 }
 
 // sizeV and sizeE are part i's vertex count and degree sum as chunk c
@@ -256,36 +249,35 @@ func (s *solver) degreeVotes(c *chunk, v int64) []int64 {
 	return cnt
 }
 
-// admitAll is the admission of unconstrained sweeps.
-func admitAll(int64, int32, int32) bool { return true }
-
 // initLP assigns random parts and runs a few rounds of unconstrained
-// degree-weighted label propagation, PuLP's initialization.
+// degree-weighted label propagation, PuLP's initialization. It runs
+// serially: each vertex sees the labels its predecessors just took, so
+// one label floods each connected region, as in a serial PuLP run. On
+// a mesh the vertex-balancing stage then peels parts off that flood as
+// contiguous runs of vertices. Started from per-chunk floods, the 64³
+// mesh's cut at 16 parts was 0.29 instead of 0.12.
 func (s *solver) initLP() {
-	par.For(0, len(s.chunks), s.threads(), func(ci int) {
-		c := &s.chunks[ci]
-		r := rng.NewStream(s.opt.Seed, uint64(ci))
-		for v := c.lo; v < c.hi; v++ {
-			s.parts[v] = int32(r.Intn(s.p))
-		}
-	})
-	s.recount()
+	r := rng.NewStream(s.opt.Seed, 0)
+	for v := range s.parts {
+		s.parts[v] = int32(r.Intn(s.p))
+	}
+	cnt := make([]int64, s.p)
 	for iter := 0; iter < s.opt.InitIters; iter++ {
-		s.sweep(func(c *chunk, v int64, x int32) int32 {
-			cnt, parts := c.cnt, s.parts
+		for v := int64(0); v < s.g.N; v++ {
 			clear(cnt)
 			for _, u := range s.g.Neighbors(v) {
-				cnt[c.label(parts, u)] += s.g.Degree(u)
+				cnt[s.parts[u]] += s.g.Degree(u)
 			}
-			w, best := x, cnt[x]
-			for i := 0; i < s.p; i++ {
-				if cnt[i] > best {
-					best, w = cnt[i], int32(i)
+			w, best := s.parts[v], cnt[s.parts[v]]
+			for i, n := range cnt {
+				if n > best {
+					best, w = n, int32(i)
 				}
 			}
-			return w
-		}, admitAll)
+			s.parts[v] = w
+		}
 	}
+	s.recount()
 }
 
 // vertBalance moves vertices from parts above the ideal size toward
@@ -299,6 +291,9 @@ func (s *solver) vertBalance() {
 		cnt := s.degreeVotes(c, v)
 		w, best := x, 0.0
 		for i := int32(0); i < int32(s.p); i++ {
+			if cnt[i] == 0 {
+				continue // scores 0, never above best
+			}
 			size := s.sizeV(c, i)
 			if size+1 > s.imbV {
 				continue
@@ -315,7 +310,7 @@ func (s *solver) vertBalance() {
 			}
 		}
 		if w == x || best <= 0 {
-			w = s.mostUnderweight(c, x)
+			w = s.tele[x]
 		}
 		return w
 	}
@@ -327,15 +322,19 @@ func (s *solver) vertBalance() {
 	}
 }
 
-// mostUnderweight returns the part with the highest vertex deficit
-// (excluding x) that can still accept a vertex, or x if none can.
-func (s *solver) mostUnderweight(c *chunk, x int32) int32 {
+// mostUnderweight returns the part with the highest committed vertex
+// deficit (excluding x) that can still accept a vertex, or x if none
+// can. Teleports go there (s.tele). It ignores the chunks' proposals,
+// so a sweep sends all its teleports to one part until admission fills
+// it, in vertex order; a chunk's view would send consecutive vertices
+// to different parts.
+func (s *solver) mostUnderweight(x int32) int32 {
 	w, bestW := x, 0.0
 	for i := int32(0); i < int32(s.p); i++ {
 		if i == x {
 			continue
 		}
-		size := s.sizeV(c, i)
+		size := float64(s.sv[i])
 		if size+1 > s.imbV {
 			continue
 		}
@@ -382,11 +381,22 @@ func (s *solver) refine(enforceEdge bool) {
 
 // edgeBalance shifts degree weight out of parts exceeding the edge
 // target into edge-underweight parts, respecting the vertex cap.
+// Vertices without edges move too, from parts above the ideal vertex
+// count to the most underweight part. That costs no cut or degree
+// weight, and it frees vertex room in edge-light parts. Without it, the
+// vertex stages left 14 of 16 parts of RMAT 17 at the vertex cap, and
+// the two edge-heavy parts had nowhere to shed (edge imbalance 1.3-1.7).
 func (s *solver) edgeBalance() {
 	fits := func(sv, se, dv float64) bool {
 		return se+dv <= s.imbE && sv+1 <= s.imbV
 	}
 	propose := func(c *chunk, v int64, x int32) int32 {
+		if s.g.Degree(v) == 0 {
+			if s.sizeV(c, x) <= s.idealV {
+				return x
+			}
+			return s.tele[x]
+		}
 		if s.sizeE(c, x) <= s.imbE {
 			return x
 		}
@@ -415,6 +425,9 @@ func (s *solver) edgeBalance() {
 		return w
 	}
 	admit := func(v int64, x, w int32) bool {
+		if s.g.Degree(v) == 0 {
+			return float64(s.sv[x]) > s.idealV && float64(s.sv[w]+1) <= s.imbV
+		}
 		return float64(s.se[x]) > s.imbE && fits(float64(s.sv[w]), float64(s.se[w]), float64(s.g.Degree(v)))
 	}
 	for iter := 0; iter < s.opt.Ibal; iter++ {
