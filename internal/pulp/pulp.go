@@ -72,11 +72,20 @@ type Report struct {
 // on the thread count, so each chunk computes the same proposals
 // whichever worker runs it, and a run is bit-identical at every thread
 // count (the decomposition par.SumFloat64Ordered uses for its folds).
-// Over RMAT 17 and a 64³ mesh at 16 parts, seeds 1-10, grains 4096 and
-// 8192 tied on cut and on wall time at one and two threads, and 16384
-// cut RMAT 17 2 % worse. The smaller grain leaves more chunks for more
-// threads.
+// Over RMAT 17 and a 64³ mesh at 16 parts, seeds 1-10, grains 4096,
+// 8192 and 16384 cut within 1 % of each other and tied on wall time at
+// one and two threads. The smallest keeps the most groups per sweep
+// (see groupChunks) on those graphs.
 const chunkGrain = 4096
+
+// groupChunks is how many consecutive chunks propose together. Each
+// group proposes against the labels and sizes the earlier groups' moves
+// left, so later groups no longer propose to empty a part that earlier
+// ones already emptied. With all chunks in one group, admission
+// rejected 88-92 % of the first vertex-balancing round's proposals on
+// RMAT 17 and the 64³ mesh, and a run took about 15 % more CPU time. A
+// group keeps at most groupChunks workers busy.
+const groupChunks = 8
 
 // solver bundles the mutable state of one run.
 type solver struct {
@@ -87,7 +96,7 @@ type solver struct {
 	parts  []int32 // committed labels; read-only while chunks propose
 	sv     []int64 // exact committed vertex counts per part
 	se     []int64 // exact committed degree sums per part
-	tele   []int32 // per part, this sweep's mostUnderweight target
+	tele   []int32 // per part, the current group's mostUnderweight target
 	chunks []chunk
 
 	imbV, imbE float64
@@ -188,48 +197,52 @@ func (s *solver) recount() {
 	}
 }
 
-// sweep visits every vertex once. Chunks run propose in parallel, each
-// over its own vertices in ascending order; propose returns the part
-// vertex v (now in part x) wants, and a change enters the chunk's tally
-// deltas at once. Then the proposals are admitted serially in
-// ascending chunk and vertex order: admit re-checks each one against
-// the exact committed tallies, so concurrent chunks can never jointly
-// overfill a part, and a rejected vertex keeps its part.
+// sweep visits every vertex once, a group of chunks at a time. The
+// group's chunks run propose in parallel, each over its own vertices in
+// ascending order; propose returns the part vertex v (now in part x)
+// wants, and a change enters the chunk's tally deltas at once. Then the
+// proposals are admitted serially in ascending chunk and vertex order:
+// admit re-checks each one against the exact committed tallies, so
+// concurrent chunks can never jointly overfill a part, and a rejected
+// vertex keeps its part.
 func (s *solver) sweep(propose func(c *chunk, v int64, x int32) int32, admit func(v int64, x, w int32) bool) {
-	for x := range s.tele {
-		s.tele[x] = s.mostUnderweight(int32(x))
-	}
-	par.For(0, len(s.chunks), s.threads(), func(ci int) {
-		c := &s.chunks[ci]
-		for v := c.lo; v < c.hi; v++ {
-			x := s.parts[v]
-			if w := propose(c, v, x); w != x {
+	for g0 := 0; g0 < len(s.chunks); g0 += groupChunks {
+		group := s.chunks[g0:min(g0+groupChunks, len(s.chunks))]
+		for x := range s.tele {
+			s.tele[x] = s.mostUnderweight(int32(x))
+		}
+		par.For(0, len(group), s.threads(), func(ci int) {
+			c := &group[ci]
+			for v := c.lo; v < c.hi; v++ {
+				x := s.parts[v]
+				if w := propose(c, v, x); w != x {
+					d := s.g.Degree(v)
+					c.dv[x]--
+					c.dv[w]++
+					c.de[x] -= d
+					c.de[w] += d
+					c.moves = append(c.moves, move{v, w})
+				}
+			}
+		})
+		for ci := range group {
+			c := &group[ci]
+			for _, m := range c.moves {
+				v, x, w := m.v, s.parts[m.v], m.w
+				if !admit(v, x, w) {
+					continue
+				}
 				d := s.g.Degree(v)
-				c.dv[x]--
-				c.dv[w]++
-				c.de[x] -= d
-				c.de[w] += d
-				c.moves = append(c.moves, move{v, w})
+				s.sv[x]--
+				s.sv[w]++
+				s.se[x] -= d
+				s.se[w] += d
+				s.parts[v] = w
 			}
+			c.moves = c.moves[:0]
+			clear(c.dv)
+			clear(c.de)
 		}
-	})
-	for ci := range s.chunks {
-		c := &s.chunks[ci]
-		for _, m := range c.moves {
-			v, x, w := m.v, s.parts[m.v], m.w
-			if !admit(v, x, w) {
-				continue
-			}
-			d := s.g.Degree(v)
-			s.sv[x]--
-			s.sv[w]++
-			s.se[x] -= d
-			s.se[w] += d
-			s.parts[v] = w
-		}
-		c.moves = c.moves[:0]
-		clear(c.dv)
-		clear(c.de)
 	}
 }
 
@@ -325,9 +338,9 @@ func (s *solver) vertBalance() {
 // mostUnderweight returns the part with the highest committed vertex
 // deficit (excluding x) that can still accept a vertex, or x if none
 // can. Teleports go there (s.tele). It ignores the chunks' proposals,
-// so a sweep sends all its teleports to one part until admission fills
-// it, in vertex order; a chunk's view would send consecutive vertices
-// to different parts.
+// so a group of chunks sends all its teleports to one part until
+// admission fills it, in vertex order; a chunk's view would send
+// consecutive vertices to different parts.
 func (s *solver) mostUnderweight(x int32) int32 {
 	w, bestW := x, 0.0
 	for i := int32(0); i < int32(s.p); i++ {

@@ -90,7 +90,8 @@ func TestDeterministicSingleThread(t *testing.T) {
 // TestPartitionCrossThread pins the partition to the thread count's
 // independence: every count gives the serial run's labels, and both
 // constraints hold. The graphs span several chunks, so the parallel
-// proposals and their serial admission both run.
+// proposals and their serial admission both run; the mesh spans two
+// groups of chunks.
 func TestPartitionCrossThread(t *testing.T) {
 	cases := []struct {
 		name string
@@ -99,7 +100,7 @@ func TestPartitionCrossThread(t *testing.T) {
 	}{
 		{"chunglu", gen.ChungLu(16384, 131072, 2.2, 7), 8},
 		{"rmat", gen.RMAT(14, 8, 5), 16},
-		{"mesh", gen.Grid3D(24, 24, 24), 8},
+		{"mesh", gen.Grid3D(40, 40, 40), 8},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
