@@ -80,8 +80,8 @@ const chunkGrain = 4096
 
 // groupChunks is how many consecutive chunks propose together. Each
 // group proposes against the labels and sizes the earlier groups' moves
-// left, so later groups no longer propose to empty a part that earlier
-// ones already emptied. With all chunks in one group, admission
+// left, so a group does not propose to empty a part that an earlier
+// group already emptied. With all chunks in one group, admission
 // rejected 88-92 % of the first vertex-balancing round's proposals on
 // RMAT 17 and the 64³ mesh, and a run took about 15 % more CPU time. A
 // group keeps at most groupChunks workers busy.
