@@ -25,18 +25,10 @@ type AnalyticsConfig struct {
 	// analytic drives split-phase DeltaExchanger rounds directly, with
 	// convergence counters piggybacked on the messages, instead of
 	// bulk-synchronous Alltoallv exchanges plus per-round Allreduces.
+	// On an incomplete rank neighborhood the counters miss non-neighbor
+	// ranks, so every round pays sync's exact termination Allreduce.
 	// Results are identical; exchanged-element volume is lower.
 	AsyncExchange bool
-	// TermEpoch bounds termination-test staleness in async mode on
-	// INCOMPLETE rank neighborhoods, mirroring Config.SizeEpoch for the
-	// partitioner: every TermEpoch-th round performs the exact
-	// termination Allreduce, the rounds between run unchecked, and a
-	// fixed point reached mid-epoch costs at most TermEpoch-1 extra
-	// no-op rounds — which cannot change any value, so results stay
-	// identical. 0 or 1 (default) keeps the exact per-round fallback;
-	// on complete neighborhoods the knob is irrelevant because the
-	// piggybacked counters already terminate without any Allreduce.
-	TermEpoch int
 	// PipeDepth sets the async exchange engine's pipeline depth: how
 	// many rounds of boundary messages may be in flight at once
 	// (default 2). Depths of 4 and above let Harmonic Centrality run
@@ -90,6 +82,9 @@ type AnalyticsReport struct {
 
 // RunAnalyticsReport is RunAnalyticsCfg with communication counters.
 func RunAnalyticsReport(g *Generator, parts []int32, cfg AnalyticsConfig) (AnalyticsReport, error) {
+	if err := validateRanks(cfg.Ranks); err != nil {
+		return AnalyticsReport{}, err
+	}
 	if int64(len(parts)) != g.N {
 		return AnalyticsReport{}, fmt.Errorf("repro: %d part assignments for %d vertices", len(parts), g.N)
 	}
@@ -137,7 +132,6 @@ func RunAnalyticsComm(c *mpi.Comm, g *Generator, parts []int32, cfg AnalyticsCon
 	}
 	dg.SetPipeDepth(cfg.PipeDepth) // before the exchanger exists
 	dg.SetAsyncExchange(cfg.AsyncExchange)
-	dg.SetTermEpoch(cfg.TermEpoch)
 	c.ResetStats()
 	res := analytics.RunAll(dg, cfg.HCSources)
 	vol := mpi.AllreduceScalar(c, c.Stats().ElemsSent, mpi.Sum)
@@ -152,6 +146,15 @@ func RunAnalyticsComm(c *mpi.Comm, g *Generator, parts []int32, cfg AnalyticsCon
 		ReductionOps:   c.Stats().ReductionOps - 1,
 		ExchangeVolume: vol,
 	}, nil
+}
+
+// validateRanks rejects a simulated world without ranks before any
+// rank spawns.
+func validateRanks(r int) error {
+	if r < 1 {
+		return fmt.Errorf("repro: Ranks = %d, need >= 1", r)
+	}
+	return nil
 }
 
 // validatePipeDepth rejects pipeline depths dgraph.SetPipeDepth would
@@ -206,6 +209,9 @@ func RunSpMV(g *Graph, parts []int32, ranks int, layout string, iters int) (SpMV
 // RunSpMVCfg is RunSpMV with an explicit configuration, including the
 // exchange-engine selection.
 func RunSpMVCfg(g *Graph, parts []int32, cfg SpMVConfig) (SpMVResult, error) {
+	if err := validateRanks(cfg.Ranks); err != nil {
+		return SpMVResult{}, err
+	}
 	var l spmv.Layout
 	switch cfg.Layout {
 	case Layout1D:

@@ -2,6 +2,7 @@ package repro
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -189,6 +190,41 @@ func TestRunAnalyticsAsyncMatchesSync(t *testing.T) {
 		if s.Name != a.Name || s.Value != a.Value || s.Iterations != a.Iterations {
 			t.Errorf("%s: sync (%v, %d iters) vs async (%v, %d iters)",
 				s.Name, s.Value, s.Iterations, a.Value, a.Iterations)
+		}
+	}
+}
+
+// A world without ranks is a configuration error on both facade entry
+// points, named as such before any rank spawns, for any graph.
+func TestRunFacadesRejectNoRanks(t *testing.T) {
+	gen := RandER(64, 128, 1)
+	g := gen.MustBuild()
+	parts := make([]int32, gen.N)
+	empty := RandER(0, 0, 1)
+	cases := []struct {
+		name string
+		run  func() error
+	}{
+		{"analytics ranks 0", func() error {
+			_, err := RunAnalyticsReport(gen, parts, AnalyticsConfig{Ranks: 0, HCSources: 1})
+			return err
+		}},
+		{"analytics empty generator", func() error {
+			_, err := RunAnalyticsReport(empty, nil, AnalyticsConfig{Ranks: 0, HCSources: 1})
+			return err
+		}},
+		{"spmv ranks 0", func() error {
+			_, err := RunSpMV(g, parts, 0, Layout1D, 1)
+			return err
+		}},
+		{"spmv ranks -1", func() error {
+			_, err := RunSpMVCfg(g, parts, SpMVConfig{Ranks: -1, Layout: Layout2D, Iterations: 1})
+			return err
+		}},
+	}
+	for _, tc := range cases {
+		if err := tc.run(); err == nil || !strings.Contains(err.Error(), "Ranks") {
+			t.Errorf("%s: error %v, want one naming Ranks", tc.name, err)
 		}
 	}
 }

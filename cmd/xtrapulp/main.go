@@ -15,8 +15,9 @@
 // simulated in-process world, "env" makes this process one rank of an
 // externally launched socket world — it reads the REPRO_* rendezvous
 // environment (set by cmd/reprorun or any MPI-style launcher),
-// partitions collectively, and only rank 0 prints and writes output.
-// Partitions are bit-identical across transports at a fixed seed.
+// partitions collectively with XtraPuLP (the only -method it accepts),
+// and only rank 0 prints and writes output. Partitions are
+// bit-identical across transports at a fixed seed.
 package main
 
 import (
@@ -42,15 +43,18 @@ func main() {
 	seed := flag.Uint64("seed", 1, "random seed")
 	single := flag.Bool("single", false, "single-constraint single-objective mode")
 	async := flag.Bool("async", false, "asynchronous delta-only boundary exchange")
-	sizeEpoch := flag.Int("size-epoch", 0, "async mode: exact size-estimate resync every N iterations (0 = auto)")
 	blockDist := flag.Bool("blockdist", false, "use block vertex distribution instead of random")
 	out := flag.String("out", "", "write per-vertex part ids to this file")
 	transport := flag.String("transport", "proc", "rank substrate: proc (in-process) | env (one rank of a socket world, REPRO_* env)")
 	flag.Parse()
 
 	if *transport == "env" {
+		if *method != repro.MethodXtraPuLP {
+			fmt.Fprintf(os.Stderr, "xtrapulp: -transport env runs only -method %s, not %q\n", repro.MethodXtraPuLP, *method)
+			os.Exit(2)
+		}
 		runEnvRank(*graphPath, *genName, *scale, *deg, *parts, *threads, *seed,
-			*single, *async, *sizeEpoch, *blockDist, *out)
+			*single, *async, *blockDist, *out)
 		return
 	}
 	if *transport != "proc" {
@@ -81,7 +85,7 @@ func main() {
 		assignment, rep, err = repro.XtraPuLPGen(gn, repro.Config{
 			Parts: *parts, Ranks: *ranks, ThreadsPerRank: *threads,
 			RandomDist: !*blockDist, SingleConstraint: *single, Seed: *seed,
-			AsyncExchange: *async, SizeEpoch: *sizeEpoch,
+			AsyncExchange: *async,
 		})
 		if err == nil {
 			fmt.Printf("stages: init=%.3fs (%d rounds) vert=%.3fs edge=%.3fs comm=%d elems (exchange %d, %d allreduces)\n",
@@ -117,7 +121,7 @@ func main() {
 // socket world: rendezvous from the REPRO_* environment, partition
 // with XtraPuLPComm, report from rank 0.
 func runEnvRank(graphPath, genName string, scale int, deg int64, parts, threads int, seed uint64,
-	single, async bool, sizeEpoch int, blockDist bool, out string) {
+	single, async, blockDist bool, out string) {
 	gn, err := generatorFor(graphPath, genName, scale, deg, seed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -131,7 +135,7 @@ func runEnvRank(graphPath, genName string, scale int, deg int64, parts, threads 
 	start := time.Now()
 	assignment, rep, err := repro.XtraPuLPComm(c, gn, repro.Config{
 		Parts: parts, RandomDist: !blockDist, SingleConstraint: single,
-		Seed: seed, AsyncExchange: async, SizeEpoch: sizeEpoch,
+		Seed: seed, AsyncExchange: async,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -65,13 +65,24 @@ var (
 	// bareDocRef matches a NAME.md not qualified by a directory.
 	bareDocRef = regexp.MustCompile(`(?:^|[^\w./-])([\w-]+\.md)\b`)
 	cmdRef     = regexp.MustCompile(`\bcmd/([\w-]+)`)
+	// codeSpan matches a one-line Markdown code span, and flagRef the
+	// single-dash flag a span may start with.
+	codeSpan = regexp.MustCompile("`([^`\n]+)`")
+	flagRef  = regexp.MustCompile(`^-[a-zA-Z][\w-]*`)
+	// flagDef matches a flag package registration, flag.Int("name", …)
+	// or flag.IntVar(&v, "name", …).
+	flagDef = regexp.MustCompile(`\bflag\.[A-Z]\w*\(\s*(?:&[\w.]+,\s*)?"([\w-]+)"`)
+	// toolFlags are the go-toolchain flags the docs may cite.
+	toolFlags = map[string]bool{"-race": true, "-benchmem": true}
 )
 
 // Every document and command the README, the docs, the verify skill,
 // and the Go sources mention must exist: a bare NAME.md at the root or
-// under docs/, a cmd/NAME as a directory. The benchmark tree and lint
+// under docs/, a cmd/NAME as a directory. Every `-flag` code span in
+// the README and docs/ must name a flag some cmd/*/main.go registers,
+// or a go-toolchain flag in toolFlags. The benchmark tree and lint
 // fixtures are out of scope, as are the history logs (CHANGES.md,
-// ROADMAP.md), which name retired files on purpose.
+// ROADMAP.md), which name retired files and flags on purpose.
 func TestDocReferencesResolve(t *testing.T) {
 	files := []string{"README.md", filepath.Join(".claude", "skills", "verify", "SKILL.md")}
 	docs, err := filepath.Glob(filepath.Join("docs", "*.md"))
@@ -117,6 +128,34 @@ func TestDocReferencesResolve(t *testing.T) {
 			dir := filepath.Join("cmd", m[1])
 			if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
 				t.Errorf("%s mentions %s, which is not a command directory", f, dir)
+			}
+		}
+	}
+	registered := map[string]bool{}
+	mains, err := filepath.Glob(filepath.Join("cmd", "*", "main.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range mains {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range flagDef.FindAllStringSubmatch(string(src), -1) {
+			registered["-"+m[1]] = true
+		}
+	}
+	if len(registered) == 0 {
+		t.Fatal("no flag registrations found under cmd/")
+	}
+	for _, f := range append([]string{"README.md"}, docs...) {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range codeSpan.FindAllStringSubmatch(string(src), -1) {
+			if name := flagRef.FindString(m[1]); name != "" && !registered[name] && !toolFlags[name] {
+				t.Errorf("%s mentions flag %s, which no cmd/*/main.go registers", f, name)
 			}
 		}
 	}

@@ -7,9 +7,9 @@ import (
 )
 
 // ExampleConfig_asyncExchange runs the same partitioning job on both
-// exchange engines: the async-delta engine with an explicit
-// size-estimate resync epoch produces the identical partition while
-// sending fewer elements and entering far fewer Allreduce barriers.
+// exchange engines: the async-delta engine produces the identical
+// partition while sending fewer elements and entering far fewer
+// Allreduce barriers.
 func ExampleConfig_asyncExchange() {
 	gen := repro.RMAT(10, 8, 1)
 
@@ -20,7 +20,6 @@ func ExampleConfig_asyncExchange() {
 	sync := repro.Config{Parts: 8, Ranks: 4, ThreadsPerRank: 1, RandomDist: true, Seed: 7}
 	async := sync
 	async.AsyncExchange = true // packed P2P deltas + piggybacked tallies
-	async.SizeEpoch = 4        // exact estimate resync every 4 iterations
 
 	sparts, srep, err := repro.XtraPuLPGen(gen, sync)
 	if err != nil {

@@ -24,11 +24,11 @@ import (
 // the interior expansion. The refresh carries the frontier size as a
 // piggybacked counter, so termination needs no per-round Allreduce on
 // complete rank neighborhoods (incomplete ones fall back to an exact
-// Allreduce every Graph.TermEpoch rounds). Levels are identical across
-// engines: all discoveries within a round get the same depth, so
-// expansion order cannot change results, and a boundary expansion that
-// reads a one-round-stale ghost copy can only re-discover a vertex its
-// owner already leveled — the owner keeps the first (correct) level
+// Allreduce every round). Levels are identical across engines: all
+// discoveries within a round get the same depth, so expansion order
+// cannot change results, and a boundary expansion that reads a
+// one-round-stale ghost copy can only re-discover a vertex its owner
+// already leveled — the owner keeps the first (correct) level
 // and drops the redundant push.
 //
 //repro:deterministic

@@ -47,13 +47,11 @@ import (
 // refresh carries is folded one cycle late (one trailing empty cycle
 // per wave, which expands nothing), and on incomplete rank
 // neighborhoods each wave falls back to its own exact Allreduce every
-// termEpoch of ITS rounds — wave round counts are identical on every
-// rank, so the collective schedule stays agreed, and a fixed point
-// reached mid-epoch costs at most termEpoch-1 further empty cycles. A
-// finished wave goes quiet (posts nothing, flushes nothing) while its
-// batch mates drain; slots refill only at batch boundaries, which is
-// what keeps the order of the done callbacks — and therefore HC's
-// float sums — deterministic.
+// round — wave round counts are identical on every rank, so the
+// collective schedule stays agreed. A finished wave goes quiet (posts
+// nothing, flushes nothing) while its batch mates drain; slots refill
+// only at batch boundaries, which is what keeps the order of the done
+// callbacks — and therefore HC's float sums — deterministic.
 //
 // On complete neighborhoods a wave costs ZERO reductions: the engine
 // never needs eccentricities, so HC pays none, and a solo BFS pays
@@ -69,7 +67,6 @@ type bfsWave struct {
 	tally    [1]int64 // per-wave: BeginValues aliases it until the flush
 	prevLen  int64
 	depth    int64
-	round    int
 	pendingV bool
 	active   bool
 	done     bool
@@ -78,7 +75,7 @@ type bfsWave struct {
 // reset re-arms the wave for a new source.
 func (w *bfsWave) reset(g *dgraph.Graph, src int64) {
 	w.frontier = seedLevels(g, w.all, src, w.frontier[:0])
-	w.prevLen, w.depth, w.round = 0, 0, 0
+	w.prevLen, w.depth = 0, 0
 	w.pendingV, w.done = false, false
 	w.active = true
 }
@@ -134,7 +131,6 @@ func bfsWaves(g *dgraph.Graph, e *engine, sources []int64, k int, done func(leve
 				if !w.active {
 					continue
 				}
-				w.round++
 				w.rd = bfsRound{next: make([]int32, 0, len(w.frontier))}
 				ex.SetRoundWave(slot)
 				e.expandFrontier(&w.rd, w.all, w.frontier, w.depth, bfsBoundaryOnly)
@@ -156,7 +152,7 @@ func bfsWaves(g *dgraph.Graph, e *engine, sources []int64, k int, done func(leve
 				w.pendingV = false
 				if e.complete {
 					w.done = tr.Sum(0) == 0
-				} else if w.round%e.termEpoch == 0 {
+				} else {
 					w.done = mpi.AllreduceScalar(g.Comm, w.prevLen, mpi.Sum) == 0
 				}
 			}

@@ -101,8 +101,8 @@ func TestHCWavesBitIdenticalAcrossDepthsAndModes(t *testing.T) {
 
 // On an incomplete rank neighborhood the waves cannot piggyback their
 // termination counters and each falls back to its own exact Allreduce
-// on its private round schedule — results still bit-identical, at the
-// default epoch and with termination checks deferred.
+// on its private round schedule every round — results still
+// bit-identical at every depth.
 func TestHCWavesIncompleteNeighborhoodAcrossDepths(t *testing.T) {
 	g := gen.Grid3D(8, 8, 8)
 	mpi.Run(3, func(c *mpi.Comm) {
@@ -133,28 +133,25 @@ func TestHCWavesIncompleteNeighborhoodAcrossDepths(t *testing.T) {
 		want, wantMax := hcReference(ref, srcs)
 		ref.Close()
 		for _, depth := range []int{2, 4} {
-			for _, termEpoch := range []int{0, 3} {
-				dg := build()
-				if dg == nil {
-					return
-				}
-				dg.SetPipeDepth(depth)
-				dg.SetTermEpoch(termEpoch)
-				dg.SetAsyncExchange(true)
-				hc, res := HarmonicCentrality(dg, srcs)
-				if res.Value != wantMax {
-					t.Errorf("rank %d depth %d epoch %d: max centrality %v, want %v",
-						c.Rank(), depth, termEpoch, res.Value, wantMax)
-				}
-				for v := 0; v < dg.NLocal; v++ {
-					if hc[v] != want[v] {
-						t.Errorf("rank %d depth %d epoch %d: hc(gid %d) = %v, want %v",
-							c.Rank(), depth, termEpoch, dg.L2G[v], hc[v], want[v])
-						break
-					}
-				}
-				dg.Close()
+			dg := build()
+			if dg == nil {
+				return
 			}
+			dg.SetPipeDepth(depth)
+			dg.SetAsyncExchange(true)
+			hc, res := HarmonicCentrality(dg, srcs)
+			if res.Value != wantMax {
+				t.Errorf("rank %d depth %d: max centrality %v, want %v",
+					c.Rank(), depth, res.Value, wantMax)
+			}
+			for v := 0; v < dg.NLocal; v++ {
+				if hc[v] != want[v] {
+					t.Errorf("rank %d depth %d: hc(gid %d) = %v, want %v",
+						c.Rank(), depth, dg.L2G[v], hc[v], want[v])
+					break
+				}
+			}
+			dg.Close()
 		}
 	})
 }

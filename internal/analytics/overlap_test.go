@@ -8,44 +8,6 @@ import (
 	"repro/internal/mpi"
 )
 
-// The termination-epoch knob (Graph.SetTermEpoch) bounds the exact
-// termination Allreduce to every k-th round on incomplete rank
-// neighborhoods. Results must stay bit-identical to sync — the rounds
-// past the fixed point are global no-ops — while the reduction count
-// drops roughly k-fold.
-func TestTermEpochIncompleteNeighborhood(t *testing.T) {
-	g := gen.Grid3D(8, 8, 8)
-	mpi.Run(3, func(c *mpi.Comm) {
-		dg, err := dgraph.FromEdgeChunks(c, g.N, g.EdgesChunk(c.Rank(), c.Size()),
-			dgraph.BlockDist{N: g.N, P: c.Size()})
-		if err != nil {
-			t.Errorf("rank %d: %v", c.Rank(), err)
-			return
-		}
-		defer dg.Close()
-		if dg.AsyncExchanger().NeighborhoodComplete() {
-			if c.Rank() == 0 {
-				t.Errorf("blocked 3D grid on 3 ranks should have an incomplete rank neighborhood")
-			}
-			return
-		}
-		sync := execCrossMode(c, dg, false)
-
-		dg.SetTermEpoch(1)
-		exact := execCrossMode(c, dg, true)
-		compareCrossMode(t, dg, sync, exact)
-
-		dg.SetTermEpoch(4)
-		epoch := execCrossMode(c, dg, true)
-		compareCrossMode(t, dg, sync, epoch)
-
-		if c.Rank() == 0 && epoch.reduce >= exact.reduce {
-			t.Errorf("TermEpoch=4 performed %d Allreduces, per-round fallback %d (want fewer)",
-				epoch.reduce, exact.reduce)
-		}
-	})
-}
-
 // The overlapped BFS must actually pipeline: the discovery push of
 // depth d+1 is posted while depth d's ghost refresh is still in
 // flight, so the exchanger's in-flight high-water mark reaches

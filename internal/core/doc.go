@@ -27,12 +27,12 @@
 //     size-delta tallies piggyback on those same messages, so an
 //     iteration ends with no global barrier at all. Every rank folds
 //     its own deltas plus its neighbors' piggybacked tallies into its
-//     estimates; Options.SizeEpoch schedules exact Allreduce resyncs
-//     that bound the estimate staleness on topologies where some rank
-//     pairs share no boundary. When every rank neighbors every other —
-//     detected collectively at startup — the folded sums are already
-//     exact, resyncs are unnecessary, and the async partition matches
-//     the synchronous one bit-for-bit at equal seeds.
+//     estimates. Those sums are exact only when every rank neighbors
+//     every other, which the partitioner detects collectively at
+//     startup; on any other topology the settle falls back to the
+//     synchronous mode's exact Allreduce. Either way the async
+//     partition matches the synchronous one bit-for-bit at equal
+//     seeds.
 //
 // Partition reports the exchanged-element volume and Allreduce count
 // of a run (Report.ExchangeVolume, Report.ReductionOps) so the two

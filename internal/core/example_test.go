@@ -10,16 +10,14 @@ import (
 )
 
 // ExampleOptions configures the partitioner's asynchronous exchange
-// end to end: DefaultOptions, the async-delta engine, and an explicit
-// size-estimate resync epoch, run collectively on four simulated
-// ranks.
+// end to end: DefaultOptions and the async-delta engine, run
+// collectively on four simulated ranks.
 func ExampleOptions() {
 	g := gen.RMAT(9, 8, 1)
 
 	opt := core.DefaultOptions(4)
 	opt.Seed = 7
 	opt.Exchange = core.ExchangeAsyncDelta // P2P deltas, no per-iteration barrier
-	opt.SizeEpoch = 4                      // exact estimate resync every 4 iterations
 
 	mpi.Run(4, func(c *mpi.Comm) {
 		dg, err := dgraph.FromEdgeChunks(c, g.N, g.EdgesChunk(c.Rank(), c.Size()),

@@ -9,91 +9,19 @@ import (
 )
 
 // On an incomplete rank neighborhood the piggybacked tallies cannot
-// reach non-neighbor ranks, so a rank's size estimate may lag moves by
-// at most SizeEpoch-1 settles before the epoch Allreduce resyncs it
-// exactly. A 3-rank block distribution of a long 3D mesh gives a path
-// topology (rank 0 and rank 2 own disjoint z-slabs two hops apart):
-// rank 0 moves one vertex per iteration, its neighbor rank 1 tracks
-// every move through the piggybacked tallies, and rank 2 sees them only
-// at epoch boundaries.
-func TestPiggybackStalenessBoundAndEpochResync(t *testing.T) {
-	gn := gen.Grid3D(3, 3, 9)
-	const ranks = 3
-	const epoch = 3
-	const settles = 7
-	mpi.Run(ranks, func(c *mpi.Comm) {
-		dg, err := dgraph.FromEdgeChunks(c, gn.N, gn.EdgesChunk(c.Rank(), c.Size()),
-			dgraph.BlockDist{N: gn.N, P: ranks})
-		if err != nil {
-			t.Errorf("rank %d: %v", c.Rank(), err)
-			return
-		}
-		defer dg.Close()
-		ex := dg.AsyncExchanger()
-		wantNbrs := 1
-		if c.Rank() == 1 {
-			wantNbrs = 2
-		}
-		if got := len(ex.NeighborRanks()); got != wantNbrs {
-			t.Errorf("rank %d: %d neighbors, want %d (topology not a path)", c.Rank(), got, wantNbrs)
-			return
-		}
-
-		opt := DefaultOptions(2)
-		opt.Exchange = ExchangeAsyncDelta
-		opt.SizeEpoch = epoch
-		s := &state{
-			g: dg, opt: opt, p: 2,
-			parts: make([]int32, dg.NTotal()),
-			sv:    make([]int64, 2), se: make([]int64, 2), sc: make([]int64, 2),
-			cv: make([]int64, 2), ce: make([]int64, 2), cc: make([]int64, 2),
-			ex: ex, tallyExact: false, epoch: epoch,
-			svBase: make([]int64, 2), seBase: make([]int64, 2), scBase: make([]int64, 2),
-			accOwn: make([]int64, 6), accRecv: make([]int64, 6),
-		}
-		s.recountSizes(false) // every vertex in part 0: sv = [N, 0]
-		redBefore := c.Stats().ReductionOps
-
-		for k := int64(1); k <= settles; k++ {
-			s.beginExchange(s.roundTallyLen(false))
-			if c.Rank() == 0 {
-				// One vertex migrates part 0 -> 1 this iteration.
-				s.cv[0]--
-				s.cv[1]++
-			}
-			s.exchangeSettle(nil, false)
-			want := k // ranks 0 and 1 see every move
-			if c.Rank() == 2 {
-				want = k - k%epoch // only what the last resync carried
-			}
-			if s.sv[1] != want {
-				t.Errorf("rank %d settle %d: sv[1] = %d, want %d", c.Rank(), k, s.sv[1], want)
-				return
-			}
-			if lag := k - s.sv[1]; lag < 0 || lag > epoch-1 {
-				t.Errorf("rank %d settle %d: staleness %d exceeds bound %d", c.Rank(), k, lag, epoch-1)
-				return
-			}
-		}
-		// Only the epoch resyncs perform Allreduce: floor(7/3) = 2.
-		if got := c.Stats().ReductionOps - redBefore; got != settles/epoch {
-			t.Errorf("rank %d: %d reductions across %d settles, want %d",
-				c.Rank(), got, settles, settles/epoch)
-		}
-	})
-}
-
-// With the default SizeEpoch (auto) on an incomplete topology the
-// partitioner must fall back to exact per-iteration settles, keeping
-// async partitions bit-identical to sync — the safety half of the
-// auto-detection whose fast half the repository-level determinism test
-// covers on complete topologies.
+// reach non-neighbor ranks, so the partitioner must settle every
+// iteration by the synchronous mode's exact Allreduce: the async
+// partition and its reduction count both equal sync's. A 3-rank block
+// distribution of a long 3D mesh gives a path topology (rank 0 and
+// rank 2 own disjoint z-slabs two hops apart). The repository-level
+// determinism test covers the piggybacked settles of complete
+// topologies.
 func TestPiggybackAutoFallbackIncompleteTopology(t *testing.T) {
 	gn := gen.Grid3D(3, 3, 9)
 	const ranks = 3
 	var parts [2][]int32
-	for _, exchange := range []ExchangeMode{ExchangeSync, ExchangeAsyncDelta} {
-		exchange := exchange
+	var reductions [2]int64
+	for mode, exchange := range []ExchangeMode{ExchangeSync, ExchangeAsyncDelta} {
 		mpi.Run(ranks, func(c *mpi.Comm) {
 			dg, err := dgraph.FromEdgeChunks(c, gn.N, gn.EdgesChunk(c.Rank(), c.Size()),
 				dgraph.BlockDist{N: gn.N, P: ranks})
@@ -101,29 +29,32 @@ func TestPiggybackAutoFallbackIncompleteTopology(t *testing.T) {
 				t.Errorf("rank %d: %v", c.Rank(), err)
 				return
 			}
+			defer dg.Close()
+			if exchange == ExchangeAsyncDelta && dg.AsyncExchanger().NeighborhoodComplete() {
+				t.Errorf("rank %d: rank neighborhood complete, want a path", c.Rank())
+				return
+			}
 			opt := DefaultOptions(4)
 			opt.Seed = 11
 			opt.Exchange = exchange
-			local, _, err := Partition(dg, opt)
+			local, rep, err := Partition(dg, opt)
 			if err != nil {
 				t.Errorf("rank %d: %v", c.Rank(), err)
 				return
 			}
 			full := dg.GatherGlobal(local[:dg.NLocal])
 			if c.Rank() == 0 {
-				if exchange == ExchangeSync {
-					parts[0] = full
-				} else {
-					parts[1] = full
-				}
+				parts[mode] = full
+				reductions[mode] = rep.ReductionOps
 			}
 		})
-		if exchange == ExchangeAsyncDelta {
-			for v := range parts[0] {
-				if parts[0][v] != parts[1][v] {
-					t.Fatalf("partitions diverge at vertex %d: sync %d async %d", v, parts[0][v], parts[1][v])
-				}
-			}
+	}
+	for v := range parts[0] {
+		if parts[0][v] != parts[1][v] {
+			t.Fatalf("partitions diverge at vertex %d: sync %d async %d", v, parts[0][v], parts[1][v])
 		}
+	}
+	if reductions[0] != reductions[1] {
+		t.Errorf("ReductionOps: sync %d, async %d, want equal", reductions[0], reductions[1])
 	}
 }

@@ -17,23 +17,11 @@ type state struct {
 	// ex is the asynchronous delta exchanger, nil in sync mode.
 	ex *dgraph.DeltaExchanger
 
-	// Piggyback settle machinery (async mode only). tallyExact records
-	// whether every rank neighbors every other — detected collectively
-	// at startup — which makes the piggybacked own+neighbor tally sums
-	// exactly the global sums. epoch is the exact-resync period in
-	// settles (0 = never, piggyback alone is exact); sinceSync counts
-	// settles since the last exact sync. svBase/seBase/scBase hold the
-	// authoritative sizes at the last exact sync, and accOwn/accRecv
-	// accumulate this rank's own and neighbor-received deltas since
-	// then (layout [v | e | c], 3p elements).
+	// tallyExact records whether every rank neighbors every other —
+	// detected collectively at startup — which makes the piggybacked
+	// own+neighbor tally sums exactly the global sums, so settles ride
+	// on the update messages instead of a per-iteration Allreduce.
 	tallyExact bool
-	epoch      int
-	sinceSync  int
-	svBase     []int64
-	seBase     []int64
-	scBase     []int64
-	accOwn     []int64
-	accRecv    []int64
 
 	// parts holds assignments for owned and ghost vertices. Hot-loop
 	// reads and writes go through atomics because intra-rank threads
@@ -94,20 +82,6 @@ func Partition(g *dgraph.Graph, opt Options) ([]int32, Report, error) {
 		// Shared with the overlapped analytics engines: collective on
 		// the first call per graph, cached after.
 		s.tallyExact = s.ex.NeighborhoodComplete()
-		s.epoch = opt.SizeEpoch
-		if s.epoch == 0 && !s.tallyExact {
-			// Piggybacked tallies miss non-neighbor ranks here; resync
-			// every settle so the estimates — and the partition — stay
-			// identical to sync mode by default.
-			s.epoch = 1
-		}
-		if s.piggyback() {
-			s.svBase = make([]int64, s.p)
-			s.seBase = make([]int64, s.p)
-			s.scBase = make([]int64, s.p)
-			s.accOwn = make([]int64, 3*s.p)
-			s.accRecv = make([]int64, 3*s.p)
-		}
 	}
 
 	var rep Report
@@ -179,16 +153,24 @@ func (s *state) storePart(v int32, w int32) {
 }
 
 // piggyback reports whether settles ride on the update messages
-// instead of a per-iteration Allreduce.
-func (s *state) piggyback() bool { return s.ex != nil && s.epoch != 1 }
+// instead of a per-iteration Allreduce: async mode on a complete rank
+// neighborhood. Elsewhere the piggybacked tallies would miss
+// non-neighbor ranks, so settles Allreduce exactly, as in sync mode.
+func (s *state) piggyback() bool { return s.ex != nil && s.tallyExact }
 
 // roundTallyLen is the tally length the next balance/refine exchange
-// round carries: per-part vertex deltas, plus edge and cut deltas
-// during the edge stages.
+// round carries in piggyback mode (0 otherwise): per-part vertex
+// deltas, plus edge and cut deltas during the edge stages.
 func (s *state) roundTallyLen(withEdges bool) int {
 	if !s.piggyback() {
 		return 0
 	}
+	return s.tallyLen(withEdges)
+}
+
+// tallyLen is the length of an iteration's delta tally, [cv] or
+// [cv | ce | cc].
+func (s *state) tallyLen(withEdges bool) int {
 	if withEdges {
 		return 3 * s.p
 	}
@@ -196,8 +178,7 @@ func (s *state) roundTallyLen(withEdges bool) int {
 }
 
 // recountSizes recomputes the global part sizes sv/se/sc from current
-// assignments (used when entering a stage), and zeroes the deltas and
-// the piggyback accumulators.
+// assignments (used when entering a stage), and zeroes the deltas.
 func (s *state) recountSizes(withCut bool) {
 	local := make([]int64, 3*s.p)
 	for v := 0; v < s.g.NLocal; v++ {
@@ -219,50 +200,6 @@ func (s *state) recountSizes(withCut bool) {
 	for i := 0; i < s.p; i++ {
 		s.cv[i], s.ce[i], s.cc[i] = 0, 0, 0
 	}
-	if s.piggyback() {
-		copy(s.svBase, s.sv)
-		copy(s.seBase, s.se)
-		copy(s.scBase, s.sc)
-		for i := range s.accOwn {
-			s.accOwn[i], s.accRecv[i] = 0, 0
-		}
-		s.sinceSync = 0
-	}
-}
-
-// settleDeltas Allreduces the per-iteration deltas, folds them into the
-// size estimates, and resets them (the end-of-iteration block of
-// Algorithms 4 and 5, extended with edge and cut tallies). It returns
-// the number of vertices that changed parts globally this iteration.
-func (s *state) settleDeltas(withEdges bool) int64 {
-	if !withEdges {
-		global := mpi.Allreduce(s.g.Comm, s.cv, mpi.Sum)
-		var moved int64
-		for i := 0; i < s.p; i++ {
-			s.sv[i] += global[i]
-			if global[i] > 0 {
-				moved += global[i]
-			}
-			s.cv[i] = 0
-		}
-		return moved
-	}
-	buf := make([]int64, 3*s.p)
-	copy(buf[0:s.p], s.cv)
-	copy(buf[s.p:2*s.p], s.ce)
-	copy(buf[2*s.p:3*s.p], s.cc)
-	global := mpi.Allreduce(s.g.Comm, buf, mpi.Sum)
-	var moved int64
-	for i := 0; i < s.p; i++ {
-		s.sv[i] += global[i]
-		if global[i] > 0 {
-			moved += global[i]
-		}
-		s.se[i] += global[i+s.p]
-		s.sc[i] += global[i+2*s.p]
-		s.cv[i], s.ce[i], s.cc[i] = 0, 0, 0
-	}
-	return moved
 }
 
 // trace emits a TraceEvent on rank 0 if tracing is configured.
@@ -324,7 +261,7 @@ func (s *state) exchange(q []dgraph.Update) []dgraph.Update {
 // worker threads have joined by the time it runs, so the reads need no
 // atomics.
 func (s *state) takeTally(withEdges bool) []int64 {
-	t := make([]int64, s.roundTallyLen(withEdges))
+	t := make([]int64, s.tallyLen(withEdges))
 	copy(t[:s.p], s.cv)
 	if withEdges {
 		copy(t[s.p:2*s.p], s.ce)
@@ -336,67 +273,36 @@ func (s *state) takeTally(withEdges bool) []int64 {
 	return t
 }
 
-// exchangeSettle finishes one balance/refine iteration: it ships the
-// queued updates (with this rank's delta tally piggybacked in async
-// piggyback mode), applies the incoming ghost updates, and settles the
-// global part-size estimates. It returns the number of vertices that
-// moved — exact under sync or exact-piggyback settles, own+neighbor
-// scope otherwise.
+// exchangeSettle finishes one balance/refine iteration (the
+// end-of-iteration block of Algorithms 4 and 5, extended with edge and
+// cut tallies): it ships the queued updates, applies the incoming ghost
+// updates, and folds the iteration's global part-size deltas into the
+// estimates. In piggyback mode the global deltas are this rank's tally
+// plus the neighbors' tallies riding the update messages, which the
+// complete rank neighborhood makes exact; otherwise they are an
+// Allreduce of the tally. It returns the number of vertices that
+// changed parts globally.
 func (s *state) exchangeSettle(q []dgraph.Update, withEdges bool) int64 {
-	if !s.piggyback() {
+	d := s.takeTally(withEdges)
+	if s.piggyback() {
+		in, recv := s.ex.FlushTally(q, d)
+		s.applyGhostUpdates(in)
+		for i := range d {
+			d[i] += recv[i]
+		}
+	} else {
 		s.applyGhostUpdates(s.exchange(q))
-		return s.settleDeltas(withEdges)
+		d = mpi.Allreduce(s.g.Comm, d, mpi.Sum)
 	}
-	own := s.takeTally(withEdges)
-	in, recv := s.ex.FlushTally(q, own)
-	s.applyGhostUpdates(in)
-	return s.settlePiggyback(own, recv, withEdges)
-}
-
-// settlePiggyback folds this iteration's own and neighbor-received
-// delta tallies into the size estimates, resyncing them exactly by
-// Allreduce every epoch settles. When the rank neighborhood graph is
-// complete the folded sums are already the global sums, so the
-// estimates equal sync mode's on every iteration; otherwise they may
-// omit non-neighbor deltas for at most epoch-1 settles.
-func (s *state) settlePiggyback(own, recv []int64, withEdges bool) int64 {
-	n := len(own)
 	var moved int64
 	for i := 0; i < s.p; i++ {
-		if d := own[i] + recv[i]; d > 0 {
-			moved += d
+		s.sv[i] += d[i]
+		if d[i] > 0 {
+			moved += d[i]
 		}
-	}
-	for i := 0; i < n; i++ {
-		s.accOwn[i] += own[i]
-		s.accRecv[i] += recv[i]
-	}
-	s.sinceSync++
-	if s.epoch > 0 && s.sinceSync >= s.epoch {
-		global := mpi.Allreduce(s.g.Comm, s.accOwn[:n], mpi.Sum)
-		for i := 0; i < s.p; i++ {
-			s.svBase[i] += global[i]
-			if withEdges {
-				s.seBase[i] += global[s.p+i]
-				s.scBase[i] += global[2*s.p+i]
-			}
-		}
-		for i := 0; i < n; i++ {
-			s.accOwn[i], s.accRecv[i] = 0, 0
-		}
-		s.sinceSync = 0
-		copy(s.sv, s.svBase)
 		if withEdges {
-			copy(s.se, s.seBase)
-			copy(s.sc, s.scBase)
-		}
-		return moved
-	}
-	for i := 0; i < s.p; i++ {
-		s.sv[i] = s.svBase[i] + s.accOwn[i] + s.accRecv[i]
-		if withEdges {
-			s.se[i] = s.seBase[i] + s.accOwn[s.p+i] + s.accRecv[s.p+i]
-			s.sc[i] = s.scBase[i] + s.accOwn[2*s.p+i] + s.accRecv[2*s.p+i]
+			s.se[i] += d[s.p+i]
+			s.sc[i] += d[2*s.p+i]
 		}
 	}
 	return moved
@@ -406,7 +312,7 @@ func (s *state) settlePiggyback(own, recv []int64, withEdges bool) int64 {
 // one element (the rank's assignment counter) when the complete rank
 // neighborhood makes the piggybacked sum an exact termination test.
 func (s *state) initTallyLen() int {
-	if s.ex != nil && s.tallyExact {
+	if s.piggyback() {
 		return 1
 	}
 	return 0

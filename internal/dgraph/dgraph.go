@@ -57,8 +57,6 @@ type Graph struct {
 	// async selects the analytics engine's async mode
 	// (SetAsyncExchange).
 	async bool
-	// termEpoch is the analytics termination-epoch knob (SetTermEpoch).
-	termEpoch int
 	// pipeDepth is the exchange-pipeline depth knob (SetPipeDepth).
 	pipeDepth int
 }
@@ -423,26 +421,6 @@ func (g *Graph) Close() {
 		g.deltaEx.Close()
 		g.deltaEx = nil
 	}
-}
-
-// SetTermEpoch bounds termination-test staleness for the overlapped
-// analytics on incomplete rank neighborhoods: every k-th round performs
-// the exact termination Allreduce, with the rounds in between running
-// unchecked — at most k-1 extra no-op rounds past the fixed point, which
-// by definition cannot change any value. 0 or 1 (the default) keeps the
-// exact per-round fallback. On complete neighborhoods the knob is
-// irrelevant: piggybacked counters already terminate without any
-// Allreduce. The analytics counterpart of core.Options.SizeEpoch; every
-// rank must set the same value.
-func (g *Graph) SetTermEpoch(k int) { g.termEpoch = k }
-
-// TermEpoch returns the termination-epoch knob (see SetTermEpoch),
-// normalized to at least 1.
-func (g *Graph) TermEpoch() int {
-	if g.termEpoch < 1 {
-		return 1
-	}
-	return g.termEpoch
 }
 
 // SetPipeDepth selects the delta exchanger's pipeline depth: how many

@@ -58,11 +58,11 @@
 // flow (Begin/Flush) directly, and with SetAsyncExchange(true) the
 // overlapped analytics engines drive the split-phase value flows
 // directly (every BFS wave keeping a push and a refresh in flight —
-// one wave for BFS, depth/2 for HC). SetTermEpoch bounds the
-// overlapped analytics' termination-Allreduce cadence on incomplete
-// rank neighborhoods. Both engines deliver identical results — the
-// choice is observable only in mpi.Stats traffic counters and wall
-// time.
+// one wave for BFS, depth/2 for HC). On complete rank neighborhoods
+// their termination tests read piggybacked counters; elsewhere every
+// round pays the exact termination Allreduce the synchronous engine
+// pays. Both engines deliver identical results — the choice is
+// observable only in mpi.Stats traffic counters and wall time.
 //
 // # Hot-path annotation
 //

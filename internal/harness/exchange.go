@@ -215,7 +215,6 @@ func exchangeAnalytics(cfg Config) error {
 				}
 				dg.SetPipeDepth(cfg.PipeDepth)
 				dg.SetAsyncExchange(async)
-				dg.SetTermEpoch(cfg.TermEpoch)
 				c.ResetStats()
 				start := time.Now()
 				_, prRes := analytics.PageRank(dg, prIters, 0.85)

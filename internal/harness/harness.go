@@ -49,13 +49,6 @@ type Config struct {
 	Scale Scale
 	// Seed fixes all randomness.
 	Seed uint64
-	// TermEpoch is forwarded to the analytics runs of experiments that
-	// drive the async engine (currently exchange): on incomplete rank
-	// neighborhoods the overlapped analytics perform their exact
-	// termination Allreduce every TermEpoch-th round instead of every
-	// round (see repro.AnalyticsConfig.TermEpoch). 0 keeps the exact
-	// per-round default.
-	TermEpoch int
 	// PipeDepth is forwarded to the async exchange engine of
 	// experiments that drive it (currently exchange): how many rounds
 	// of boundary messages may be in flight per exchanger (0 = default

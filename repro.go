@@ -98,8 +98,10 @@ type Config struct {
 	// nonblocking point-to-point messages, drained concurrently with
 	// local propagation, and per-part size tallies piggyback on the
 	// same messages so iterations need no global Allreduce barrier
-	// (see SizeEpoch). The final partition is identical for fixed
-	// seeds, and the exchanged-element volume is strictly lower. The
+	// when every rank neighbors every other (otherwise each iteration
+	// settles by sync's exact Allreduce). The final partition is
+	// identical for fixed seeds, and the exchanged-element volume is
+	// strictly lower. The
 	// analytics and SpMV paths select the same engine through
 	// AnalyticsConfig.AsyncExchange and SpMVConfig.AsyncExchange.
 	AsyncExchange bool
@@ -112,14 +114,6 @@ type Config struct {
 	// AnalyticsConfig.PipeDepth for the depth/2-wave HC engine it
 	// enables.
 	PipeDepth int
-	// SizeEpoch bounds part-size estimate staleness in async mode:
-	// every SizeEpoch-th iteration performs an exact Allreduce resync,
-	// with settles in between derived purely from piggybacked neighbor
-	// tallies. 0 (default) auto-selects: no resyncs at all when every
-	// rank neighbors every other (the tallies are already exact global
-	// sums), one per iteration otherwise so partitions always match
-	// sync mode bit-for-bit. See core.Options.SizeEpoch.
-	SizeEpoch int
 	// Init selects the initialization strategy; zero value is the
 	// paper's BFS hybrid.
 	Init core.InitStrategy
@@ -150,9 +144,9 @@ type Report struct {
 	ExchangeVolume int64
 	// ReductionOps is the number of Allreduce operations the
 	// partitioning stages performed. Synchronous runs pay one per inner
-	// iteration; async runs piggyback the tallies on the boundary
-	// messages and drop to one per SizeEpoch iterations, or none
-	// between stage recounts on complete rank neighborhoods.
+	// iteration. Async runs on complete rank neighborhoods piggyback
+	// the tallies on the boundary messages and pay none between stage
+	// recounts; on any other topology they pay sync's count.
 	ReductionOps int64
 }
 
@@ -216,7 +210,6 @@ func XtraPuLPComm(c *mpi.Comm, g *Generator, cfg Config) ([]int32, Report, error
 	if cfg.AsyncExchange {
 		opt.Exchange = core.ExchangeAsyncDelta
 	}
-	opt.SizeEpoch = cfg.SizeEpoch
 	if cfg.OverrideXY || cfg.X != 0 || cfg.Y != 0 {
 		opt.X, opt.Y = cfg.X, cfg.Y
 	}

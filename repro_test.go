@@ -140,41 +140,6 @@ func TestAsyncDeltaExchangeMatchesSyncDeterministically(t *testing.T) {
 	}
 }
 
-// An explicit SizeEpoch schedules exact resyncs between pure-piggyback
-// settles. On a complete rank neighborhood (hashed RMAT at 4 ranks)
-// the piggybacked sums are already exact, so any epoch keeps the
-// partition bit-identical to sync; the Allreduce count interpolates
-// between sync's one-per-iteration and auto mode's recounts-only.
-func TestSizeEpochExplicitOnCompleteTopology(t *testing.T) {
-	gn := RMAT(10, 8, 1)
-	base := Config{Parts: 8, Ranks: 4, ThreadsPerRank: 1, RandomDist: true, Seed: 7}
-	sparts, srep, err := XtraPuLPGen(gn, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	auto := base
-	auto.AsyncExchange = true
-	_, autoRep, err := XtraPuLPGen(gn, auto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	epoch := auto
-	epoch.SizeEpoch = 4
-	eparts, erep, err := XtraPuLPGen(gn, epoch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range sparts {
-		if sparts[v] != eparts[v] {
-			t.Fatalf("SizeEpoch=4 diverges from sync at vertex %d: %d vs %d", v, sparts[v], eparts[v])
-		}
-	}
-	if !(autoRep.ReductionOps < erep.ReductionOps && erep.ReductionOps < srep.ReductionOps) {
-		t.Errorf("reduction counts not ordered auto < epoch < sync: %d, %d, %d",
-			autoRep.ReductionOps, erep.ReductionOps, srep.ReductionOps)
-	}
-}
-
 func TestXtraPuLPQualityBeatsRandomOnAllClasses(t *testing.T) {
 	gens := []*Generator{
 		RMAT(10, 8, 1),
