@@ -8,6 +8,78 @@ import (
 	"repro/internal/mpi"
 )
 
+// On an incomplete rank neighborhood async termination has no epoch to
+// defer it: every round runs the same exact Allreduce as sync. Each
+// round-driven analytic must therefore perform exactly as many
+// Allreduces in both modes — for BFS at least one per level — and
+// reach the same result.
+func TestTermEpochIncompleteNeighborhood(t *testing.T) {
+	g := gen.Grid3D(8, 8, 8)
+	mpi.Run(3, func(c *mpi.Comm) {
+		dg, err := dgraph.FromEdgeChunks(c, g.N, g.EdgesChunk(c.Rank(), c.Size()),
+			dgraph.BlockDist{N: g.N, P: c.Size()})
+		if err != nil {
+			t.Errorf("rank %d: %v", c.Rank(), err)
+			return
+		}
+		defer dg.Close()
+		if dg.AsyncExchanger().NeighborhoodComplete() { // collective
+			if c.Rank() == 0 {
+				t.Errorf("blocked 3D grid on 3 ranks should have an incomplete rank neighborhood")
+			}
+			return
+		}
+		type run struct {
+			levels        []int64
+			ecc           int64
+			wcc, core, lp []int64
+			reduce        [4]int64 // BFS, WCC, K-Core, LabelProp
+		}
+		exec := func(async bool) run {
+			dg.SetAsyncExchange(async)
+			var r run
+			c.ResetStats()
+			r.levels, r.ecc = BFS(dg, 0)
+			r.reduce[0] = c.Stats().ReductionOps
+			c.ResetStats()
+			r.wcc, _ = WCC(dg)
+			r.reduce[1] = c.Stats().ReductionOps
+			c.ResetStats()
+			r.core, _ = KCore(dg, 20)
+			r.reduce[2] = c.Stats().ReductionOps
+			c.ResetStats()
+			r.lp, _ = LabelProp(dg, 8)
+			r.reduce[3] = c.Stats().ReductionOps
+			return r
+		}
+		sync := exec(false)
+		async := exec(true)
+		names := [4]string{"BFS", "WCC", "K-Core", "LabelProp"}
+		for i, name := range names {
+			if async.reduce[i] != sync.reduce[i] {
+				t.Errorf("rank %d: %s performed %d Allreduces async, %d sync (want equal: per-round exact termination)",
+					c.Rank(), name, async.reduce[i], sync.reduce[i])
+			}
+		}
+		if async.reduce[0] < async.ecc {
+			t.Errorf("rank %d: async BFS performed %d Allreduces over %d levels (want one per level)",
+				c.Rank(), async.reduce[0], async.ecc)
+		}
+		if async.ecc != sync.ecc {
+			t.Errorf("rank %d: BFS eccentricity %d async, %d sync", c.Rank(), async.ecc, sync.ecc)
+		}
+		for v := 0; v < dg.NLocal; v++ {
+			if async.levels[v] != sync.levels[v] || async.wcc[v] != sync.wcc[v] ||
+				async.core[v] != sync.core[v] || async.lp[v] != sync.lp[v] {
+				t.Errorf("rank %d: gid %d differs: BFS %d/%d WCC %d/%d core %d/%d LP %d/%d (async/sync)",
+					c.Rank(), dg.L2G[v], async.levels[v], sync.levels[v], async.wcc[v], sync.wcc[v],
+					async.core[v], sync.core[v], async.lp[v], sync.lp[v])
+				return
+			}
+		}
+	})
+}
+
 // The overlapped BFS must actually pipeline: the discovery push of
 // depth d+1 is posted while depth d's ghost refresh is still in
 // flight, so the exchanger's in-flight high-water mark reaches
