@@ -21,22 +21,20 @@ type AnalyticsConfig struct {
 	// HCSources bounds the harmonic centrality BFS count (the paper
 	// uses 100).
 	HCSources int
-	// AsyncExchange runs the analytics on the async delta engine: each
-	// analytic drives split-phase DeltaExchanger rounds directly, with
-	// convergence counters piggybacked on the messages, instead of
-	// bulk-synchronous Alltoallv exchanges plus per-round Allreduces.
-	// On an incomplete rank neighborhood the counters miss non-neighbor
-	// ranks, so every round pays sync's exact termination Allreduce.
-	// Results are identical; exchanged-element volume is lower.
+	// AsyncExchange piggybacks the analytics' convergence counters on
+	// the boundary messages instead of paying an Allreduce every round.
+	// In both modes each analytic drives split-phase DeltaExchanger
+	// rounds directly. On an incomplete rank neighborhood the counters
+	// would miss non-neighbor ranks, so every round pays sync's exact
+	// termination Allreduce. Results are identical.
 	AsyncExchange bool
-	// PipeDepth sets the async exchange engine's pipeline depth: how
-	// many rounds of boundary messages may be in flight at once
-	// (default 2). Depths of 4 and above let Harmonic Centrality run
+	// PipeDepth sets the exchange engine's pipeline depth: how many
+	// rounds of boundary messages may be in flight at once (default
+	// 2). Depths of 4 and above let Harmonic Centrality run
 	// PipeDepth/2 of its independent BFS waves concurrently on the
-	// shared pipeline, cutting its per-source Allreduces and
-	// round-latency stalls; results stay bit-identical at every depth.
-	// Values 1 and below (other than 0 = default) are rejected.
-	// Ignored in sync mode.
+	// shared pipeline, cutting its round-latency stalls; results stay
+	// bit-identical at every depth. Values 1 and below (other than 0 =
+	// default) are rejected.
 	PipeDepth int
 	// ThreadsPerRank fans each rank's relaxation and frontier-expansion
 	// sweeps across worker threads (the paper's OpenMP threads per MPI
@@ -71,9 +69,9 @@ type AnalyticsReport struct {
 	// ReductionOps is the number of Allreduce operations the analytics
 	// performed (rank 0's count; the collectives are symmetric).
 	// Synchronous runs pay one per iteration for termination counters
-	// and PageRank's fused dangling-mass/norm reduction; async runs
-	// piggyback those on the boundary value messages and drop to a
-	// handful per analytic on complete rank neighborhoods.
+	// and PageRank's dangling mass; async runs piggyback those on the
+	// boundary value messages and drop to a handful per analytic on
+	// complete rank neighborhoods.
 	ReductionOps int64
 	// ExchangeVolume is the total element volume all ranks sent during
 	// the analytics (graph construction excluded).

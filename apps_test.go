@@ -194,8 +194,10 @@ func TestRunAnalyticsAsyncMatchesSync(t *testing.T) {
 	}
 }
 
-// A world without ranks is a configuration error on both facade entry
-// points, named as such before any rank spawns, for any graph.
+// A world without ranks is a configuration error on every facade entry
+// point, named as such before any rank spawns, for any graph. The
+// partitioner alone reads Ranks = 0 as its documented default of one
+// rank.
 func TestRunFacadesRejectNoRanks(t *testing.T) {
 	gen := RandER(64, 128, 1)
 	g := gen.MustBuild()
@@ -221,11 +223,22 @@ func TestRunFacadesRejectNoRanks(t *testing.T) {
 			_, err := RunSpMVCfg(g, parts, SpMVConfig{Ranks: -1, Layout: Layout2D, Iterations: 1})
 			return err
 		}},
+		{"xtrapulp ranks -1", func() error {
+			_, _, err := XtraPuLPGen(gen, Config{Parts: 2, Ranks: -1})
+			return err
+		}},
+		{"xtrapulp shared graph ranks -4", func() error {
+			_, _, err := XtraPuLP(g, Config{Parts: 2, Ranks: -4})
+			return err
+		}},
 	}
 	for _, tc := range cases {
 		if err := tc.run(); err == nil || !strings.Contains(err.Error(), "Ranks") {
 			t.Errorf("%s: error %v, want one naming Ranks", tc.name, err)
 		}
+	}
+	if _, _, err := XtraPuLPGen(gen, Config{Parts: 2}); err != nil {
+		t.Errorf("xtrapulp ranks 0 (default 1): %v", err)
 	}
 }
 

@@ -26,7 +26,7 @@ func main() {
 	scaleFlag := flag.String("scale", "small", "experiment sizing: small or full")
 	seedFlag := flag.Uint64("seed", 1, "random seed for all generators and partitioners")
 	listFlag := flag.Bool("list", false, "list experiment names and exit")
-	pipeDepthFlag := flag.Int("pipe-depth", 0, "async exchange pipeline depth: rounds in flight per exchanger (0 = default 2; depth/2 concurrent HC waves)")
+	pipeDepthFlag := flag.Int("pipe-depth", 0, "exchange pipeline depth: rounds in flight per exchanger (0 = default 2; depth/2 concurrent HC waves)")
 	threadsFlag := flag.Int("threads", 1, "intra-rank threads for analytics/SpMV sweeps (0 = one per core)")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: experiments [-scale small|full] [-seed N] [-pipe-depth D] [-threads T] <experiment>...|all\n")

@@ -42,7 +42,7 @@ func main() {
 	method := flag.String("method", repro.MethodXtraPuLP, fmt.Sprintf("partitioner: %v", repro.Methods()))
 	seed := flag.Uint64("seed", 1, "random seed")
 	single := flag.Bool("single", false, "single-constraint single-objective mode")
-	async := flag.Bool("async", false, "asynchronous delta-only boundary exchange")
+	async := flag.Bool("async", false, "piggyback the per-iteration size settles on the boundary messages instead of an Allreduce")
 	blockDist := flag.Bool("blockdist", false, "use block vertex distribution instead of random")
 	out := flag.String("out", "", "write per-vertex part ids to this file")
 	transport := flag.String("transport", "proc", "rank substrate: proc (in-process) | env (one rank of a socket world, REPRO_* env)")

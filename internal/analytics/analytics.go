@@ -9,14 +9,14 @@
 // pattern: rank-local compute over owned vertices, boundary value
 // exchange each iteration, and a global termination test — so
 // per-analytic runtime responds to partition quality (cut size drives
-// exchange volume) exactly as in the paper. On the synchronous engine
-// the termination test is an Allreduce; on the async delta engine
-// (Graph.SetAsyncExchange) the iterations run split-phase — interior
-// vertices are relaxed while boundary values are in flight — and the
-// convergence counters ride the value messages as piggybacked tally
-// frames (see overlap.go), eliminating the per-round Allreduce on
-// complete rank neighborhoods. Results are bit-identical across
-// engines.
+// exchange volume) exactly as in the paper. The iterations run
+// split-phase on the graph's delta exchanger in both exchange modes —
+// interior vertices are relaxed while boundary values are in flight
+// (see overlap.go). In sync mode the termination test is an Allreduce
+// every round; in async mode (Graph.SetAsyncExchange) the convergence
+// counters ride the value messages as piggybacked tally frames,
+// eliminating the per-round Allreduce on complete rank neighborhoods.
+// Results are bit-identical across modes.
 //
 // Substitution note: the paper runs SCC on a directed web crawl. Our
 // generated proxies are undirected, so SCC here performs the
@@ -57,13 +57,12 @@ type Result struct {
 // vertices' ranks (indexed by local id) plus the result record.
 //
 // Dangling mass (degree-0 owned vertices) is redistributed uniformly,
-// keeping the rank vector a distribution. The two global quantities —
-// per-iteration dangling mass and the final norm — share one fused
-// length-2 vector Allreduce per iteration in sync mode; in overlapped
-// async mode the dangling partial rides the boundary value messages as
-// a tally frame folded in global rank order, so iterations perform no
-// reduction at all on complete rank neighborhoods. Ranks are
-// bit-identical across all modes.
+// keeping the rank vector a distribution. Each iteration's dangling
+// mass is one Allreduce in sync mode; in async mode on a complete rank
+// neighborhood the dangling partial rides the boundary value messages
+// as a tally frame folded in global rank order, so iterations perform
+// no reduction at all. The final norm is one Allreduce after the last
+// iteration. Ranks are bit-identical across all modes.
 //
 //repro:deterministic
 //repro:timing
@@ -81,7 +80,7 @@ func PageRank(g *dgraph.Graph, iters int, damping float64) ([]float64, Result) {
 	// deg0 lists the dangling owned vertices ascending. Their next
 	// value is exactly the iteration's base (no neighbors), which keeps
 	// the next dangling partial computable before the interior sweep —
-	// what lets it ride this round's messages in overlapped mode.
+	// what lets it ride this round's messages.
 	var deg0 []int32
 	for v := 0; v < g.NLocal; v++ {
 		if g.Degree(int32(v)) == 0 {
@@ -115,83 +114,51 @@ func PageRank(g *dgraph.Graph, iters int, damping float64) ([]float64, Result) {
 		par.For(0, len(list), e.threads, func(i int) { relax(list[i]) })
 		e.sweepTime += time.Since(t0)
 	}
-	var normSrc []float64
-	var fpart []float64
-	normBody := func(lo, hi int) float64 {
-		var s float64
-		for i := lo; i < hi; i++ {
-			s += normSrc[i]
-		}
-		return s
-	}
 
-	norm := 0.0
-	normDone := false
-	if e.overlapped() {
-		for it := 0; it < iters; it++ {
-			base = (1-damping)/n + damping*dangling/n
-			sweep(bnd)
-			// Next iteration's dangling partial: every dangling vertex
-			// takes exactly base this iteration (summed per vertex to
-			// keep the accumulation order of the sync path).
-			var dL float64
-			for range deg0 {
-				dL += base
-			}
-			e.payload = e.payload[:0]
-			for _, v := range bnd {
-				e.payload = append(e.payload, int64(math.Float64bits(next[v])))
-			}
-			var tally []int64
-			if e.complete {
-				e.tally[0] = int64(math.Float64bits(dL))
-				tally = e.tally[:1]
-			}
-			e.ex.BeginValues(bnd, e.payload, tally)
-			sweep(inr)
-			copy(vals[:g.NLocal], next)
-			outL, outP, tr := e.ex.FlushValues()
-			for i, lid := range outL {
-				vals[lid] = math.Float64frombits(uint64(outP[i]))
-			}
-			if e.complete {
-				dangling = tr.FoldFloat(0)
-			} else {
-				dangling = mpi.AllreduceScalar(g.Comm, dL, mpi.Sum)
-			}
+	for it := 0; it < iters; it++ {
+		base = (1-damping)/n + damping*dangling/n
+		sweep(bnd)
+		// Next iteration's dangling partial: every dangling vertex
+		// takes exactly base this iteration, summed per vertex in
+		// ascending vertex order.
+		var dL float64
+		for range deg0 {
+			dL += base
 		}
-	} else {
-		for it := 0; it < iters; it++ {
-			base = (1-damping)/n + damping*dangling/n
-			sweep(bnd)
-			sweep(inr)
-			copy(vals[:g.NLocal], next)
-			g.ExchangeFloat64(bnd, vals)
-			// Fused end-of-iteration reduction: the next iteration's
-			// dangling mass and the current norm in one vector
-			// Allreduce (the last iteration's norm is the result).
-			var dL, nL float64
-			for _, v := range deg0 {
-				dL += next[v]
-			}
-			normSrc = next
-			nL, fpart = par.SumFloat64Ordered(0, g.NLocal, e.threads, fpart, normBody)
-			red := mpi.Allreduce(g.Comm, []float64{dL, nL}, mpi.Sum)
-			dangling, norm = red[0], red[1]
-			normDone = true
+		e.payload = e.payload[:0]
+		for _, v := range bnd {
+			e.payload = append(e.payload, int64(math.Float64bits(next[v])))
+		}
+		var tally []int64
+		if e.piggyback {
+			e.tally[0] = int64(math.Float64bits(dL))
+			tally = e.tally[:1]
+		}
+		e.ex.BeginValues(bnd, e.payload, tally)
+		sweep(inr)
+		copy(vals[:g.NLocal], next)
+		outL, outP, tr := e.ex.FlushValues()
+		for i, lid := range outL {
+			vals[lid] = math.Float64frombits(uint64(outP[i]))
+		}
+		if e.piggyback {
+			dangling = tr.FoldFloat(0)
+		} else {
+			dangling = mpi.AllreduceScalar(g.Comm, dL, mpi.Sum)
 		}
 	}
 	elapsed := time.Since(start)
-	if !normDone {
-		// vals[:NLocal] holds the same bits next held after the last
-		// async iteration (or the uniform start when iters == 0), and
-		// the decomposition is thread-count independent, so this norm
-		// matches the sync path's exactly.
-		var nL float64
-		normSrc = vals
-		nL, fpart = par.SumFloat64Ordered(0, g.NLocal, e.threads, fpart, normBody)
-		norm = mpi.AllreduceScalar(g.Comm, nL, mpi.Sum)
-	}
+	// vals[:NLocal] holds the last iteration's ranks (or the uniform
+	// start when iters == 0), and the chunk decomposition is
+	// thread-count independent, so the norm's bits are too.
+	nL, _ := par.SumFloat64Ordered(0, g.NLocal, e.threads, nil, func(lo, hi int) float64 {
+		var s float64
+		for i := lo; i < hi; i++ {
+			s += vals[i]
+		}
+		return s
+	})
+	norm := mpi.AllreduceScalar(g.Comm, nL, mpi.Sum)
 	return vals[:g.NLocal], Result{Name: "PR", Iterations: iters, Time: elapsed, SweepTime: e.sweepTime, Value: norm}
 }
 

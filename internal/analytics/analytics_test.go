@@ -20,6 +20,7 @@ func withDistributed(t *testing.T, g *gen.Generator, nranks int, check func(dg *
 			t.Errorf("rank %d: %v", c.Rank(), err)
 			return
 		}
+		defer dg.Close()
 		check(dg)
 	})
 }
@@ -63,6 +64,7 @@ func TestBFSDisconnected(t *testing.T) {
 			t.Errorf("rank %d: %v", c.Rank(), err)
 			return
 		}
+		defer dg.Close()
 		levels, ecc := BFS(dg, 0)
 		if ecc != 1 {
 			t.Errorf("ecc = %d, want 1", ecc)
@@ -99,6 +101,7 @@ func TestWCCCountsComponents(t *testing.T) {
 			t.Errorf("rank %d: %v", c.Rank(), err)
 			return
 		}
+		defer dg.Close()
 		labels, res := WCC(dg)
 		if res.Value != 3 {
 			t.Errorf("components = %v, want 3", res.Value)
@@ -182,6 +185,7 @@ func TestKCoreOnCliquePlusTail(t *testing.T) {
 			t.Errorf("rank %d: %v", c.Rank(), err)
 			return
 		}
+		defer dg.Close()
 		core, res := KCore(dg, 50)
 		if res.Value != 5 {
 			t.Errorf("max coreness %v, want 5", res.Value)
@@ -264,6 +268,7 @@ func TestLabelPropFindsPlantedCommunities(t *testing.T) {
 			t.Errorf("rank %d: %v", c.Rank(), err)
 			return
 		}
+		defer dg.Close()
 		labels, res := LabelProp(dg, 20)
 		_ = labels
 		total := mpi.AllreduceScalar(dg.Comm, int64(res.Value), mpi.Sum)
@@ -323,6 +328,7 @@ func TestHarmonicCentralityCenterOfPath(t *testing.T) {
 			t.Errorf("rank %d: %v", c.Rank(), err)
 			return
 		}
+		defer dg.Close()
 		srcs := make([]int64, n)
 		for i := range srcs {
 			srcs[i] = int64(i)
@@ -511,6 +517,7 @@ func TestApproxDiameterPathExact(t *testing.T) {
 			t.Errorf("rank %d: %v", c.Rank(), err)
 			return
 		}
+		defer dg.Close()
 		if d := ApproxDiameter(dg, 4, 20); d != n-1 {
 			t.Errorf("path diameter %d, want %d", d, n-1)
 		}

@@ -15,21 +15,20 @@ import (
 // frontier expansion, pushes discoveries of remote-owned vertices to
 // their owners, refreshes ghost copies, and tests global termination.
 //
-// On the async engine the rounds run split-phase AND pipelined to
-// depth two, as the one-wave case of the wave engine (bfsWaves,
-// hc_waves.go): the boundary part of the frontier — the only part that
-// can discover ghosts — expands first and its discoveries are pushed
-// with BeginPush while the PREVIOUS depth's ghost-refresh round is
-// still in flight, so two rounds of messages overlap each other plus
-// the interior expansion. The refresh carries the frontier size as a
-// piggybacked counter, so termination needs no per-round Allreduce on
-// complete rank neighborhoods (incomplete ones fall back to an exact
-// Allreduce every round). Levels are identical across engines: all
-// discoveries within a round get the same depth, so expansion order
-// cannot change results, and a boundary expansion that reads a
-// one-round-stale ghost copy can only re-discover a vertex its owner
-// already leveled — the owner keeps the first (correct) level
-// and drops the redundant push.
+// The rounds run split-phase AND pipelined to depth two, as the
+// one-wave case of the wave engine (bfsWaves, hc_waves.go): the
+// boundary part of the frontier — the only part that can discover
+// ghosts — expands first and its discoveries are pushed with BeginPush
+// while the PREVIOUS depth's ghost-refresh round is still in flight, so
+// two rounds of messages overlap each other plus the interior
+// expansion. In async mode on a complete rank neighborhood the refresh
+// carries the frontier size as a piggybacked counter, so termination
+// needs no per-round Allreduce; otherwise every round ends in an exact
+// Allreduce. Levels are identical across modes: all discoveries within
+// a round get the same depth, so expansion order cannot change results,
+// and a boundary expansion that reads a one-round-stale ghost copy can
+// only re-discover a vertex its owner already leveled — the owner keeps
+// the first (correct) level and drops the redundant push.
 //
 //repro:deterministic
 func BFS(g *dgraph.Graph, srcGID int64) (levels []int64, ecc int64) {
@@ -37,49 +36,17 @@ func BFS(g *dgraph.Graph, srcGID int64) (levels []int64, ecc int64) {
 }
 
 // bfsRun is BFS over a caller-provided engine, so callers that run
-// several sweeps (SCC, the sequential HC loop) share one engine and
-// its accumulated sweep time.
+// several sweeps (SCC) share one engine and its accumulated sweep time.
 func bfsRun(g *dgraph.Graph, e *engine, srcGID int64) (levels []int64, ecc int64) {
 	if g.NGlobal == 0 {
-		// Degenerate shard: no vertices anywhere, so no rank enters
-		// the round loop and no collective runs — returning early is
-		// symmetric. (Without the guard the sync loop would still run
-		// one empty round, but the final eccentricity Allreduce over
-		// an empty level array is pure noise.)
+		// Degenerate shard: no vertices anywhere, so every rank
+		// returns here before any round — symmetric, and it skips a
+		// final eccentricity Allreduce over an empty level array.
 		return make([]int64, 0), 0
 	}
-	if e.overlapped() {
-		// The one-wave case of the wave engine; the lone batch is the
-		// last, so its levels may be kept.
-		bfsWaves(g, e, []int64{srcGID}, 1, func(l []int64) { levels = l })
-	} else {
-		all := make([]int64, g.NTotal())
-		frontier := seedLevels(g, all, srcGID, nil)
-		depth := int64(0)
-		for {
-			rd := bfsRound{next: make([]int32, 0, len(frontier))}
-			e.expandFrontier(&rd, all, frontier, depth, bfsAllFrontier)
-			// Tell owners about remotely discovered vertices; merge their
-			// pushes into our frontier (first discovery wins).
-			recvL, recvP := g.PushToOwners(rd.ghostFound, rd.ghostLevels)
-			next := rd.next
-			for i, lid := range recvL {
-				if all[lid] < 0 {
-					all[lid] = recvP[i]
-					next = append(next, lid)
-				}
-			}
-			// Refresh ghost copies of the new frontier so the next round's
-			// expansion does not rediscover them remotely.
-			g.ExchangeInt64(next, all)
-			if mpi.AllreduceScalar(g.Comm, int64(len(next)), mpi.Sum) == 0 {
-				break
-			}
-			depth++
-			frontier = next
-		}
-		levels = all[:g.NLocal]
-	}
+	// The one-wave case of the wave engine; the lone batch is the last,
+	// so its levels may be kept.
+	bfsWaves(g, e, []int64{srcGID}, 1, func(l []int64) { levels = l })
 	// The reduction reads a never-reassigned copy, which its closure
 	// captures by value: capturing the assigned levels itself would
 	// move it to the heap on every sweep.
@@ -104,12 +71,9 @@ func seedLevels(g *dgraph.Graph, all []int64, srcGID int64, frontier []int32) []
 	return frontier
 }
 
-// bfsRound accumulates one BFS round's discoveries. expandFrontier is
-// the frontier-expansion step BOTH engines share — a single
-// definition, so the bit-identical-across-engines invariant cannot
-// drift between the sync loop and the wave engine: unvisited
-// neighbors get this round's level, ghosts queue for the owner push,
-// owned vertices join the next frontier.
+// bfsRound accumulates one BFS round's discoveries (expandFrontier):
+// unvisited neighbors get this round's level, ghosts queue for the
+// owner push, owned vertices join the next frontier.
 type bfsRound struct {
 	next        []int32
 	ghostFound  []int32
@@ -120,8 +84,7 @@ type bfsRound struct {
 // the boundary part of the frontier (the only part that can discover
 // ghosts) before the interior part.
 const (
-	bfsAllFrontier int8 = iota
-	bfsBoundaryOnly
+	bfsBoundaryOnly int8 = iota
 	bfsInteriorOnly
 )
 
@@ -140,10 +103,7 @@ func (e *engine) expandChunk(lo, hi, tid int) {
 	g, all, depth := e.g, e.ball, e.bdepth
 	for i := lo; i < hi; i++ {
 		v := e.bfrontier[i]
-		if e.bfilter == bfsBoundaryOnly && !g.IsBoundaryVertex(v) {
-			continue
-		}
-		if e.bfilter == bfsInteriorOnly && g.IsBoundaryVertex(v) {
+		if g.IsBoundaryVertex(v) != (e.bfilter == bfsBoundaryOnly) {
 			continue
 		}
 		for _, u := range g.Neighbors(v) {
@@ -186,13 +146,13 @@ func (e *engine) expandFrontier(rd *bfsRound, all []int64, frontier []int32, dep
 // reached vertex. It returns the accumulated centralities for owned
 // vertices.
 //
-// On the synchronous engine the sources run as a sequential loop of
-// full BFS sweeps. On the async engine they run as HCWaves(g)
-// concurrent waves sharing the exchanger's depth-k pipeline (see
-// hc_waves.go): wave i's push and refresh rounds interleave with wave
-// i+1's, per-wave termination counters ride the tally frames, and no
-// per-source eccentricity Allreduce is paid. Centralities are
-// bit-identical across engines, wave counts, and pipeline depths.
+// The sources run as HCWaves(g) concurrent waves sharing the
+// exchanger's depth-k pipeline (see hc_waves.go): wave i's push and
+// refresh rounds interleave with wave i+1's, and no per-source
+// eccentricity Allreduce is paid; in async mode on a complete rank
+// neighborhood the per-wave termination counters ride the tally frames
+// too. Centralities are bit-identical across modes, wave counts, and
+// pipeline depths.
 //
 //repro:deterministic
 //repro:timing
@@ -201,8 +161,8 @@ func HarmonicCentrality(g *dgraph.Graph, sources []int64) ([]float64, Result) {
 	hc := make([]float64, g.NLocal)
 	e := newEngine(g)
 	// Parallel over vertices, sequential over sources: each hc[v]
-	// accumulates its sources in source order in both modes, so the
-	// float sums are bit-identical across engines and wave counts.
+	// accumulates its sources in source order, so the float sums are
+	// bit-identical across modes and wave counts.
 	accumulate := func(levels []int64) {
 		par.For(0, g.NLocal, e.threads, func(v int) {
 			if levels[v] > 0 {
@@ -210,14 +170,7 @@ func HarmonicCentrality(g *dgraph.Graph, sources []int64) ([]float64, Result) {
 			}
 		})
 	}
-	if e.overlapped() && g.NGlobal > 0 {
-		bfsWaves(g, e, sources, HCWaves(g), accumulate)
-	} else {
-		for _, s := range sources {
-			levels, _ := bfsRun(g, e, s)
-			accumulate(levels)
-		}
-	}
+	bfsWaves(g, e, sources, HCWaves(g), accumulate)
 	maxHC := par.MaxFloat64(0, len(hc), e.threads, 0, func(i int) float64 { return hc[i] })
 	maxHC = mpi.AllreduceScalar(g.Comm, maxHC, mpi.Max)
 	return hc, Result{Name: "HC", Iterations: len(sources), Time: time.Since(start), SweepTime: e.sweepTime, Value: maxHC}

@@ -17,8 +17,9 @@ type crossModeRun struct {
 	wcc       []int64
 	core      []int64
 	lp        []int64
-	sent      int64
-	reduce    int64
+	sent      int64 // elements this rank sent
+	tally     int64 // of which piggybacked tally framing
+	reduce    int64 // Allreduces this rank entered
 }
 
 func execCrossMode(c *mpi.Comm, dg *dgraph.Graph, async bool) crossModeRun {
@@ -32,8 +33,8 @@ func execCrossMode(c *mpi.Comm, dg *dgraph.Graph, async bool) crossModeRun {
 	r.wcc, _ = WCC(dg)
 	r.core, _ = KCore(dg, 20)
 	r.lp, _ = LabelProp(dg, 8)
-	r.reduce = c.Stats().ReductionOps
-	r.sent = mpi.AllreduceScalar(c, c.Stats().ElemsSent, mpi.Sum)
+	st := c.Stats()
+	r.reduce, r.sent, r.tally = st.ReductionOps, st.ElemsSent, st.TallyElems
 	return r
 }
 
@@ -77,13 +78,16 @@ func compareCrossMode(t *testing.T, dg *dgraph.Graph, sync, async crossModeRun) 
 	}
 }
 
-// Every analytic must produce identical results on the synchronous and
-// overlapped async-delta engines — same boundary-first sweeps, same
-// fixed points — while the async engine ships fewer elements and,
+// Every analytic must produce identical results in sync and async
+// mode — same boundary-first sweeps, same fixed points — while async,
 // on this complete rank neighborhood, performs no per-round Allreduce
 // at all: its reduction count is a small per-run constant (one
 // completeness detection, BFS's eccentricity, PageRank's prologue and
-// final norm, WCC's component count, K-Core's max).
+// final norm, WCC's component count, K-Core's max). Both modes ship
+// the same boundary values over the same exchanger, so apart from the
+// settles — one element per Allreduce (every one of them is a scalar)
+// and the piggybacked tally framing — each rank sends exactly the same
+// elements in both modes.
 func TestAnalyticsCrossModeDeterminism(t *testing.T) {
 	g := gen.ChungLu(1<<10, 1<<13, 2.2, 9)
 	mpi.Run(4, func(c *mpi.Comm) {
@@ -98,10 +102,13 @@ func TestAnalyticsCrossModeDeterminism(t *testing.T) {
 		async := execCrossMode(c, dg, true)
 		compareCrossMode(t, dg, sync, async)
 		complete := dg.AsyncExchanger().NeighborhoodComplete() // collective (cached after exec)
+		syncPayload := sync.sent - sync.tally - sync.reduce
+		asyncPayload := async.sent - async.tally - async.reduce
+		if sync.tally != 0 || asyncPayload != syncPayload {
+			t.Errorf("rank %d: boundary payload %d elements async, %d sync (want equal; sync tally framing %d, want 0)",
+				c.Rank(), asyncPayload, syncPayload, sync.tally)
+		}
 		if c.Rank() == 0 {
-			if async.sent >= sync.sent {
-				t.Errorf("async analytics sent %d elements, sync %d (want strictly less)", async.sent, sync.sent)
-			}
 			if !complete {
 				t.Errorf("test graph must have a complete rank neighborhood")
 				return

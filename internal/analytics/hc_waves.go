@@ -5,10 +5,10 @@ import (
 	"repro/internal/mpi"
 )
 
-// The overlapped BFS engine: every async BFS sweep runs here. HC runs
-// one full distributed BFS per source, and the sources are completely
-// independent — yet a sequential loop pays every source the full
-// round-trip latency of every BFS level, one after another. This
+// The overlapped BFS engine: every BFS sweep runs here, in both
+// modes. HC runs one full distributed BFS per source, and the sources
+// are completely independent — yet a sequential loop pays every source
+// the full round-trip latency of every BFS level, one after another. This
 // engine batches sources into k concurrent waves that share one deep
 // exchange pipeline: each wave keeps its discovery-push round and its
 // ghost-refresh round in flight, so with the exchanger built at depth
@@ -38,24 +38,24 @@ import (
 // naming the wave and the round. Every wave runs the same per-source
 // schedule whatever k is: same expansion order, same one-cycle ghost
 // staleness, same first-discovery-wins merge — so its levels are
-// bit-identical to a solo BFS and to the synchronous loop, and because
-// HC accumulates the per-source contributions in source order after
-// each batch completes, the centralities are bit-identical to the
-// sequential loop's float sums at every depth and in both modes.
+// bit-identical to a solo BFS, and because HC accumulates the
+// per-source contributions in source order after each batch completes,
+// the centralities are bit-identical to a one-source-at-a-time loop's
+// float sums at every depth and in both modes.
 //
-// Termination is per wave and piggybacked: the counter a wave's
-// refresh carries is folded one cycle late (one trailing empty cycle
-// per wave, which expands nothing), and on incomplete rank
-// neighborhoods each wave falls back to its own exact Allreduce every
-// round — wave round counts are identical on every rank, so the
+// Termination is per wave, tested one cycle late (one trailing empty
+// cycle per wave, which expands nothing) on the frontier size the
+// wave's refresh carried: piggybacked on the refresh in async mode on a
+// complete rank neighborhood, otherwise one exact Allreduce per wave
+// and round — wave round counts are identical on every rank, so the
 // collective schedule stays agreed. A finished wave goes quiet (posts
 // nothing, flushes nothing) while its batch mates drain; slots refill
 // only at batch boundaries, which is what keeps the order of the done
 // callbacks — and therefore HC's float sums — deterministic.
 //
-// On complete neighborhoods a wave costs ZERO reductions: the engine
-// never needs eccentricities, so HC pays none, and a solo BFS pays
-// only bfsRun's final eccentricity Allreduce.
+// With piggybacking a wave costs ZERO reductions: the engine never
+// needs eccentricities, so HC pays none, and a solo BFS pays only
+// bfsRun's final eccentricity Allreduce.
 
 // bfsWave is one BFS wave's private state: its level array, frontier,
 // and termination bookkeeping. Waves share the exchanger pipeline but
@@ -81,23 +81,13 @@ func (w *bfsWave) reset(g *dgraph.Graph, src int64) {
 }
 
 // HCWaves reports how many BFS waves HarmonicCentrality runs
-// concurrently on g: half the exchange pipeline depth on the async
-// engine (each wave keeps one push and one refresh round in flight),
-// 1 on the synchronous engine.
+// concurrently on g: half the exchange pipeline depth (each wave keeps
+// one push and one refresh round in flight).
 //
 //repro:deterministic
 func HCWaves(g *dgraph.Graph) int {
-	if !g.AsyncExchange() {
-		return 1
-	}
-	k := g.PipeDepth() / 2
-	if k < 1 {
-		k = 1
-	}
-	if k > mpi.MaxTagWave+1 {
-		k = mpi.MaxTagWave + 1
-	}
-	return k
+	// PipeDepth is at least dgraph.MinPipeDepth = 2, so k >= 1.
+	return min(g.PipeDepth()/2, mpi.MaxTagWave+1)
 }
 
 // bfsWaves is the overlapped BFS engine: it runs one BFS per source as
@@ -105,7 +95,7 @@ func HCWaves(g *dgraph.Graph) int {
 // done with each source's owned-vertex levels, in source order. The
 // levels alias the wave's arena, which the next batch overwrites, so
 // done must consume them before returning unless theirs is the last
-// batch. k = 1 is the solo BFS (bfsRun's async branch).
+// batch. k = 1 is the solo BFS (bfsRun).
 func bfsWaves(g *dgraph.Graph, e *engine, sources []int64, k int, done func(levels []int64)) {
 	ex := e.ex
 	waves := make([]*bfsWave, k)
@@ -150,7 +140,7 @@ func bfsWaves(g *dgraph.Graph, e *engine, sources []int64, k int, done func(leve
 					w.all[lid] = outP[i]
 				}
 				w.pendingV = false
-				if e.complete {
+				if e.piggyback {
 					w.done = tr.Sum(0) == 0
 				} else {
 					w.done = mpi.AllreduceScalar(g.Comm, w.prevLen, mpi.Sum) == 0
@@ -194,7 +184,7 @@ func bfsWaves(g *dgraph.Graph, e *engine, sources []int64, k int, done func(leve
 					e.payload = append(e.payload, w.all[v])
 				}
 				var tally []int64
-				if e.complete {
+				if e.piggyback {
 					w.tally[0] = int64(len(next))
 					tally = w.tally[:1]
 				}

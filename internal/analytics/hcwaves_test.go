@@ -10,12 +10,13 @@ import (
 
 // Multi-wave Harmonic Centrality: the batched wave engine must be a
 // pure scheduling change — per-vertex centralities bit-identical to
-// the sequential sync-mode loop at every pipeline depth, on complete
-// and incomplete rank neighborhoods alike — while actually driving the
-// deeper pipeline (2 rounds in flight per wave) and issuing fewer
-// reductions than the sequential loop.
+// one source at a time in sync mode at every pipeline depth, on
+// complete and incomplete rank neighborhoods alike — while actually
+// driving the deeper pipeline (2 rounds in flight per wave), and async
+// mode must issue fewer reductions than sync.
 
-// hcReference computes the sync-mode (sequential-loop) centralities.
+// hcReference computes the sync-mode centralities one source at a time
+// (one wave, the default depth).
 func hcReference(dg *dgraph.Graph, srcs []int64) ([]float64, float64) {
 	dg.SetAsyncExchange(false)
 	hc, res := HarmonicCentrality(dg, srcs)
@@ -156,10 +157,10 @@ func TestHCWavesIncompleteNeighborhoodAcrossDepths(t *testing.T) {
 	})
 }
 
-// The multi-wave engine must beat the sequential loop on reductions:
-// on a complete neighborhood its per-source cost is zero (no
-// eccentricity Allreduce, termination piggybacked), leaving only the
-// final max-centrality reduction.
+// Async HC must beat sync on reductions: on a complete neighborhood
+// its per-source cost is zero (no eccentricity Allreduce, termination
+// piggybacked), leaving only the final max-centrality reduction, where
+// sync pays a termination Allreduce per wave and round.
 func TestHCWavesFewerReductions(t *testing.T) {
 	g := gen.ChungLu(1<<9, 1<<12, 2.2, 5)
 	mpi.Run(4, func(c *mpi.Comm) {
@@ -182,7 +183,7 @@ func TestHCWavesFewerReductions(t *testing.T) {
 		dg.Close()
 		if c.Rank() == 0 {
 			if asyncRed >= syncRed {
-				t.Errorf("multi-wave HC performed %d reductions, sequential loop %d (want strictly fewer)",
+				t.Errorf("async HC performed %d reductions, sync %d (want strictly fewer)",
 					asyncRed, syncRed)
 			}
 			// Complete neighborhood: only the final max-centrality

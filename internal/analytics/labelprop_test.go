@@ -131,7 +131,7 @@ func labelPropReference(g *graph.Graph, iters int) ([]int64, int, int) {
 // TestLabelPropMatchesSerialReference ties LabelProp to the serial
 // oracle. On one rank every vertex is interior, so a round is exactly
 // one Jacobi sweep; labels, the round count and the community count
-// must match on both engines and with parallel sweeps.
+// must match in both exchange modes and with parallel sweeps.
 func TestLabelPropMatchesSerialReference(t *testing.T) {
 	cases := []struct {
 		name  string

@@ -8,25 +8,22 @@ import (
 	"repro/internal/par"
 )
 
-// Overlapped analytics engine. In sync mode every iteration of the
-// label-propagation-style analytics (WCC, KC, LP) blocks twice: once
-// in the value exchange and once in the termination Allreduce. The
-// engine here removes both waits in async mode with the same two ideas
-// the partitioner uses:
+// Overlapped analytics engine. Every iteration of the
+// label-propagation-style analytics (WCC, KC, LP) runs on the graph's
+// delta exchanger in both exchange modes, with the same two ideas the
+// partitioner uses:
 //
 //   - Split-phase rounds: every sweep relaxes boundary vertices first,
 //     posts their new values with DeltaExchanger.BeginValues, relaxes
 //     interior vertices — which read no ghost values — while the
 //     messages are in flight, and settles ghosts at FlushValues.
-//     Both modes sweep in the same boundary-first order, so results
-//     stay bit-identical.
-//   - Piggybacked convergence counters: the per-round changed-vertex
-//     count rides the value messages as a tally frame. On a complete
-//     rank neighborhood the folded counter is the exact global count
-//     (one round stale — the price is a single trailing no-op round
-//     instead of one Allreduce per round); on incomplete neighborhoods
-//     the engine falls back to sync's exact per-round Allreduce, as
-//     the partitioner's settles do.
+//   - Convergence counters: with piggybacking on (async mode on a
+//     complete rank neighborhood) the per-round changed-vertex count
+//     rides the value messages as a tally frame, and the folded counter
+//     is the exact global count (one round stale — the price is a
+//     single trailing no-op round instead of one Allreduce per round).
+//     Otherwise — sync mode, or any incomplete neighborhood — every
+//     round ends in an exact Allreduce, the paper's schedule.
 //
 // BFS additionally pipelines its rounds on the wave engine
 // (hc_waves.go): a lone BFS is one wave with two rounds in flight, and
@@ -36,33 +33,33 @@ import (
 // (engine.pre) lets an analytic fold the settled ghost values into its
 // own frozen state before the sweeps; WCC uses it to lower whole
 // rank-local components at once. Every analytic drives the exchanger
-// directly; none goes through Graph's blocking helpers in async mode.
+// directly.
 
-// engine bundles the mode-selected exchange machinery of one analytic
-// run: blocking collective helpers in sync mode, split-phase delta
-// rounds with piggybacked counters in async mode.
+// engine bundles the exchange machinery of one analytic run: the
+// graph's delta exchanger and whether convergence counters piggyback
+// on its rounds.
 type engine struct {
-	g        *dgraph.Graph
-	ex       *dgraph.DeltaExchanger // non-nil in overlapped (async) mode
-	complete bool                   // piggybacked counters are exact
+	g         *dgraph.Graph
+	ex        *dgraph.DeltaExchanger
+	piggyback bool // counters ride the messages (exact on this topology)
 
 	// aux, when set before propagate, is an extra non-negative counter
-	// piggybacked next to the convergence counter on complete
-	// neighborhoods and max-combined across ranks (TallyRound.Max). At
-	// the round that detects convergence the propagated values are
-	// final, so the fold delivers the analytic's global maximum for
-	// free — K-Core's coreness maximum rides this instead of a trailing
-	// Allreduce. auxVal/auxOK hold the result when the run terminated
-	// through the piggybacked counter.
+	// piggybacked next to the convergence counter and max-combined
+	// across ranks (TallyRound.Max). At the round that detects
+	// convergence the propagated values are final, so the fold delivers
+	// the analytic's global maximum for free — K-Core's coreness
+	// maximum rides this instead of a trailing Allreduce. auxVal/auxOK
+	// hold the result when the run terminated through the piggybacked
+	// counter.
 	aux    func() int64
 	auxVal int64
 	auxOK  bool
 
 	// pre, when set before propagate, runs on the main goroutine at the
-	// top of every round in both modes, after the previous round's
-	// ghost values have settled and before any sweep. It may update
-	// state that relax reads, which then stays frozen for the round —
-	// WCC folds ghost labels into its local-component minima here.
+	// top of every round, after the previous round's ghost values have
+	// settled and before any sweep. It may update state that relax
+	// reads, which then stays frozen for the round — WCC folds ghost
+	// labels into its local-component minima here.
 	pre func()
 
 	// Arenas reused across rounds.
@@ -109,9 +106,10 @@ type relaxUpd struct {
 	val int64
 }
 
-// newEngine derives the engine from the graph's exchange mode. The
-// completeness flag is a cached read — the collective detection ran
-// when the graph's exchanger was constructed.
+// newEngine derives the engine from the graph's exchange mode: the one
+// place the mode matters to the analytics. Building the exchanger is
+// collective on the graph's first exchange; the completeness flag is a
+// cached read after that.
 func newEngine(g *dgraph.Graph) *engine {
 	e := &engine{g: g, threads: g.Comm.Threads()}
 	if e.threads < 1 {
@@ -122,10 +120,8 @@ func newEngine(g *dgraph.Graph) *engine {
 	e.qNext = par.NewQueues[int32](e.threads)
 	e.qGhost = par.NewQueues[int32](e.threads)
 	e.expandBody = e.expandChunk
-	if g.AsyncExchange() {
-		e.ex = g.AsyncExchanger()
-		e.complete = e.ex.NeighborhoodComplete()
-	}
+	e.ex = g.AsyncExchanger()
+	e.piggyback = g.AsyncExchange() && e.ex.NeighborhoodComplete()
 	return e
 }
 
@@ -169,10 +165,6 @@ func (e *engine) applySweep(vals []int64) {
 	}
 }
 
-// overlapped reports whether rounds run split-phase on the delta
-// exchanger.
-func (e *engine) overlapped() bool { return e.ex != nil }
-
 // propagate runs label-propagation-style rounds over vals: each round
 // relaxes every owned vertex in boundary-first order (relax returns
 // v's candidate value and whether it changed), ships the changed
@@ -189,40 +181,17 @@ func (e *engine) overlapped() bool { return e.ex != nil }
 // updates between phases. That phase discipline is what makes the
 // parallel sweeps exact: every worker reads the same frozen state
 // regardless of chunk boundaries, so per-round state and the fixed
-// point are bit-identical across thread counts AND across modes (both
-// run e.pre, then relax boundary-then-interior with the same two
-// commit points). The overlapped mode relaxes interior vertices while
-// the boundary messages are in flight; its termination counter is one
-// round stale (the count shipped with round r's messages is round
-// r-1's), so convergence costs one extra no-op round, which by
+// point are bit-identical across thread counts AND across modes (the
+// mode changes only how the counter settles). Interior vertices relax
+// while the boundary messages are in flight. A piggybacked termination
+// counter is one round stale (the count shipped with round r's messages
+// is round r-1's), so convergence costs one extra no-op round, which by
 // definition changes nothing.
 func (e *engine) propagate(vals []int64, relax func(v int32, tid int) (int64, bool), maxIters int) int {
 	g := e.g
 	bnd, inr := g.BoundaryVertices(), g.InteriorVertices()
 	iters := 0
 	e.relax = relax
-
-	if !e.overlapped() {
-		for maxIters <= 0 || iters < maxIters {
-			iters++
-			if e.pre != nil {
-				e.pre()
-			}
-			e.changed = e.changed[:0]
-			e.sweep(bnd)
-			e.applySweep(vals)
-			nb := len(e.changed)
-			e.sweep(inr)
-			e.applySweep(vals)
-			// Interior vertices are ghosted nowhere, so only the
-			// boundary prefix has destinations.
-			g.ExchangeInt64(e.changed[:nb], vals)
-			if mpi.AllreduceScalar(g.Comm, int64(len(e.changed)), mpi.Sum) == 0 {
-				break
-			}
-		}
-		return iters
-	}
 
 	prevLocal := int64(1) // round 0 "changed something": never converged at entry
 	for maxIters <= 0 || iters < maxIters {
@@ -238,7 +207,7 @@ func (e *engine) propagate(vals []int64, relax func(v int32, tid int) (int64, bo
 			e.payload = append(e.payload, vals[v])
 		}
 		var tally []int64
-		if e.complete {
+		if e.piggyback {
 			e.tally[0] = prevLocal
 			tally = e.tally[:1]
 			if e.aux != nil {
@@ -258,15 +227,15 @@ func (e *engine) propagate(vals []int64, relax func(v int32, tid int) (int64, bo
 			vals[lid] = outP[i]
 		}
 		local := int64(len(e.changed))
-		if e.complete {
+		if e.piggyback {
 			if tr.Sum(0) == 0 {
 				// The counter certifies the PREVIOUS round changed
 				// nothing anywhere, which makes the round just executed
 				// a global no-op: report the same productive-round
-				// count as the sync engine. Values have been final
-				// since that previous round, so the aux frames carried
-				// by this round's messages fold to the analytic's
-				// global maximum.
+				// count as the per-round Allreduce. Values have been
+				// final since that previous round, so the aux frames
+				// carried by this round's messages fold to the
+				// analytic's global maximum.
 				if e.aux != nil {
 					e.auxVal, e.auxOK = tr.Max(1), true
 				}

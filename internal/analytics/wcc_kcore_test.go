@@ -217,7 +217,7 @@ func TestKCoreMatchesPeeling(t *testing.T) {
 }
 
 // benchAnalytic times run on shards of each benchmark graph: a skewed
-// graph over two ranks on the async engine and a regular mesh on one
+// graph over two ranks in async mode and a regular mesh on one
 // rank. The shards are built once per case; only run is timed.
 func benchAnalytic(b *testing.B, run func(dg *dgraph.Graph)) {
 	cases := []struct {

@@ -31,7 +31,7 @@ func (s *state) vertBalance() {
 		maxV := maxOf(s.sv, s.imbV)
 		mult := s.mult()
 		queues := par.NewQueues[dgraph.Update](threads)
-		s.beginExchange(s.roundTallyLen(false))
+		s.ex.BeginTally(s.roundTallyLen(false))
 
 		par.ForChunk(0, g.NLocal, threads, func(lo, hi, tid int) {
 			counts := make([]float64, s.p)
@@ -136,7 +136,7 @@ func (s *state) vertRefine() {
 
 	for iter := 0; iter < s.opt.Iref; iter++ {
 		queues := par.NewQueues[dgraph.Update](threads)
-		s.beginExchange(s.roundTallyLen(false))
+		s.ex.BeginTally(s.roundTallyLen(false))
 
 		par.ForChunk(0, g.NLocal, threads, func(lo, hi, tid int) {
 			counts := make([]int64, s.p)

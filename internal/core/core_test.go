@@ -23,6 +23,7 @@ func runPartition(t *testing.T, g *gen.Generator, nranks int, opt Options) ([]in
 			t.Errorf("rank %d: build: %v", c.Rank(), err)
 			return
 		}
+		defer dg.Close()
 		parts, r, err := Partition(dg, opt)
 		if err != nil {
 			t.Errorf("rank %d: partition: %v", c.Rank(), err)
@@ -194,6 +195,7 @@ func TestOptionsValidation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer dg.Close()
 		bad := []Options{
 			{NumParts: 0},
 			{NumParts: 2, Iouter: 0},
@@ -231,6 +233,7 @@ func TestMultithreadedRanksProduceValidPartition(t *testing.T) {
 			t.Errorf("rank %d: %v", c.Rank(), err)
 			return
 		}
+		defer dg.Close()
 		parts, _, err := Partition(dg, DefaultOptions(p))
 		if err != nil {
 			t.Errorf("rank %d: %v", c.Rank(), err)
@@ -274,6 +277,7 @@ func TestTraceEventsCoverAllStages(t *testing.T) {
 			t.Errorf("rank %d: %v", c.Rank(), err)
 			return
 		}
+		defer dg.Close()
 		opt := DefaultOptions(4)
 		opt.Trace = func(ev TraceEvent) { events = append(events, ev) }
 		if _, _, err := Partition(dg, opt); err != nil {
@@ -332,6 +336,7 @@ func TestQuickPartitionValidAcrossSeeds(t *testing.T) {
 				ok = false
 				return
 			}
+			defer dg.Close()
 			parts, rep, err := Partition(dg, opt)
 			if err != nil {
 				ok = false

@@ -16,23 +16,22 @@
 // Each inner iteration runs rank-local label propagation across worker
 // threads, ships the changed boundary labels to the ranks ghosting
 // them, and settles the global per-part size estimates the weighting
-// functions read. Options.Exchange selects the transport:
+// functions read. The labels always travel as packed per-neighbor
+// point-to-point messages (dgraph.DeltaExchanger) posted before the
+// propagation loop and drained concurrently with it. Options.Exchange
+// selects only how the size deltas settle:
 //
-//   - ExchangeSync: a world-wide Alltoallv carries the updates, and a
-//     world-wide Allreduce settles the per-iteration size deltas — two
-//     global barriers per iteration.
-//   - ExchangeAsyncDelta: updates travel as packed per-neighbor
-//     point-to-point messages (dgraph.DeltaExchanger) posted before
-//     the propagation loop and drained concurrently with it, and the
-//     size-delta tallies piggyback on those same messages, so an
-//     iteration ends with no global barrier at all. Every rank folds
-//     its own deltas plus its neighbors' piggybacked tallies into its
-//     estimates. Those sums are exact only when every rank neighbors
-//     every other, which the partitioner detects collectively at
-//     startup; on any other topology the settle falls back to the
-//     synchronous mode's exact Allreduce. Either way the async
-//     partition matches the synchronous one bit-for-bit at equal
-//     seeds.
+//   - ExchangeSync: a world-wide Allreduce settles the per-iteration
+//     size deltas — one global barrier per iteration.
+//   - ExchangeAsyncDelta: the size-delta tallies piggyback on the
+//     update messages, so an iteration ends with no global barrier at
+//     all. Every rank folds its own deltas plus its neighbors'
+//     piggybacked tallies into its estimates. Those sums are exact
+//     only when every rank neighbors every other, which the
+//     partitioner detects collectively at startup; on any other
+//     topology the settle falls back to the synchronous mode's exact
+//     Allreduce. Either way the async partition matches the
+//     synchronous one bit-for-bit at equal seeds.
 //
 // Partition reports the exchanged-element volume and Allreduce count
 // of a run (Report.ExchangeVolume, Report.ReductionOps) so the two

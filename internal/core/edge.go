@@ -60,7 +60,7 @@ func (s *state) edgeBalance() {
 			rc++
 		}
 		queues := par.NewQueues[dgraph.Update](threads)
-		s.beginExchange(s.roundTallyLen(true))
+		s.ex.BeginTally(s.roundTallyLen(true))
 
 		par.ForChunk(0, g.NLocal, threads, func(lo, hi, tid int) {
 			counts := make([]float64, s.p)
@@ -204,7 +204,7 @@ func (s *state) edgeRefine() {
 	for iter := 0; iter < s.opt.Iref; iter++ {
 		maxC := maxOf(s.sc, 1)
 		queues := par.NewQueues[dgraph.Update](threads)
-		s.beginExchange(s.roundTallyLen(true))
+		s.ex.BeginTally(s.roundTallyLen(true))
 
 		par.ForChunk(0, g.NLocal, threads, func(lo, hi, tid int) {
 			counts := make([]int64, s.p)

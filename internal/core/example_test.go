@@ -25,6 +25,7 @@ func ExampleOptions() {
 		if err != nil {
 			panic(err)
 		}
+		defer dg.Close()
 		parts, rep, err := core.Partition(dg, opt)
 		if err != nil {
 			panic(err)

@@ -34,7 +34,7 @@ func (s *state) initRandom() {
 		s.parts[v] = w
 		q[v] = dgraph.Update{LID: int32(v), Value: w}
 	}
-	s.applyGhostUpdates(s.exchange(q))
+	s.applyGhostUpdates(s.ex.Flush(q))
 }
 
 // initBlock assigns parts by contiguous global-id blocks (vertex block
@@ -50,7 +50,7 @@ func (s *state) initBlock() {
 		s.parts[v] = w
 		q[v] = dgraph.Update{LID: int32(v), Value: w}
 	}
-	s.applyGhostUpdates(s.exchange(q))
+	s.applyGhostUpdates(s.ex.Flush(q))
 }
 
 // initBFS implements Algorithm 2: the master rank broadcasts p unique
@@ -88,7 +88,7 @@ func (s *state) initBFS() int {
 			pending++
 		}
 	}
-	s.applyGhostUpdates(s.exchange(rootQ))
+	s.applyGhostUpdates(s.ex.Flush(rootQ))
 
 	// Primary propagation loop. In async mode with a complete rank
 	// neighborhood the round's assignment counter piggybacks on the
@@ -98,7 +98,7 @@ func (s *state) initBFS() int {
 	for {
 		rounds++
 		queues := par.NewQueues[dgraph.Update](threads)
-		s.beginExchange(s.initTallyLen())
+		s.ex.BeginTally(s.initTallyLen())
 		var updates int64
 		par.ForChunk(0, g.NLocal, threads, func(lo, hi, tid int) {
 			r := rng.NewStream(s.opt.Seed^0xBF0F, uint64(rounds)<<32|uint64(tid)<<16|uint64(c.Rank()))
@@ -140,7 +140,7 @@ func (s *state) initBFS() int {
 	// Leftovers: random assignment for vertices unreached by any root
 	// (disconnected components), then one final exchange.
 	queues := par.NewQueues[dgraph.Update](threads)
-	s.beginExchange(0)
+	s.ex.Begin()
 	par.ForChunk(0, g.NLocal, threads, func(lo, hi, tid int) {
 		r := rng.NewStream(s.opt.Seed^0xD00D, uint64(tid)<<16|uint64(c.Rank()))
 		for v := lo; v < hi; v++ {
@@ -151,6 +151,6 @@ func (s *state) initBFS() int {
 			}
 		}
 	})
-	s.applyGhostUpdates(s.exchange(queues.Merge()))
+	s.applyGhostUpdates(s.ex.Flush(queues.Merge()))
 	return rounds
 }

@@ -36,26 +36,26 @@ func (s InitStrategy) String() string {
 	}
 }
 
-// ExchangeMode selects how boundary part-assignment updates travel
-// between ranks each iteration.
+// ExchangeMode selects how each iteration's global part-size deltas
+// and convergence counters settle. Both modes ship the boundary
+// updates the same way — packed per-neighbor point-to-point messages
+// on the graph's dgraph.DeltaExchanger, drained on a background
+// goroutine while local propagation is still running — and both keep
+// the paper's schedule of one exchange and one settle per iteration.
 type ExchangeMode int
 
 // Exchange modes.
 const (
-	// ExchangeSync is the bulk-synchronous path: a world-wide Alltoallv
-	// shipping (gid, value) pairs, destinations re-derived from the
-	// adjacency every iteration.
+	// ExchangeSync settles every iteration with an exact world-wide
+	// Allreduce of the size-delta tally, the paper's bulk-synchronous
+	// schedule.
 	ExchangeSync ExchangeMode = iota
-	// ExchangeAsyncDelta ships only the vertices whose labels moved
-	// this iteration as packed single-element updates over nonblocking
-	// point-to-point messages, with the receive side drained on a
-	// background goroutine while local propagation is still running.
-	// When the rank neighborhood graph is complete (detected at
-	// startup), part-size delta tallies piggyback on the same messages,
-	// retiring the per-iteration Allreduce the synchronous path pays;
+	// ExchangeAsyncDelta piggybacks the size-delta tallies on the
+	// update messages when the rank neighborhood graph is complete
+	// (detected at startup), retiring the per-iteration Allreduce;
 	// otherwise each iteration settles by that same exact Allreduce.
-	// For fixed seeds it produces exactly the partition the synchronous
-	// path produces, at roughly half the exchanged-element volume.
+	// For fixed seeds it produces exactly the partition the
+	// synchronous mode produces, over the same messages.
 	ExchangeAsyncDelta
 )
 
@@ -92,8 +92,8 @@ type Options struct {
 	// refinement stages, solving the single-constraint single-objective
 	// problem used for the KaHIP comparison (§V.C).
 	SingleConstraint bool
-	// Exchange selects the boundary-exchange implementation. All ranks
-	// must pass the same mode.
+	// Exchange selects how iterations settle (see ExchangeMode). All
+	// ranks must pass the same mode.
 	Exchange ExchangeMode
 	// Seed drives root selection and random assignments.
 	Seed uint64
@@ -152,12 +152,10 @@ type Report struct {
 	InitIters int
 	// ExchangeVolume is the total element volume all ranks sent during
 	// the partitioning stages (initialization through refinement,
-	// excluding graph construction and quality evaluation). Whenever
-	// rank boundaries exist (more than one rank and a connected cut),
-	// the async delta mode reports strictly less than the synchronous
-	// mode for the same run; a single-rank async run still reports less
-	// because the piggybacked tallies retire the per-iteration
-	// reductions the synchronous mode sends.
+	// excluding graph construction and quality evaluation): the packed
+	// update messages, which both modes send alike, plus the settles —
+	// Allreduce contributions in sync mode, piggybacked tally frames in
+	// async mode on a complete rank neighborhood.
 	ExchangeVolume int64
 	// ReductionOps is the number of Allreduce operations the stages
 	// performed (identical on every rank). Synchronous runs pay one per
@@ -166,6 +164,9 @@ type Report struct {
 	// messages and pay none between stage recounts; on any other
 	// topology they pay sync's count.
 	ReductionOps int64
+	// SendOps is the number of point-to-point sends this rank posted
+	// during the stages. Both modes post the same sends.
+	SendOps int64
 	// Quality holds the final partition metrics.
 	Quality partition.Quality
 }

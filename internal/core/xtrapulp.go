@@ -14,14 +14,17 @@ type state struct {
 	opt Options
 	p   int
 
-	// ex is the asynchronous delta exchanger, nil in sync mode.
+	// ex is the graph's delta exchanger; every boundary exchange runs
+	// on it in both modes.
 	ex *dgraph.DeltaExchanger
 
-	// tallyExact records whether every rank neighbors every other —
-	// detected collectively at startup — which makes the piggybacked
-	// own+neighbor tally sums exactly the global sums, so settles ride
-	// on the update messages instead of a per-iteration Allreduce.
-	tallyExact bool
+	// piggyback records whether settles ride on the update messages
+	// instead of a per-iteration Allreduce: async mode on a complete
+	// rank neighborhood (detected collectively at startup), where the
+	// own+neighbor tally sums are exactly the global sums. Elsewhere
+	// the piggybacked tallies would miss non-neighbor ranks, so
+	// settles Allreduce exactly.
+	piggyback bool
 
 	// parts holds assignments for owned and ghost vertices. Hot-loop
 	// reads and writes go through atomics because intra-rank threads
@@ -77,16 +80,13 @@ func Partition(g *dgraph.Graph, opt Options) ([]int32, Report, error) {
 	}
 	s.imbV = (1 + opt.VertImbalance) * float64(g.NGlobal) / float64(s.p)
 	s.imbE = (1 + opt.EdgeImbalance) * float64(2*g.MGlobal) / float64(s.p)
-	if opt.Exchange == ExchangeAsyncDelta {
-		s.ex = g.AsyncExchanger()
-		// Shared with the overlapped analytics engines: collective on
-		// the first call per graph, cached after.
-		s.tallyExact = s.ex.NeighborhoodComplete()
-	}
+	// Shared with the analytics engines: collective on the first call
+	// per graph, cached after.
+	s.ex = g.AsyncExchanger()
+	s.piggyback = opt.Exchange == ExchangeAsyncDelta && s.ex.NeighborhoodComplete()
 
 	var rep Report
-	sentBefore := g.Comm.Stats().ElemsSent
-	redBefore := g.Comm.Stats().ReductionOps
+	before := g.Comm.Stats()
 	start := time.Now()
 
 	t0 := time.Now()
@@ -114,9 +114,10 @@ func Partition(g *dgraph.Graph, opt Options) ([]int32, Report, error) {
 	}
 
 	rep.TotalTime = time.Since(start)
-	sentDuring := g.Comm.Stats().ElemsSent - sentBefore
-	rep.ReductionOps = g.Comm.Stats().ReductionOps - redBefore
-	rep.ExchangeVolume = mpi.AllreduceScalar(g.Comm, sentDuring, mpi.Sum)
+	after := g.Comm.Stats()
+	rep.ReductionOps = after.ReductionOps - before.ReductionOps
+	rep.SendOps = after.SendOps - before.SendOps
+	rep.ExchangeVolume = mpi.AllreduceScalar(g.Comm, after.ElemsSent-before.ElemsSent, mpi.Sum)
 	rep.Quality = dgraph.EvaluateDistributed(g, s.parts, s.p)
 	return s.parts, rep, nil
 }
@@ -152,17 +153,11 @@ func (s *state) storePart(v int32, w int32) {
 	atomic.StoreInt32(&s.parts[v], w)
 }
 
-// piggyback reports whether settles ride on the update messages
-// instead of a per-iteration Allreduce: async mode on a complete rank
-// neighborhood. Elsewhere the piggybacked tallies would miss
-// non-neighbor ranks, so settles Allreduce exactly, as in sync mode.
-func (s *state) piggyback() bool { return s.ex != nil && s.tallyExact }
-
 // roundTallyLen is the tally length the next balance/refine exchange
 // round carries in piggyback mode (0 otherwise): per-part vertex
 // deltas, plus edge and cut deltas during the edge stages.
 func (s *state) roundTallyLen(withEdges bool) int {
-	if !s.piggyback() {
+	if !s.piggyback {
 		return 0
 	}
 	return s.tallyLen(withEdges)
@@ -232,30 +227,6 @@ func (s *state) applyGhostUpdates(recv []dgraph.Update) {
 	}
 }
 
-// beginExchange posts the receive side of the next boundary exchange.
-// In async mode a background drainer starts receiving and decoding
-// neighbor updates immediately, overlapping with the propagation loop
-// the caller is about to run; in sync mode it is a no-op. tallyLen
-// declares the piggybacked tally frame the round's messages carry (0
-// for none) and must match the exchange that follows. Every
-// beginExchange must be followed by exactly one exchange call.
-func (s *state) beginExchange(tallyLen int) {
-	if s.ex != nil {
-		s.ex.BeginTally(tallyLen)
-	}
-}
-
-// exchange ships the queued owned-vertex updates and returns the
-// incoming updates for this rank's ghosts, via the configured mode.
-// It carries no tally; the balance/refine iterations use
-// exchangeSettle instead.
-func (s *state) exchange(q []dgraph.Update) []dgraph.Update {
-	if s.ex != nil {
-		return s.ex.Flush(q)
-	}
-	return s.g.ExchangeUpdates(q)
-}
-
 // takeTally snapshots this iteration's local part-size deltas into a
 // tally vector ([cv] or [cv | ce | cc]) and zeroes the counters. The
 // worker threads have joined by the time it runs, so the reads need no
@@ -284,14 +255,14 @@ func (s *state) takeTally(withEdges bool) []int64 {
 // changed parts globally.
 func (s *state) exchangeSettle(q []dgraph.Update, withEdges bool) int64 {
 	d := s.takeTally(withEdges)
-	if s.piggyback() {
+	if s.piggyback {
 		in, recv := s.ex.FlushTally(q, d)
 		s.applyGhostUpdates(in)
 		for i := range d {
 			d[i] += recv[i]
 		}
 	} else {
-		s.applyGhostUpdates(s.exchange(q))
+		s.applyGhostUpdates(s.ex.Flush(q))
 		d = mpi.Allreduce(s.g.Comm, d, mpi.Sum)
 	}
 	var moved int64
@@ -312,7 +283,7 @@ func (s *state) exchangeSettle(q []dgraph.Update, withEdges bool) int64 {
 // one element (the rank's assignment counter) when the complete rank
 // neighborhood makes the piggybacked sum an exact termination test.
 func (s *state) initTallyLen() int {
-	if s.piggyback() {
+	if s.piggyback {
 		return 1
 	}
 	return 0
@@ -328,7 +299,7 @@ func (s *state) exchangeInitCount(q []dgraph.Update, local int64) int64 {
 		s.applyGhostUpdates(in)
 		return local + t[0]
 	}
-	s.applyGhostUpdates(s.exchange(q))
+	s.applyGhostUpdates(s.ex.Flush(q))
 	return mpi.AllreduceScalar(s.g.Comm, local, mpi.Sum)
 }
 

@@ -9,15 +9,13 @@ import (
 	"repro/internal/mpi"
 )
 
-// Asynchronous delta-only boundary exchange. The synchronous path
-// (exchangeRaw) re-derives each update's destinations from the
-// adjacency on every call and ships (gid, value) as two 64-bit
-// elements through a world-wide Alltoallv. This file precomputes the
-// boundary structure once per graph — for every neighbor rank, the
-// gid-sorted list of vertices shared with it — so updates name their
-// vertex by an index into the shared list instead of by global id and
-// travel over nonblocking point-to-point messages. Three flows ride
-// the same plan, all split-phase (post, overlap compute, settle):
+// Delta-only boundary exchange, the graph's one boundary-exchange
+// transport. This file precomputes the boundary structure once per
+// graph — for every neighbor rank, the gid-sorted list of vertices
+// shared with it — so updates name their vertex by an index into the
+// shared list and travel over nonblocking point-to-point messages.
+// Three flows ride the same plan, all split-phase (post, overlap
+// compute, settle):
 //
 //   - Update flow (Begin/Flush, BeginTally/FlushTally): 32-bit part
 //     labels packed one element per update, with the receive side
@@ -26,13 +24,12 @@ import (
 //     piggybacked tally frame (mpi.AppendTally) that lets a round
 //     double as the iteration's reduction.
 //   - Value flow (BeginValues/FlushValues): full 64-bit payloads
-//     owner → ghost, for the overlapped analytics engines (the async
-//     counterpart of ExchangeInt64/ExchangeFloat64). Begin posts the
-//     sends and the drainer; the caller computes interior work while
-//     messages are in flight and settles ghosts at Flush.
+//     owner → ghost, for the analytics engines (Graph.ExchangeInt64
+//     is one blocking round of it). Begin posts the sends and the
+//     drainer; the caller computes interior work while messages are
+//     in flight and settles ghosts at Flush.
 //   - Reverse flow (BeginPush/FlushPush): full 64-bit payloads
-//     ghost → owner, for frontier algorithms (the overlapped BFS; the
-//     async counterpart of PushToOwners).
+//     ghost → owner, for frontier algorithms (the BFS wave engine).
 //
 // Value rounds carry their tally frames per source (TallyRound)
 // instead of pre-summed, so float partial sums can be folded in global
@@ -155,8 +152,8 @@ func newBoundaryPlan(g *Graph) *boundaryPlan {
 	return p
 }
 
-// packUpdate encodes (index in shared list, part value) as one int64 —
-// half the wire volume of the synchronous (gid, value) encoding.
+// packUpdate encodes (index in shared list, part value) as one int64,
+// half the volume of a (gid, value) pair.
 func packUpdate(idx int32, value int32) int64 {
 	return int64(uint64(uint32(idx))<<32 | uint64(uint32(value)))
 }
@@ -730,10 +727,9 @@ func (ex *DeltaExchanger) NeighborhoodComplete() bool {
 //	[k, i01, i23, ..., v0..vk)  sparse: k pairs; indices packed two
 //	                            int32s per element, then k payloads
 //
-// Dense costs 1+n elements and sparse 1+⌈k/2⌉+k, against the
-// synchronous path's 2k (gid, payload) pairs — a 50% / 25% element
-// reduction. The dense form triggers exactly when a caller ships its
-// full boundary in lid order, PageRank-style.
+// Dense costs 1+n elements and sparse 1+⌈k/2⌉+k, against 2k for
+// (gid, payload) pairs. The dense form triggers exactly when a caller
+// ships its full boundary in lid order, PageRank-style.
 const denseHeader = -1
 
 // encodeValues appends one value-flow message for a neighbor whose

@@ -24,6 +24,7 @@ func TestBoundaryPlanSymmetry(t *testing.T) {
 				t.Errorf("rank %d: %v", c.Rank(), err)
 				return
 			}
+			defer dg.Close()
 			ex := dg.NewDeltaExchanger()
 			defer ex.Close()
 			sends, recvs := map[int][]int64{}, map[int][]int64{}
@@ -70,10 +71,10 @@ func TestBoundaryPlanSymmetry(t *testing.T) {
 	}
 }
 
-// The delta exchanger must deliver exactly what the synchronous
-// Alltoallv path delivers: after pushing every owned vertex's value,
-// all ghosts hold their owner's value.
-func TestDeltaExchangerMatchesSyncExchange(t *testing.T) {
+// The delta exchanger must deliver exactly what the serial oracle
+// says: after pushing every owned vertex's value (a function of its
+// gid), every ghost holds that function of its own gid.
+func TestDeltaExchangerMatchesSerialOracle(t *testing.T) {
 	g := gen.ER(300, 1500, 11)
 	mpi.Run(4, func(c *mpi.Comm) {
 		dg, err := FromEdgeChunks(c, g.N, g.EdgesChunk(c.Rank(), c.Size()), HashDist{P: c.Size(), Seed: 5})
@@ -81,6 +82,7 @@ func TestDeltaExchangerMatchesSyncExchange(t *testing.T) {
 			t.Errorf("rank %d: %v", c.Rank(), err)
 			return
 		}
+		defer dg.Close()
 		ex := dg.NewDeltaExchanger()
 		defer ex.Close()
 		vals := make([]int32, dg.NTotal())
@@ -111,8 +113,9 @@ func TestDeltaExchangerMatchesSyncExchange(t *testing.T) {
 }
 
 // A delta round ships one packed element per (update, destination) —
-// half the synchronous path's (gid, value) pairs — and empty rounds
-// ship nothing.
+// half the two words of a (gid, value) pair — so pushing every owned
+// vertex sends exactly one element per shared-list entry of every
+// neighbor; empty rounds ship nothing.
 func TestDeltaExchangerHalvesWireVolume(t *testing.T) {
 	g := gen.ER(300, 1500, 11)
 	mpi.Run(4, func(c *mpi.Comm) {
@@ -121,24 +124,26 @@ func TestDeltaExchangerHalvesWireVolume(t *testing.T) {
 			t.Errorf("rank %d: %v", c.Rank(), err)
 			return
 		}
+		defer dg.Close()
 		ex := dg.NewDeltaExchanger()
 		defer ex.Close()
 		q := make([]Update, dg.NLocal)
 		for v := 0; v < dg.NLocal; v++ {
 			q[v] = Update{LID: int32(v), Value: 1}
 		}
-
-		c.ResetStats()
-		dg.ExchangeUpdates(q)
-		syncSent := c.Stats().ElemsSent
+		var want int64
+		for _, r := range ex.NeighborRanks() {
+			want += int64(len(ex.SharedSendGIDs(int(r))))
+		}
+		if want == 0 {
+			t.Errorf("rank %d: no boundary (graph too sparse for the test)", c.Rank())
+		}
 
 		c.ResetStats()
 		ex.Flush(q)
-		asyncSent := c.Stats().ElemsSent
-
-		if asyncSent*2 != syncSent {
-			t.Errorf("rank %d: async sent %d elements, sync %d (want exactly half)",
-				c.Rank(), asyncSent, syncSent)
+		if sent := c.Stats().ElemsSent; sent != want {
+			t.Errorf("rank %d: full round sent %d elements, want one per shared-list entry (%d)",
+				c.Rank(), sent, want)
 		}
 
 		c.ResetStats()
@@ -161,6 +166,7 @@ func TestDeltaExchangerSparseRounds(t *testing.T) {
 			t.Errorf("rank %d: %v", c.Rank(), err)
 			return
 		}
+		defer dg.Close()
 		ex := dg.NewDeltaExchanger()
 		defer ex.Close()
 		ghostVals := make(map[int32]int32)
@@ -177,37 +183,38 @@ func TestDeltaExchangerSparseRounds(t *testing.T) {
 				ghostVals[upd.LID] = upd.Value
 			}
 		}
-		// Verify against the synchronous path replaying the same rounds.
+		// Verify against the serial oracle replaying the same rounds:
+		// a ghost ends at the value its owner shipped last.
 		want := make(map[int32]int32)
 		for round := int32(0); round < 5; round++ {
-			var q []Update
+			var lids []int32
+			var payloads []int64
 			for i, v := range dg.BoundaryVertices() {
 				if int32(i)%5 == round {
-					q = append(q, Update{LID: v, Value: round*1000 + int32(dg.L2G[v]%997)})
+					lids = append(lids, v)
+					payloads = append(payloads, int64(round*1000+int32(dg.L2G[v]%997)))
 				}
 			}
-			for _, upd := range dg.ExchangeUpdates(q) {
-				want[upd.LID] = upd.Value
+			for lid, v := range oracleGhostValues(c, dg, lids, payloads) {
+				want[lid] = int32(v)
 			}
 		}
 		if len(ghostVals) != len(want) {
-			t.Errorf("rank %d: delta path touched %d ghosts, sync %d", c.Rank(), len(ghostVals), len(want))
+			t.Errorf("rank %d: delta path touched %d ghosts, oracle %d", c.Rank(), len(ghostVals), len(want))
 		}
 		for lid, v := range want {
 			if ghostVals[lid] != v {
-				t.Errorf("rank %d: ghost %d delta %d != sync %d", c.Rank(), lid, ghostVals[lid], v)
+				t.Errorf("rank %d: ghost %d delta %d != oracle %d", c.Rank(), lid, ghostVals[lid], v)
 				return
 			}
 		}
 	})
 }
 
-// benchExchangeRound isolates one boundary-exchange round on a built
-// distributed graph with every boundary vertex moving: the sync path
-// ships its (gid, value) pairs through Alltoallv, the delta path the
-// packed half-width stream over point-to-point messages.
-func benchExchangeRound(b *testing.B, async bool) {
-	b.Helper()
+// BenchmarkExchangeRoundAsyncDelta8Ranks isolates one boundary-exchange
+// round on a built distributed graph with every boundary vertex
+// moving: the packed update stream over point-to-point messages.
+func BenchmarkExchangeRoundAsyncDelta8Ranks(b *testing.B) {
 	g := gen.RMAT(12, 16, 1)
 	b.ReportAllocs()
 	mpi.Run(8, func(c *mpi.Comm) {
@@ -216,6 +223,7 @@ func benchExchangeRound(b *testing.B, async bool) {
 			b.Error(err)
 			return
 		}
+		defer dg.Close()
 		ex := dg.NewDeltaExchanger()
 		defer ex.Close()
 		bv := dg.BoundaryVertices()
@@ -224,17 +232,10 @@ func benchExchangeRound(b *testing.B, async bool) {
 			q[i] = Update{LID: v, Value: int32(i % 16)}
 		}
 		for i := 0; i < b.N; i++ {
-			if async {
-				ex.Flush(q)
-			} else {
-				dg.ExchangeUpdates(q)
-			}
+			ex.Flush(q)
 		}
 	})
 }
-
-func BenchmarkExchangeRoundSync8Ranks(b *testing.B)       { benchExchangeRound(b, false) }
-func BenchmarkExchangeRoundAsyncDelta8Ranks(b *testing.B) { benchExchangeRound(b, true) }
 
 // Rounds pipeline to depth DefaultPipeDepth: a second Begin before the
 // first Flush is legal, a third must panic.
@@ -246,6 +247,7 @@ func TestDeltaExchangerPipelineOverflowPanics(t *testing.T) {
 			t.Errorf("%v", err)
 			return
 		}
+		defer dg.Close()
 		ex := dg.NewDeltaExchanger()
 		defer ex.Close()
 		ex.Begin()

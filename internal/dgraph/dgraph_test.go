@@ -20,6 +20,7 @@ func buildDistributed(t *testing.T, g *gen.Generator, p int, dist func(nranks in
 			t.Errorf("rank %d: %v", c.Rank(), err)
 			return
 		}
+		defer dg.Close()
 		if err := dg.Validate(); err != nil {
 			t.Errorf("rank %d: %v", c.Rank(), err)
 			return
@@ -83,6 +84,7 @@ func TestDistributedMatchesSharedArcCount(t *testing.T) {
 					t.Errorf("rank %d: %v", c.Rank(), err)
 					return
 				}
+				defer dg.Close()
 				arcs := mpi.AllreduceScalar(c, int64(len(dg.Adj)), mpi.Sum)
 				nl := mpi.AllreduceScalar(c, int64(dg.NLocal), mpi.Sum)
 				if c.Rank() == 0 {
@@ -185,6 +187,7 @@ func TestExchangeUpdatesPropagatesToGhosts(t *testing.T) {
 			t.Errorf("rank %d: %v", c.Rank(), err)
 			return
 		}
+		defer dg.Close()
 		// Every rank updates all its owned vertices with value = gid%1000.
 		vals := make([]int32, dg.NTotal())
 		for i := range vals {
@@ -195,7 +198,7 @@ func TestExchangeUpdatesPropagatesToGhosts(t *testing.T) {
 			vals[v] = int32(dg.L2G[v] % 1000)
 			q[v] = Update{LID: int32(v), Value: vals[v]}
 		}
-		recv := dg.ExchangeUpdates(q)
+		recv := dg.AsyncExchanger().Flush(q)
 		for _, upd := range recv {
 			if !dg.IsGhost(upd.LID) {
 				t.Errorf("rank %d received update for owned vertex", c.Rank())
@@ -223,12 +226,13 @@ func TestExchangeUpdatesOnlyTouchedVertices(t *testing.T) {
 			t.Errorf("rank %d: %v", c.Rank(), err)
 			return
 		}
+		defer dg.Close()
 		// Update only the single owned vertex with smallest gid (if any).
 		var q []Update
 		if dg.NLocal > 0 {
 			q = append(q, Update{LID: 0, Value: 7})
 		}
-		recv := dg.ExchangeUpdates(q)
+		recv := dg.AsyncExchanger().Flush(q)
 		// Received updates must reference ghosts whose gid is one of the
 		// announced vertices (gid = first owned vertex of some rank).
 		firstOwned := mpi.Allgather(c, dg.L2G[0])
@@ -255,6 +259,7 @@ func TestGatherGlobal(t *testing.T) {
 			t.Errorf("rank %d: %v", c.Rank(), err)
 			return
 		}
+		defer dg.Close()
 		vals := make([]int32, dg.NTotal())
 		for v := 0; v < dg.NLocal; v++ {
 			vals[v] = int32(dg.L2G[v] * 3)
@@ -282,6 +287,7 @@ func TestEvaluateDistributedMatchesShared(t *testing.T) {
 			t.Errorf("rank %d: %v", c.Rank(), err)
 			return
 		}
+		defer dg.Close()
 		parts := make([]int32, dg.NTotal())
 		for lid, gid := range dg.L2G {
 			parts[lid] = refParts[gid]
@@ -313,15 +319,16 @@ func TestFromEdgeChunksRejectsBadEdges(t *testing.T) {
 	// would).
 	mpi.Run(2, func(c *mpi.Comm) {
 		chunk := []graph.Edge{{U: 0, V: 99}}
-		if _, err := FromEdgeChunks(c, 10, chunk, BlockDist{N: 10, P: c.Size()}); err == nil {
+		dg, err := FromEdgeChunks(c, 10, chunk, BlockDist{N: 10, P: c.Size()})
+		if err == nil {
 			t.Errorf("rank %d: expected out-of-range error", c.Rank())
+			dg.Close()
 		}
 	})
 }
 
 func TestExchangeUpdatesThreadedMatchesSerial(t *testing.T) {
-	// The thread-parallel two-pass fill must deliver exactly the same
-	// update multiset as the single-threaded path.
+	// The rank's thread budget must not change what a round delivers.
 	g := gen.ER(400, 2400, 23)
 	collect := func(threadsPerRank int) map[int64]int32 {
 		out := map[int64]int32{}
@@ -332,11 +339,12 @@ func TestExchangeUpdatesThreadedMatchesSerial(t *testing.T) {
 				t.Errorf("rank %d: %v", c.Rank(), err)
 				return
 			}
+			defer dg.Close()
 			q := make([]Update, dg.NLocal)
 			for v := 0; v < dg.NLocal; v++ {
 				q[v] = Update{LID: int32(v), Value: int32(dg.L2G[v] % 997)}
 			}
-			recv := dg.ExchangeUpdates(q)
+			recv := dg.AsyncExchanger().Flush(q)
 			type kv struct {
 				gid int64
 				val int32
@@ -377,7 +385,8 @@ func TestExchangeEmptyQueueAllRanks(t *testing.T) {
 			t.Errorf("rank %d: %v", c.Rank(), err)
 			return
 		}
-		if recv := dg.ExchangeUpdates(nil); len(recv) != 0 {
+		defer dg.Close()
+		if recv := dg.AsyncExchanger().Flush(nil); len(recv) != 0 {
 			t.Errorf("rank %d received %d updates from empty exchange", c.Rank(), len(recv))
 		}
 	})
@@ -392,6 +401,7 @@ func TestBoundaryVerticesCached(t *testing.T) {
 			t.Errorf("rank %d: %v", c.Rank(), err)
 			return
 		}
+		defer dg.Close()
 		a := dg.BoundaryVertices()
 		b := dg.BoundaryVertices()
 		if len(a) != len(b) {
@@ -415,7 +425,7 @@ func TestBoundaryVerticesCached(t *testing.T) {
 	})
 }
 
-func TestPushToOwnersRejectsOwnedLID(t *testing.T) {
+func TestBeginPushRejectsOwnedLID(t *testing.T) {
 	g := gen.ER(60, 240, 31)
 	mpi.Run(2, func(c *mpi.Comm) {
 		dg, err := FromEdgeChunks(c, g.N, g.EdgesChunk(c.Rank(), c.Size()),
@@ -424,11 +434,14 @@ func TestPushToOwnersRejectsOwnedLID(t *testing.T) {
 			t.Errorf("rank %d: %v", c.Rank(), err)
 			return
 		}
+		// The panic fires before the round is posted, so Close (run
+		// after the recover) has nothing in flight.
+		defer dg.Close()
 		defer func() {
 			if recover() == nil {
 				t.Errorf("rank %d: expected panic for owned lid", c.Rank())
 			}
 		}()
-		dg.PushToOwners([]int32{0}, []int64{1})
+		dg.AsyncExchanger().BeginPush([]int32{0}, []int64{1}, nil)
 	})
 }

@@ -2,8 +2,8 @@
 // representation of XtraPuLP (§III.A): each rank owns a subset of
 // vertices and their incident edges, stores part labels for owned and
 // ghost vertices, maps global identifiers to task-local ones, and
-// exchanges boundary updates with the Alltoallv-based communication
-// routine of Algorithm 3.
+// exchanges boundary updates (Algorithm 3's communication step) over
+// per-neighbor point-to-point rounds (DeltaExchanger).
 package dgraph
 
 import (

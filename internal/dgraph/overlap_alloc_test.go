@@ -28,6 +28,7 @@ func allocHarness(t *testing.T, nranks int, mk func(dg *Graph) func(), what stri
 			t.Errorf("rank %d: %v", c.Rank(), err)
 			return
 		}
+		defer dg.Close()
 		round := mk(dg)
 		for i := 0; i < warmup; i++ {
 			round()

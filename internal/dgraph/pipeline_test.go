@@ -324,6 +324,7 @@ func TestValueRoundBehindUpdateRoundPanics(t *testing.T) {
 			t.Errorf("%v", err)
 			return
 		}
+		defer dg.Close()
 		ex := dg.NewDeltaExchanger()
 		defer ex.Close()
 		ex.Begin()
@@ -545,12 +546,12 @@ func TestPipelinedDrainerFerriesPanics(t *testing.T) {
 		}
 	}()
 	mpi.Run(2, func(c *mpi.Comm) {
-		dg, err := FromEdgeChunks(c, g.N, g.EdgesChunk(c.Rank(), c.Size()), HashDist{P: c.Size(), Seed: 3})
+		dg, err := FromEdgeChunks(c, g.N, g.EdgesChunk(c.Rank(), c.Size()), HashDist{P: c.Size(), Seed: 3}) //lint:ignore exlifecycle rank 1 panics by design and the poison tears the world down; closing during unwind would double-panic
 		if err != nil {
 			t.Errorf("rank %d: %v", c.Rank(), err)
 			return
 		}
-		ex := dg.AsyncExchanger() //lint:ignore exlifecycle rank 1 panics by design and the poison tears the world down; closing during unwind would double-panic
+		ex := dg.AsyncExchanger()
 		bv := dg.BoundaryVertices()
 		payload := make([]int64, len(bv))
 		if c.Rank() == 1 {

@@ -2,31 +2,15 @@ package dgraph
 
 import (
 	"math"
-	"sort"
 	"testing"
 
 	"repro/internal/gen"
 	"repro/internal/mpi"
 )
 
-// pairSet collects (lid, payload) results order-insensitively.
-func pairSet(lids []int32, vals []int64) [][2]int64 {
-	out := make([][2]int64, len(lids))
-	for i := range lids {
-		out[i] = [2]int64{int64(lids[i]), vals[i]}
-	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a][0] != out[b][0] {
-			return out[a][0] < out[b][0]
-		}
-		return out[a][1] < out[b][1]
-	})
-	return out
-}
-
 // valueRound ships vals[lids] owner → ghost over one split-phase delta
-// round and applies the received payloads into vals — the async
-// counterpart of Graph.ExchangeInt64.
+// round and applies the received payloads into vals — what
+// Graph.ExchangeInt64 does, spelled out on the exchanger.
 func valueRound(ex *DeltaExchanger, lids []int32, vals []int64) {
 	payloads := make([]int64, len(lids))
 	for i, lid := range lids {
@@ -39,11 +23,12 @@ func valueRound(ex *DeltaExchanger, lids []int32, vals []int64) {
 	}
 }
 
-// The delta value flows must deliver exactly what the synchronous
-// Alltoallv helpers deliver, for both the owner → ghost direction
-// (BeginValues vs ExchangeInt64) and the ghost → owner direction
-// (BeginPush vs PushToOwners).
-func TestValueFlowsMatchSyncTransport(t *testing.T) {
+// The delta value flows must deliver exactly what the serial oracle
+// says, in both directions: owner → ghost (BeginValues, and
+// ExchangeInt64 as its blocking form) leaves every ghost holding its
+// owner's shipped value, and ghost → owner (BeginPush) delivers exactly
+// the (owned lid, payload) pairs whose ghosts were pushed.
+func TestValueFlowsMatchSerialOracle(t *testing.T) {
 	g := gen.RMAT(10, 8, 3)
 	mpi.Run(4, func(c *mpi.Comm) {
 		dg, err := FromEdgeChunks(c, g.N, g.EdgesChunk(c.Rank(), c.Size()), HashDist{P: c.Size(), Seed: 5})
@@ -56,6 +41,7 @@ func TestValueFlowsMatchSyncTransport(t *testing.T) {
 
 		// Owner → ghost: a sparse subset of owned vertices.
 		var lids []int32
+		var payloads []int64
 		base := make([]int64, dg.NTotal())
 		for i := range base {
 			base[i] = -7
@@ -64,23 +50,36 @@ func TestValueFlowsMatchSyncTransport(t *testing.T) {
 			if v%3 != 0 {
 				lids = append(lids, int32(v))
 				base[v] = dg.L2G[v] * 31 % 1000
+				payloads = append(payloads, base[v])
 			}
 		}
-		syncVals := append([]int64(nil), base...)
-		dg.ExchangeInt64(lids, syncVals)
-		asyncVals := append([]int64(nil), base...)
-		valueRound(ex, lids, asyncVals)
-		for i := range syncVals {
-			if syncVals[i] != asyncVals[i] {
-				t.Errorf("rank %d: BeginValues diverges from ExchangeInt64 at lid %d: sync %d async %d",
-					c.Rank(), i, syncVals[i], asyncVals[i])
-				return
+		want := oracleGhostValues(c, dg, lids, payloads)
+		rounds := []struct {
+			name string
+			run  func([]int64)
+		}{
+			{"ExchangeInt64", func(vals []int64) { dg.ExchangeInt64(lids, vals) }},
+			{"BeginValues", func(vals []int64) { valueRound(ex, lids, vals) }},
+		}
+		for _, r := range rounds {
+			vals := append([]int64(nil), base...)
+			r.run(vals)
+			for lid := range vals {
+				w, shipped := want[int32(lid)]
+				if !shipped {
+					w = base[lid]
+				}
+				if vals[lid] != w {
+					t.Errorf("rank %d: %s left lid %d (gid %d) at %d, want %d",
+						c.Rank(), r.name, lid, dg.L2G[lid], vals[lid], w)
+					return
+				}
 			}
 		}
 
 		// Ghost → owner: a subset of ghosts with synthetic payloads.
 		var ghosts []int32
-		var payloads []int64
+		payloads = payloads[:0]
 		for i := 0; i < dg.NGhost; i++ {
 			if i%2 == 0 {
 				lid := int32(dg.NLocal + i)
@@ -88,25 +87,25 @@ func TestValueFlowsMatchSyncTransport(t *testing.T) {
 				payloads = append(payloads, dg.L2G[lid]*13%997)
 			}
 		}
-		sL, sP := dg.PushToOwners(ghosts, payloads)
+		wantPairs := oraclePushPairs(c, dg, ghosts, payloads)
 		ex.BeginPush(ghosts, payloads, nil)
 		aL, aP, _ := ex.FlushPush()
-		sp, ap := pairSet(sL, sP), pairSet(aL, aP)
-		if len(sp) != len(ap) {
-			t.Errorf("rank %d: BeginPush delivered %d pairs, PushToOwners %d", c.Rank(), len(ap), len(sp))
+		got := pairSet(aL, aP)
+		if len(got) != len(wantPairs) {
+			t.Errorf("rank %d: BeginPush delivered %d pairs, oracle %d", c.Rank(), len(got), len(wantPairs))
 			return
 		}
-		for i := range sp {
-			if sp[i] != ap[i] {
-				t.Errorf("rank %d: pushed pair %d: PushToOwners %v BeginPush %v", c.Rank(), i, sp[i], ap[i])
+		for i := range got {
+			if got[i] != wantPairs[i] {
+				t.Errorf("rank %d: pushed pair %d: got %v, oracle %v", c.Rank(), i, got[i], wantPairs[i])
 				return
 			}
 		}
 	})
 }
 
-// Float payloads must cross a delta value round bit-exactly, matching
-// ExchangeFloat64.
+// Float payloads must cross a delta value round bit-exactly: after the
+// full boundary ships, every ghost holds its owner's value to the bit.
 func TestValueFlowFloat64BitExact(t *testing.T) {
 	g := gen.ER(300, 1500, 11)
 	mpi.Run(3, func(c *mpi.Comm) {
@@ -117,29 +116,27 @@ func TestValueFlowFloat64BitExact(t *testing.T) {
 		}
 		defer dg.Close()
 		bv := dg.BoundaryVertices()
-		mk := func() []float64 {
-			vals := make([]float64, dg.NTotal())
-			for v := 0; v < dg.NLocal; v++ {
-				vals[v] = 1.0 / float64(dg.L2G[v]+3)
-			}
-			return vals
+		value := func(lid int) float64 { return 1.0 / float64(dg.L2G[lid]+3) }
+		vals := make([]float64, dg.NTotal())
+		for v := 0; v < dg.NLocal; v++ {
+			vals[v] = value(v)
 		}
-		syncVals, asyncVals := mk(), mk()
-		dg.ExchangeFloat64(bv, syncVals)
 		payloads := make([]int64, len(bv))
 		for i, v := range bv {
-			payloads[i] = int64(math.Float64bits(asyncVals[v]))
+			payloads[i] = int64(math.Float64bits(vals[v]))
 		}
 		ex := dg.AsyncExchanger()
 		ex.BeginValues(bv, payloads, nil)
 		outL, outP, _ := ex.FlushValues()
 		for i, lid := range outL {
-			asyncVals[lid] = math.Float64frombits(uint64(outP[i]))
+			vals[lid] = math.Float64frombits(uint64(outP[i]))
 		}
-		for i := range syncVals {
-			if syncVals[i] != asyncVals[i] {
-				t.Errorf("rank %d: float payload diverges at lid %d: %v vs %v",
-					c.Rank(), i, syncVals[i], asyncVals[i])
+		// Every ghost neighbors an owned vertex here, so it is a
+		// boundary vertex of its owner and was shipped.
+		for lid := range vals {
+			if math.Float64bits(vals[lid]) != math.Float64bits(value(lid)) {
+				t.Errorf("rank %d: lid %d (gid %d) holds %v, want %v bit-exactly",
+					c.Rank(), lid, dg.L2G[lid], vals[lid], value(lid))
 				return
 			}
 		}
@@ -147,8 +144,9 @@ func TestValueFlowFloat64BitExact(t *testing.T) {
 }
 
 // Shipping the full boundary in lid order must trigger the dense
-// encoding: one header plus one payload per shared-list entry, against
-// the synchronous transport's two elements per (vertex, destination).
+// encoding: exactly one header plus one payload per shared-list entry
+// of every neighbor, whether the round is split-phase or the blocking
+// ExchangeInt64.
 func TestValueFlowDenseEncodingVolume(t *testing.T) {
 	g := gen.ER(300, 1500, 11)
 	mpi.Run(4, func(c *mpi.Comm) {
@@ -165,23 +163,27 @@ func TestValueFlowDenseEncodingVolume(t *testing.T) {
 		}
 
 		ex := dg.AsyncExchanger()
-		c.ResetStats()
-		dg.ExchangeInt64(bv, vals)
-		syncSent := c.Stats().ElemsSent
-
-		c.ResetStats()
-		valueRound(ex, bv, vals)
-		asyncSent := c.Stats().ElemsSent
-
 		var want int64
 		for _, r := range ex.NeighborRanks() {
 			want += 1 + int64(len(ex.SharedSendGIDs(int(r))))
 		}
-		if asyncSent != want {
-			t.Errorf("rank %d: dense value flow sent %d elements, want %d", c.Rank(), asyncSent, want)
+		if want == 0 {
+			t.Errorf("rank %d: no boundary (graph too sparse for the test)", c.Rank())
+			return
 		}
-		if asyncSent >= syncSent {
-			t.Errorf("rank %d: async value flow sent %d, sync %d", c.Rank(), asyncSent, syncSent)
+		rounds := []struct {
+			name string
+			run  func()
+		}{
+			{"split-phase", func() { valueRound(ex, bv, vals) }},
+			{"ExchangeInt64", func() { dg.ExchangeInt64(bv, vals) }},
+		}
+		for _, r := range rounds {
+			c.ResetStats()
+			r.run()
+			if sent := c.Stats().ElemsSent; sent != want {
+				t.Errorf("rank %d: %s dense value round sent %d elements, want %d", c.Rank(), r.name, sent, want)
+			}
 		}
 	})
 }

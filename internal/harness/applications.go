@@ -68,6 +68,7 @@ func Fig8(cfg Config) error {
 				panic(err)
 			}
 			res := analytics.RunAll(dg, hcSources)
+			dg.Close()
 			if c.Rank() == 0 {
 				results = res
 			}

@@ -39,6 +39,7 @@ func Convergence(cfg Config) error {
 		if _, _, err := core.Partition(dg, opt); err != nil {
 			panic(err)
 		}
+		dg.Close()
 	})
 	for _, ev := range events {
 		t.add(ev.Stage, fmt.Sprintf("%d", ev.Iter), fmt.Sprintf("%.2f", ev.Mult),

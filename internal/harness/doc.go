@@ -11,11 +11,12 @@
 // deterministic for a fixed Config.Seed.
 //
 // Beyond the paper's tables and figures, the "exchange" experiment
-// compares the repository's two exchange engines — bulk-synchronous
-// Alltoallv versus the async delta engine — across all three
-// communication paths (partitioning updates with piggybacked size
-// tallies, analytics value flows, SpMV expand/fold), reporting
-// exchanged-element volume, Allreduce counts, and the invariant edge
-// cut. docs/ARCHITECTURE.md explains the engines; README.md has a
-// walkthrough of reading the tables.
+// compares the repository's two exchange modes — per-round Allreduce
+// settles versus counters and tallies piggybacked on the boundary
+// messages — across all three communication paths (partitioning
+// updates, analytics value flows, SpMV expand/fold, where the modes
+// also differ in transport), reporting exchanged-element volume,
+// Allreduce counts, and the invariant edge cut. docs/ARCHITECTURE.md
+// explains the engine; README.md has a walkthrough of reading the
+// tables.
 package harness

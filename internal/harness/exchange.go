@@ -13,33 +13,35 @@ import (
 	"repro/internal/spmv"
 )
 
-// Exchange compares the bulk-synchronous exchange engine against the
-// asynchronous delta engine on all three communication paths:
+// Exchange compares the two exchange modes on all three communication
+// paths:
 //
-//   - Partitioning: boundary label updates with piggybacked size
-//     tallies. Reported per graph: wall time, exchanged-element volume
-//     during the partitioning stages, the Allreduce count (the
-//     per-iteration settle barrier the piggybacked tallies retire),
-//     and the edge cut — which must be identical, the async path is a
-//     pure transport change at fixed seeds.
+//   - Partitioning: boundary label updates plus per-iteration size
+//     settles. Both modes ship the same packed updates on the delta
+//     exchanger; sync settles with an Allreduce per iteration, async
+//     piggybacks the size tallies on the updates. Reported per graph:
+//     wall time, exchanged-element volume during the partitioning
+//     stages, the Allreduce count (the per-iteration settle barrier
+//     the piggybacked tallies retire), and the edge cut — which must
+//     be identical, the mode changes only how iterations settle.
 //   - Analytics: the value flows driven by PageRank, WCC, and a BFS
-//     sweep. The async engine runs them split-phase with the
-//     convergence counters piggybacked on the messages, so its
-//     Allreduce count collapses and its steady-state rounds allocate
-//     nothing (the Allocs/rnd column measures one boundary value
-//     round end to end — software-pipelined to the configured depth
-//     in async mode, reported by the PipeDepth column). A separate
-//     Harmonic Centrality measurement compares the sequential
-//     BFS-per-source loop (sync mode) against the multi-wave engine
-//     (async mode, Config.PipeDepth/2 concurrent waves): the HCWaves,
-//     HCAllred, and HCs/src columns show the async engine issuing
-//     fewer total Allreduces and lower wall time per source while the
-//     centralities stay bit-identical.
-//   - SpMV: the expand/fold phases under 1D and 2D layouts, where the
-//     async engine also bypasses self-destined shares and — on
+//     sweep, split-phase on the delta exchanger in both modes. Async
+//     piggybacks the convergence counters on the messages, so its
+//     Allreduce count collapses. The Allocs/rnd column measures one
+//     boundary value round end to end — software-pipelined to the
+//     configured depth, reported by the PipeDepth column; steady-state
+//     rounds allocate nothing. A separate Harmonic Centrality
+//     measurement runs Config.PipeDepth/2 concurrent BFS waves in both
+//     modes: the HCWaves, HCAllred, and HCs/src columns show async
+//     issuing fewer total Allreduces while the centralities stay
+//     bit-identical.
+//   - SpMV: the expand/fold phases under 1D and 2D layouts, where sync
+//     still ships through Alltoallv and the async engine sends
+//     point-to-point, bypasses self-destined shares and — on
 //     complete expand neighborhoods (NormRide column) — piggybacks
 //     the power iteration's ∞-norm on the expand messages, collapsing
-//     the Allreduces column from iterations to a constant 2.
+//     the Allreduces column from iterations to a constant 2. The
+//     Reduction column is async's volume saving against sync's.
 //
 //repro:deterministic
 func Exchange(cfg Config) error {
@@ -52,18 +54,12 @@ func Exchange(cfg Config) error {
 	return exchangeSpMV(cfg)
 }
 
-// modeCells names a comparison row and computes its volume reduction
-// against the sync baseline, recording the baseline on the sync pass.
-func modeCells(async bool, syncVol *int64, vol int64) (mode, reduction string) {
-	if !async {
-		*syncVol = vol
-		return "sync", "-"
+// modeName names a comparison row's exchange mode.
+func modeName(async bool) string {
+	if async {
+		return "async-delta"
 	}
-	reduction = "-"
-	if *syncVol > 0 {
-		reduction = fmt.Sprintf("%.1f%%", 100*(1-float64(vol)/float64(*syncVol)))
-	}
-	return "async-delta", reduction
+	return "sync"
 }
 
 // exchangePartition is the partitioning-path comparison.
@@ -72,12 +68,11 @@ func exchangePartition(cfg Config) error {
 	const parts = 16
 	ranks := scalePick(cfg.Scale, 4, 8)
 	fmt.Fprintln(cfg.W, "Partitioning path (label updates + size settles):")
-	t := newTable(cfg.W, "Graph", "Ranks", "Threads", "Mode", "Time(s)", "ExchElems", "Reduction", "Allreduces", "EdgeCut")
+	t := newTable(cfg.W, "Graph", "Ranks", "Threads", "Mode", "Time(s)", "ExchElems", "Allreduces", "EdgeCut")
 	for _, tg := range representatives(cfg.Scale, seed) {
-		var syncVol int64
 		for _, async := range []bool{false, true} {
 			// ThreadsPerRank pinned serial: the comparison asserts the
-			// async path changes nothing but the transport, and the
+			// mode changes nothing but how iterations settle, and the
 			// partitioner is bit-deterministic only at one thread.
 			_, rep, err := repro.XtraPuLPGen(tg.gen, repro.Config{
 				Parts: parts, Ranks: ranks, ThreadsPerRank: 1, RandomDist: true, Seed: seed,
@@ -86,9 +81,8 @@ func exchangePartition(cfg Config) error {
 			if err != nil {
 				return fmt.Errorf("exchange: %s async=%v: %w", tg.name, async, err)
 			}
-			mode, reduction := modeCells(async, &syncVol, rep.ExchangeVolume)
-			t.add(tg.name, fmt.Sprintf("%d", ranks), "1", mode, secs(rep.TotalTime),
-				fmt.Sprintf("%d", rep.ExchangeVolume), reduction,
+			t.add(tg.name, fmt.Sprintf("%d", ranks), "1", modeName(async), secs(rep.TotalTime),
+				fmt.Sprintf("%d", rep.ExchangeVolume),
 				fmt.Sprintf("%d", rep.ReductionOps),
 				fmt.Sprintf("%.3f", rep.Quality.EdgeCutRatio))
 		}
@@ -102,52 +96,48 @@ func exchangePartition(cfg Config) error {
 const allocRounds = 64
 
 // measureValueRoundAllocs measures the heap allocations of one
-// full-boundary value round in the graph's configured mode, averaged
-// over allocRounds rounds after warmup, and reports the exchanger's
-// observed pipeline depth (0 in sync mode). It is a collective: every
-// rank runs the same rounds; rank 0 reads the process-wide allocation
-// counter between two barriers, so the result covers all ranks (the
-// async engine's rounds are expected to allocate zero in steady
-// state).
+// full-boundary value round, averaged over allocRounds rounds after
+// warmup, and reports the exchanger's observed pipeline depth. It is a
+// collective: every rank runs the same rounds; rank 0 reads the
+// process-wide allocation counter between two barriers, so the result
+// covers all ranks (steady-state rounds are expected to allocate
+// zero).
 //
-// In async mode the rounds are software-pipelined the way the
-// overlapped BFS runs them: each call posts the next round with
-// BeginValues BEFORE flushing the oldest one, so the exchanger's full
-// configured depth of rounds is in flight throughout the measured
-// window and the reported depth is DeltaExchanger.Depth. Depth-1
-// rounds stay pending when the measurement ends; Graph.Close settles
-// them during teardown.
+// The rounds are software-pipelined the way the BFS wave engine runs
+// them: each call posts the next round with BeginValues BEFORE flushing
+// the oldest one, so the exchanger's full configured depth of rounds
+// is in flight throughout the measured window and the reported depth
+// is DeltaExchanger.Depth. In async mode each round carries a tally
+// frame, as the analytics' piggybacked counters do. Depth-1 rounds stay
+// pending when the measurement ends; Graph.Close settles them during
+// teardown.
 func measureValueRoundAllocs(c *mpi.Comm, dg *dgraph.Graph) (float64, int64) {
 	bv := dg.BoundaryVertices()
 	vals := make([]int64, dg.NTotal())
 	for i := range vals {
 		vals[i] = int64(i)
 	}
-	depth := func() int64 { return 0 }
-	round := func() { dg.ExchangeInt64(bv, vals) }
+	ex := dg.AsyncExchanger()
+	payload := make([]int64, len(bv))
+	var tally []int64
 	if dg.AsyncExchange() {
-		// Measure at the split-phase API the overlapped analytics use,
-		// tally frame included.
-		ex := dg.AsyncExchanger()
-		payload := make([]int64, len(bv))
-		tally := []int64{1}
-		pending := 0
-		// Reset the lifetime high-water mark (the analytics already
-		// drove it to 2) so the reported depth is what THIS measurement
-		// loop achieves: the PipeDepth column must drop if the pipelined
-		// schedule below regresses.
-		ex.MaxDepth = 0
-		depth = func() int64 { return int64(ex.MaxDepth) }
-		round = func() {
-			for i, v := range bv {
-				payload[i] = vals[v]
-			}
-			ex.BeginValues(bv, payload, tally)
-			pending++
-			if pending == ex.Depth() {
-				ex.FlushValues()
-				pending--
-			}
+		tally = []int64{1}
+	}
+	pending := 0
+	// Reset the lifetime high-water mark (the analytics already drove
+	// it to 2) so the reported depth is what THIS measurement loop
+	// achieves: the PipeDepth column must drop if the pipelined
+	// schedule below regresses.
+	ex.MaxDepth = 0
+	round := func() {
+		for i, v := range bv {
+			payload[i] = vals[v]
+		}
+		ex.BeginValues(bv, payload, tally)
+		pending++
+		if pending == ex.Depth() {
+			ex.FlushValues()
+			pending--
 		}
 	}
 	// Warmup must reach the transport's in-flight high-water mark (up
@@ -175,15 +165,14 @@ func measureValueRoundAllocs(c *mpi.Comm, dg *dgraph.Graph) (float64, int64) {
 		runtime.ReadMemStats(&m1)
 	}
 	c.Barrier()
-	return float64(m1.Mallocs-m0.Mallocs) / allocRounds, depth()
+	return float64(m1.Mallocs-m0.Mallocs) / allocRounds, int64(ex.MaxDepth)
 }
 
 // exchangeAnalytics measures the value-flow paths: total elements
 // sent, Allreduce operations, and steady-state allocations while
 // PageRank, WCC, and one BFS run over a vertex-block placement — plus
-// a separate Harmonic Centrality measurement comparing the sequential
-// BFS-per-source loop (sync mode) against the multi-wave engine (async
-// mode, Config.PipeDepth/2 concurrent waves).
+// a separate Harmonic Centrality measurement of the multi-wave engine
+// (Config.PipeDepth/2 concurrent waves) in each mode.
 //
 //repro:timing
 func exchangeAnalytics(cfg Config) error {
@@ -193,7 +182,7 @@ func exchangeAnalytics(cfg Config) error {
 	hcSources := scalePick(cfg.Scale, 8, 24)
 	threads := cfg.threads()
 	fmt.Fprintf(cfg.W, "\nAnalytics path (PR + WCC + BFS value exchanges; HC with %d sources):\n", hcSources)
-	t := newTable(cfg.W, "Graph", "Ranks", "Threads", "Mode", "Time(s)", "Sweep(s)", "ExchElems", "Reduction", "Allreduces",
+	t := newTable(cfg.W, "Graph", "Ranks", "Threads", "Mode", "Time(s)", "Sweep(s)", "ExchElems", "Allreduces",
 		"Allocs/rnd", "PipeDepth", "HCWaves", "HCAllred", "HCs/src")
 	for _, tg := range representatives(cfg.Scale, seed)[:scalePick(cfg.Scale, 3, 6)] {
 		shared, err := tg.gen.Build()
@@ -202,7 +191,6 @@ func exchangeAnalytics(cfg Config) error {
 		}
 		placement := partition.VertexBlock(shared, ranks)
 		srcs := analytics.HCSourceList(hcSources, tg.gen.N)
-		var syncVol int64
 		for _, async := range []bool{false, true} {
 			var volume, reductions, depth, hcWaves, hcRed int64
 			var wall, hcWall, sweep time.Duration
@@ -221,10 +209,9 @@ func exchangeAnalytics(cfg Config) error {
 				_, wccRes := analytics.WCC(dg)
 				analytics.BFS(dg, 0)
 				elapsed := time.Since(start)
-				// HC separately: in sync mode the sequential loop pays
-				// per-round termination plus one eccentricity Allreduce
-				// per source; the multi-wave engine piggybacks per-wave
-				// termination and needs no eccentricities at all.
+				// HC separately: in sync mode every wave pays a
+				// termination Allreduce per round; async piggybacks
+				// per-wave termination. Neither needs eccentricities.
 				redBefore := c.Stats().ReductionOps
 				hcStart := time.Now()
 				_, hcRes := analytics.HarmonicCentrality(dg, srcs)
@@ -245,13 +232,12 @@ func exchangeAnalytics(cfg Config) error {
 					sweep = sweepTime
 				}
 			})
-			mode, reduction := modeCells(async, &syncVol, volume)
 			hcPerSrc := hcWall.Seconds()
 			if len(srcs) > 0 {
 				hcPerSrc /= float64(len(srcs))
 			}
-			t.add(tg.name, fmt.Sprintf("%d", ranks), fmt.Sprintf("%d", threads), mode, secs(wall), secs(sweep),
-				fmt.Sprintf("%d", volume), reduction,
+			t.add(tg.name, fmt.Sprintf("%d", ranks), fmt.Sprintf("%d", threads), modeName(async), secs(wall), secs(sweep),
+				fmt.Sprintf("%d", volume),
 				fmt.Sprintf("%d", reductions),
 				fmt.Sprintf("%.1f", allocs),
 				fmt.Sprintf("%d", depth),
@@ -309,8 +295,13 @@ func exchangeSpMV(cfg Config) error {
 				if runErr != nil {
 					return fmt.Errorf("exchange: %s spmv %s: %w", tg.name, layout, runErr)
 				}
-				mode, reduction := modeCells(async, &syncVol, volume)
-				t.add(tg.name, fmt.Sprintf("%d", ranks), fmt.Sprintf("%d", threads), layout, mode, secs(sweep),
+				reduction := "-"
+				if !async {
+					syncVol = volume
+				} else if syncVol > 0 {
+					reduction = fmt.Sprintf("%.1f%%", 100*(1-float64(volume)/float64(syncVol)))
+				}
+				t.add(tg.name, fmt.Sprintf("%d", ranks), fmt.Sprintf("%d", threads), layout, modeName(async), secs(sweep),
 					fmt.Sprintf("%d", volume), reduction,
 					fmt.Sprintf("%d", reductions),
 					fmt.Sprintf("%v", piggyback))

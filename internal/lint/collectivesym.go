@@ -81,9 +81,6 @@ var collectiveFuncs = map[callee]bool{
 	{dgraphPath, "Graph", "AsyncExchanger"}:    true,
 	{dgraphPath, "Graph", "Close"}:             true,
 	{dgraphPath, "Graph", "ExchangeInt64"}:     true,
-	{dgraphPath, "Graph", "ExchangeFloat64"}:   true,
-	{dgraphPath, "Graph", "ExchangeUpdates"}:   true,
-	{dgraphPath, "Graph", "PushToOwners"}:      true,
 	{dgraphPath, "Graph", "GatherGlobal"}:      true,
 }
 

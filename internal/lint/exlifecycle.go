@@ -6,15 +6,16 @@ import (
 )
 
 // ExLifecycle checks that every constructed exchanger — and every
-// Graph switched into async-exchange mode, which owns a drainer
-// goroutine — reaches Close() in the function that constructed it:
-// directly, via defer, or via t.Cleanup. An exchanger that escapes the
-// function (returned, stored, handed to another call) transfers the
-// obligation to its new owner. Leaked exchangers leak a drainer
-// goroutine and its posted rounds — the PR 4 lifecycle bug.
+// distributed Graph, whose boundary exchanges all run on a cached
+// exchanger that owns a drainer goroutine — reaches Close() in the
+// function that constructed it: directly, via defer, or via t.Cleanup.
+// A value that escapes the function (returned, stored; an exchanger
+// also when handed to another call) transfers the obligation to its
+// new owner. Leaked exchangers leak a drainer goroutine and its posted
+// rounds.
 var ExLifecycle = &Analyzer{
 	Name: "exlifecycle",
-	Doc:  "every constructed DeltaExchanger (and async-routed Graph) must reach Close() on all paths",
+	Doc:  "every constructed DeltaExchanger and distributed Graph must reach Close() on all paths",
 	Run:  runExLifecycle,
 }
 
@@ -42,8 +43,6 @@ func checkExLifecycle(pass *Pass, fd *ast.FuncDecl) {
 	info := pass.Info
 
 	var owned []ownedValue
-	constructedGraphs := map[string]bool{}  // graphs built in this function
-	graphVars := map[string]*ast.CallExpr{} // graph recv -> first async use
 	closed := map[string]bool{}
 	escaped := map[string]bool{}
 
@@ -78,22 +77,12 @@ func checkExLifecycle(pass *Pass, fd *ast.FuncDecl) {
 				switch {
 				case c.recv == "Graph" && c.name == "NewDeltaExchanger":
 					owned = append(owned, ownedValue{call, bindLHS(st, idx), "exchanger"})
-				case c.recv == "Graph" && c.name == "AsyncExchanger":
-					// The graph retains (and closes) the exchanger it
-					// vends; the *graph* must be closed instead. Treat
-					// like an async-mode use of the graph receiver.
-					if g := recvString(call); g != "" {
-						graphVars[g] = call
-					}
 				case c.recv == "" && strings.HasPrefix(c.name, "FromEdge"):
-					// Graph construction. The graph only becomes a
-					// close obligation if this function also switches
-					// it into async mode (it then owns a drainer); a
-					// graph received as a parameter is its caller's
-					// problem.
-					if b := bindLHS(st, idx); b != "" && b != "_" {
-						constructedGraphs[b] = true
-					}
+					// Graph construction: the graph retains (and
+					// closes) the exchanger its exchanges build, so
+					// the graph must be closed. A graph received as a
+					// parameter is its caller's problem.
+					owned = append(owned, ownedValue{call, bindLHS(st, idx), "graph"})
 				}
 			}
 		case *ast.CallExpr:
@@ -101,18 +90,8 @@ func checkExLifecycle(pass *Pass, fd *ast.FuncDecl) {
 			if !ok {
 				return true
 			}
-			if c.pkg == dgraphPath {
-				recv := recvString(st)
-				switch c.name {
-				case "Close":
-					closed[recv] = true
-				case "SetAsyncExchange", "AsyncExchanger":
-					if c.recv == "Graph" && recv != "" {
-						if _, seen := graphVars[recv]; !seen {
-							graphVars[recv] = st
-						}
-					}
-				}
+			if c.pkg == dgraphPath && c.name == "Close" {
+				closed[recvString(st)] = true
 			}
 			// t.Cleanup(func() { ... x.Close() ... }) and any helper
 			// taking a closure: Close calls inside are found by this
@@ -180,13 +159,5 @@ func checkExLifecycle(pass *Pass, fd *ast.FuncDecl) {
 		pass.Reportf(o.call.Pos(),
 			"%s %s is never closed in this function: defer %s.Close() (or t.Cleanup) or the drainer goroutine leaks",
 			o.what, o.recv, o.recv)
-	}
-	for g, call := range graphVars {
-		if !constructedGraphs[g] || closed[g] || escaped[g] {
-			continue
-		}
-		pass.Reportf(call.Pos(),
-			"graph %s runs an async exchanger but is never closed in this function: defer %s.Close() (or t.Cleanup) or the drainer goroutine leaks",
-			g, g)
 	}
 }

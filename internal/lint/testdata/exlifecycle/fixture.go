@@ -1,5 +1,5 @@
 // Package fixture exercises the exlifecycle analyzer: constructed
-// exchangers and async-routed graphs must reach Close. It is
+// exchangers and constructed graphs must reach Close. It is
 // type-checked by the analyzer tests, never run.
 package fixture
 
@@ -19,15 +19,31 @@ func leak(g *dgraph.Graph) {
 	_ = ex.Flush(nil)
 }
 
-// asyncLeak switches a graph it built into async mode — which spins up
-// a drainer — and never closes it.
-func asyncLeak(c *mpi.Comm, chunk []graph.Edge, dist dgraph.Distribution) {
-	g, err := dgraph.FromEdgeChunks(c, 8, chunk, dist)
+// graphLeak exchanges on a graph it built — which spins up the graph's
+// drainer — and never closes it.
+func graphLeak(c *mpi.Comm, chunk []graph.Edge, dist dgraph.Distribution) {
+	g, err := dgraph.FromEdgeChunks(c, 8, chunk, dist) // want "graph g is never closed"
 	if err != nil {
 		return
 	}
-	g.SetAsyncExchange(true) // want "never closed"
 	g.ExchangeInt64(nil, nil)
+}
+
+// syncLeak never selects async mode, but its exchanges still run on
+// the graph's exchanger: the graph must be closed all the same.
+func syncLeak(c *mpi.Comm, chunk []graph.Edge, dist dgraph.Distribution) {
+	g, err := dgraph.FromEdgeChunks(c, 8, chunk, dist) // want "graph g is never closed"
+	if err != nil {
+		return
+	}
+	g.SetAsyncExchange(false)
+	g.ExchangeInt64(nil, nil)
+}
+
+// discarded builds a graph it can never close.
+func discarded(c *mpi.Comm, chunk []graph.Edge, dist dgraph.Distribution) error {
+	_, err := dgraph.FromEdgeChunks(c, 8, chunk, dist) // want "never bound to a variable"
+	return err
 }
 
 // the shapes below close (or hand off) correctly and must produce no
@@ -47,7 +63,7 @@ func cleanup(t *testing.T, g *dgraph.Graph) {
 	_ = ex.Flush(nil)
 }
 
-func asyncClosed(c *mpi.Comm, chunk []graph.Edge, dist dgraph.Distribution) {
+func graphClosed(c *mpi.Comm, chunk []graph.Edge, dist dgraph.Distribution) {
 	g, err := dgraph.FromEdgeChunks(c, 8, chunk, dist)
 	if err != nil {
 		return
@@ -55,6 +71,12 @@ func asyncClosed(c *mpi.Comm, chunk []graph.Edge, dist dgraph.Distribution) {
 	defer g.Close()
 	g.SetAsyncExchange(true)
 	g.ExchangeInt64(nil, nil)
+}
+
+// build hands the graph it constructed to its caller, who closes it.
+func build(c *mpi.Comm, chunk []graph.Edge, dist dgraph.Distribution) (*dgraph.Graph, error) {
+	g, err := dgraph.FromEdgeChunks(c, 8, chunk, dist)
+	return g, err
 }
 
 // handsOff transfers ownership by passing the exchanger on.
@@ -69,8 +91,8 @@ func drive(ex *dgraph.DeltaExchanger) {
 	_ = ex.Flush(nil)
 }
 
-// paramGraph toggles async on a caller-owned graph: the caller closes
-// it, not this helper.
+// paramGraph exchanges on a caller-owned graph: the caller closes it,
+// not this helper.
 func paramGraph(g *dgraph.Graph) {
 	g.SetAsyncExchange(true)
 	g.ExchangeInt64(nil, nil)

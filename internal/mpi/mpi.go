@@ -67,7 +67,7 @@ type Stats struct {
 	Collectives  int64 // number of collective operations entered
 	ElemsSent    int64 // elements this rank sent (collectives + point-to-point)
 	ElemsRecv    int64 // elements this rank received (collectives + point-to-point)
-	ExchangeOps  int64 // Alltoallv calls (the partitioner's sync hot path)
+	ExchangeOps  int64 // Alltoallv calls (graph construction, sync SpMV)
 	ReductionOps int64 // Allreduce calls
 	SendOps      int64 // nonblocking point-to-point sends started
 	RecvOps      int64 // nonblocking point-to-point receives completed

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 )
 
@@ -17,36 +18,38 @@ import (
 //
 //	h == -1: dense — the preceding tallyLen elements are the tally
 //	         values verbatim.
-//	h >= 0:  sparse — the preceding h elements each pack one nonzero
-//	         entry as (index << 48) | zigzag(value), covering indices
-//	         below 1<<15 and |value| < 1<<47.
+//	h >= 0:  sparse — h = k | vb<<32 announces k nonzero entries, each
+//	         packed as (index << vb) | zigzag(value) into w = ib + vb
+//	         bits, where ib = bits.Len(tallyLen-1) is the index width
+//	         and vb the frame's widest zigzagged value. The preceding
+//	         ceil(k / (64/w)) elements hold 64/w entries each, lowest
+//	         bits first.
 //
 // The encoder picks whichever is shorter; an all-zero tally costs a
 // single header element. Both sides must agree on tallyLen (it is part
 // of the exchange protocol, like a datatype), exactly as they must
 // agree on the length of an Allreduce.
 
-// tallyPackBits is the payload width of a packed sparse entry.
-const tallyPackBits = 48
+// zigzag maps small-magnitude signed values to small unsigned ones.
+func zigzag(v int64) uint64 { return uint64(v)<<1 ^ uint64(v>>63) }
 
-// packTallyEntry packs (index, value) into one element; ok reports
-// whether the pair fits the sparse encoding.
-func packTallyEntry(idx int, v int64) (packed int64, ok bool) {
-	if idx < 0 || idx >= 1<<15 {
+// tallyIndexBits returns the index width ib of a tallyLen-long tally.
+func tallyIndexBits(tallyLen int) int { return bits.Len(uint(tallyLen - 1)) }
+
+// packTallyEntry packs (index, value) into ib+vb bits as
+// (index << vb) | zigzag(value); ok reports whether the pair fits.
+func packTallyEntry(idx int, v int64, ib, vb int) (packed uint64, ok bool) {
+	z := zigzag(v)
+	if idx < 0 || bits.Len(uint(idx)) > ib || bits.Len64(z) > vb || ib+vb > 64 {
 		return 0, false
 	}
-	z := uint64(v)<<1 ^ uint64(v>>63) // zigzag
-	if z >= 1<<tallyPackBits {
-		return 0, false
-	}
-	return int64(uint64(idx)<<tallyPackBits | z), true
+	return uint64(idx)<<vb | z, true
 }
 
-// unpackTallyEntry reverses packTallyEntry.
-func unpackTallyEntry(packed int64) (idx int, v int64) {
-	u := uint64(packed)
-	z := u & (1<<tallyPackBits - 1)
-	return int(u >> tallyPackBits), int64(z>>1) ^ -int64(z&1)
+// unpackTallyEntry reverses packTallyEntry for value width vb.
+func unpackTallyEntry(packed uint64, vb int) (idx int, v int64) {
+	z := packed & (1<<vb - 1)
+	return int(packed >> vb), int64(z>>1) ^ -int64(z&1)
 }
 
 // AppendTally appends the tally frame for tally to buf and returns the
@@ -61,28 +64,33 @@ func AppendTally(c *Comm, buf []int64, tally []int64) []int64 {
 	if len(tally) == 0 {
 		return buf
 	}
-	nz := 0
-	sparseOK := true
-	for i, v := range tally {
-		if v == 0 {
-			continue
-		}
-		if _, ok := packTallyEntry(i, v); !ok {
-			sparseOK = false
-			break
-		}
-		nz++
-	}
 	before := len(buf)
-	if sparseOK && nz < len(tally) {
+	ib := tallyIndexBits(len(tally))
+	nz, vb := 0, 0
+	for _, v := range tally {
+		if v != 0 {
+			nz++
+			vb = max(vb, bits.Len64(zigzag(v)))
+		}
+	}
+	if w := ib + vb; nz == 0 || w <= 64 && (nz+64/w-1)/(64/w) < len(tally) {
+		var word uint64
+		j, per := 0, 64/max(w, 1)
 		for i, v := range tally {
 			if v == 0 {
 				continue
 			}
-			p, _ := packTallyEntry(i, v)
-			buf = append(buf, p)
+			p, _ := packTallyEntry(i, v, ib, vb)
+			word |= p << (j % per * w)
+			if j++; j%per == 0 {
+				buf = append(buf, int64(word))
+				word = 0
+			}
 		}
-		buf = append(buf, int64(nz))
+		if j%per != 0 {
+			buf = append(buf, int64(word))
+		}
+		buf = append(buf, int64(nz)|int64(vb)<<32)
 	} else {
 		buf = append(buf, tally...)
 		buf = append(buf, -1)
@@ -116,13 +124,22 @@ func SplitTally(msg []int64, dst []int64) []int64 {
 		}
 		return body[:len(body)-len(dst)]
 	}
-	n := int(h)
-	if n < 0 || n > len(body) {
-		panic(fmt.Sprintf("mpi: sparse tally header %d outside message of %d elements", n, len(body)))
+	k, vb := int(h&(1<<32-1)), int(h>>32)
+	w := tallyIndexBits(len(dst)) + vb
+	if h < 0 || k > len(dst) || k > 0 && (vb < 1 || w > 64) {
+		panic(fmt.Sprintf("mpi: sparse tally header %#x invalid for tally length %d", h, len(dst)))
+	}
+	if k == 0 {
+		return body
+	}
+	per := 64 / w
+	n := (k + per - 1) / per
+	if n > len(body) {
+		panic(fmt.Sprintf("mpi: sparse tally of %d elements outside message of %d elements", n, len(body)))
 	}
 	frame := body[len(body)-n:]
-	for _, p := range frame {
-		idx, v := unpackTallyEntry(p)
+	for j := 0; j < k; j++ {
+		idx, v := unpackTallyEntry(uint64(frame[j/per])>>(j%per*w)&(1<<w-1), vb)
 		if idx >= len(dst) {
 			panic(fmt.Sprintf("mpi: sparse tally index %d outside tally length %d", idx, len(dst)))
 		}

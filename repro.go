@@ -75,7 +75,8 @@ func Evaluate(g *Graph, parts []int32, p int) Quality {
 type Config struct {
 	// Parts is the number of parts to compute (required).
 	Parts int
-	// Ranks is the number of simulated MPI ranks (default 1).
+	// Ranks is the number of simulated MPI ranks; 0 selects the
+	// default 1, and negative counts are rejected.
 	Ranks int
 	// ThreadsPerRank is the intra-rank thread budget. The repo-wide
 	// rule: 0 (or negative) selects one worker per core
@@ -92,27 +93,27 @@ type Config struct {
 	// SingleConstraint solves the single-constraint single-objective
 	// problem (§V.C comparison mode).
 	SingleConstraint bool
-	// AsyncExchange switches the boundary exchange from the bulk-
-	// synchronous Alltoallv to the asynchronous delta-only path:
+	// AsyncExchange selects how iterations settle. In both modes
 	// changed labels travel as packed single-element updates over
 	// nonblocking point-to-point messages, drained concurrently with
-	// local propagation, and per-part size tallies piggyback on the
-	// same messages so iterations need no global Allreduce barrier
-	// when every rank neighbors every other (otherwise each iteration
-	// settles by sync's exact Allreduce). The final partition is
-	// identical for fixed seeds, and the exchanged-element volume is
-	// strictly lower. The
-	// analytics and SpMV paths select the same engine through
+	// local propagation, one exchange and one settle per iteration.
+	// Off, every iteration settles its per-part size deltas with an
+	// exact Allreduce (the paper's bulk-synchronous schedule). On, the
+	// size tallies piggyback on the same messages, so iterations need
+	// no global Allreduce barrier when every rank neighbors every
+	// other (otherwise each iteration settles by that same exact
+	// Allreduce). The final partition and the messages posted are
+	// identical for fixed seeds; only the settles differ. The
+	// analytics and SpMV paths select their mode through
 	// AnalyticsConfig.AsyncExchange and SpMVConfig.AsyncExchange.
 	AsyncExchange bool
-	// PipeDepth sets the async exchange engine's pipeline depth — how
-	// many rounds of boundary messages may be in flight per exchanger
-	// at once (0 = default 2; values 1 and below rejected). The
+	// PipeDepth sets the exchange engine's pipeline depth — how many
+	// rounds of boundary messages may be in flight per exchanger at
+	// once (0 = default 2; values 1 and below rejected). The
 	// partitioner's own schedule never pipelines past 2, but the knob
 	// travels with the graph, so analytics run on the same shards (and
-	// the exchange experiment) inherit it. Ignored in sync mode. See
-	// AnalyticsConfig.PipeDepth for the depth/2-wave HC engine it
-	// enables.
+	// the exchange experiment) inherit it. See AnalyticsConfig.PipeDepth
+	// for the depth/2-wave HC engine it enables.
 	PipeDepth int
 	// Init selects the initialization strategy; zero value is the
 	// paper's BFS hybrid.
@@ -148,6 +149,10 @@ type Report struct {
 	// the tallies on the boundary messages and pay none between stage
 	// recounts; on any other topology they pay sync's count.
 	ReductionOps int64
+	// SendOps is the number of point-to-point sends rank 0 posted
+	// during the partitioning stages; both exchange modes post the
+	// same sends.
+	SendOps int64
 }
 
 // XtraPuLP partitions g with the paper's distributed partitioner on
@@ -163,8 +168,11 @@ func XtraPuLP(g *Graph, cfg Config) ([]int32, Report, error) {
 // whole graph — the paper's actual usage mode at scale.
 func XtraPuLPGen(g *Generator, cfg Config) ([]int32, Report, error) {
 	ranks := cfg.Ranks
-	if ranks < 1 {
+	if ranks == 0 {
 		ranks = 1
+	}
+	if err := validateRanks(ranks); err != nil {
+		return nil, Report{}, err
 	}
 	threads := par.ResolveThreads(cfg.ThreadsPerRank)
 	var parts []int32
@@ -244,7 +252,7 @@ func XtraPuLPComm(c *mpi.Comm, g *Generator, cfg Config) ([]int32, Report, error
 		EdgeTime: r.EdgeTime, TotalTime: r.TotalTime,
 		InitIters: r.InitIters, Quality: r.Quality,
 		CommVolume: vol, ExchangeVolume: r.ExchangeVolume,
-		ReductionOps: r.ReductionOps,
+		ReductionOps: r.ReductionOps, SendOps: r.SendOps,
 	}
 	return full, rep, nil
 }

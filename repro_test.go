@@ -85,11 +85,10 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-// The asynchronous delta exchange must be a pure transport change: for
-// fixed seeds it yields exactly the partition (and therefore exactly
-// the Quality metrics) of the bulk-synchronous path on every graph
-// class and rank count, while sending strictly fewer elements whenever
-// rank boundaries exist.
+// Async mode must change only how iterations settle: for fixed seeds it
+// yields exactly the partition (and therefore exactly the Quality
+// metrics) of sync mode on every graph class and rank count, over the
+// same point-to-point sends, while entering fewer Allreduces.
 func TestAsyncDeltaExchangeMatchesSyncDeterministically(t *testing.T) {
 	gens := []*Generator{
 		RMAT(10, 8, 1),
@@ -124,13 +123,11 @@ func TestAsyncDeltaExchangeMatchesSyncDeterministically(t *testing.T) {
 				sq.EdgeImbalance != aq.EdgeImbalance {
 				t.Fatalf("%s ranks=%d: quality diverges: sync %+v async %+v", gn.Name, ranks, sq, aq)
 			}
-			// Async sends strictly less at every rank count: with
-			// boundaries it ships packed deltas instead of (gid, value)
-			// pairs, and even without them the piggybacked tallies
-			// retire the per-iteration settle reductions sync pays.
-			if arep.ExchangeVolume >= srep.ExchangeVolume {
-				t.Errorf("%s ranks=%d: async exchange volume %d not below sync %d",
-					gn.Name, ranks, arep.ExchangeVolume, srep.ExchangeVolume)
+			// Both modes run the same exchange rounds on the same
+			// exchanger; one rank has no neighbor to send to.
+			if arep.SendOps != srep.SendOps || (ranks > 1) != (srep.SendOps > 0) {
+				t.Errorf("%s ranks=%d: rank 0 posted %d sends async, %d sync (want equal, nonzero with peers)",
+					gn.Name, ranks, arep.SendOps, srep.SendOps)
 			}
 			if srep.ReductionOps <= arep.ReductionOps {
 				t.Errorf("%s ranks=%d: async reductions %d not below sync %d",
