@@ -181,10 +181,12 @@ type SpMVConfig struct {
 	Layout string
 	// Iterations is the number of chained multiplies (default 100).
 	Iterations int
-	// AsyncExchange replaces the expand/fold Alltoallv collectives
-	// with nonblocking point-to-point messages over the precomputed
-	// schedules, bypassing self-destined shares entirely. The checksum
-	// is bit-identical; sent-value volume is lower.
+	// AsyncExchange rides each iteration's ∞-norm on the expand
+	// messages when every rank neighbors every other, instead of
+	// reducing it with one Allreduce per multiply. Both modes run the
+	// same point-to-point expand/fold engine, so the checksum and the
+	// sent-value volume are identical; only the Allreduce count
+	// differs.
 	AsyncExchange bool
 	// ThreadsPerRank fans each rank's row-sum kernel and fold
 	// accumulation across worker threads. The repo-wide rule: 0 (or
@@ -197,15 +199,15 @@ type SpMVConfig struct {
 // RunSpMV executes iters chained sparse matrix-vector products of the
 // graph's adjacency matrix on ranks simulated nodes, with the vector
 // distributed by parts and nonzeros placed by the named layout ("1d"
-// row layout, or "2d" processor-grid layout per Boman et al.), on the
-// synchronous exchange engine. RunSpMVCfg exposes the full
+// row layout, or "2d" processor-grid layout per Boman et al.), in sync
+// mode (one norm Allreduce per multiply). RunSpMVCfg exposes the full
 // configuration.
 func RunSpMV(g *Graph, parts []int32, ranks int, layout string, iters int) (SpMVResult, error) {
 	return RunSpMVCfg(g, parts, SpMVConfig{Ranks: ranks, Layout: layout, Iterations: iters})
 }
 
 // RunSpMVCfg is RunSpMV with an explicit configuration, including the
-// exchange-engine selection.
+// exchange mode.
 func RunSpMVCfg(g *Graph, parts []int32, cfg SpMVConfig) (SpMVResult, error) {
 	if err := validateRanks(cfg.Ranks); err != nil {
 		return SpMVResult{}, err

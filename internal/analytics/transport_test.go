@@ -7,6 +7,8 @@ import (
 	"repro/internal/dgraph"
 	"repro/internal/gen"
 	"repro/internal/mpi"
+	"repro/internal/partition"
+	"repro/internal/spmv"
 )
 
 // Every boundary exchange runs on the graph's delta exchanger in both
@@ -14,10 +16,14 @@ import (
 // analytic calls Alltoallv — the one call left is LabelProp's community
 // count, which hash-partitions the final labels once and is not a
 // boundary exchange. The mode changes only how rounds settle, so
-// partitioning posts the same point-to-point sends in both modes.
+// partitioning posts the same point-to-point sends in both modes. SpMV
+// runs its expand/fold schedules point-to-point in both modes and
+// layouts, so it makes no Alltoallv call either.
 func TestNoAlltoallvBoundaryExchange(t *testing.T) {
 	g := gen.ChungLu(1<<9, 1<<12, 2.2, 5)
+	shared := g.MustBuild()
 	for _, ranks := range []int{1, 2, 3, 4, 8} {
+		spmvParts := partition.Random(shared, ranks, 7)
 		var sends [2][]int64
 		for mode, async := range []bool{false, true} {
 			sends[mode] = make([]int64, ranks)
@@ -34,6 +40,14 @@ func TestNoAlltoallvBoundaryExchange(t *testing.T) {
 				opt.Seed = 3
 				if async {
 					opt.Exchange = core.ExchangeAsyncDelta
+				}
+				spmvRun := func(layout spmv.Layout) func() {
+					return func() {
+						opt := spmv.Options{Layout: layout, Iterations: 3, Async: async}
+						if _, err := spmv.Run(c, shared, spmvParts, opt); err != nil {
+							t.Errorf("rank %d: %v", c.Rank(), err)
+						}
+					}
 				}
 				runs := []struct {
 					name      string
@@ -54,6 +68,8 @@ func TestNoAlltoallvBoundaryExchange(t *testing.T) {
 					{"SCC", 0, func() { SCC(dg) }},
 					{"WCC", 0, func() { WCC(dg) }},
 					{"BFS", 0, func() { BFS(dg, 0) }},
+					{"SpMV1D", 0, spmvRun(spmv.OneD)},
+					{"SpMV2D", 0, spmvRun(spmv.TwoD)},
 				}
 				for _, r := range runs {
 					before := c.Stats().ExchangeOps

@@ -1,9 +1,7 @@
-// Package dgraph implements the distributed one-dimensional CSR graph
-// representation of XtraPuLP (§III.A): each rank owns a subset of
-// vertices and their incident edges, stores part labels for owned and
-// ghost vertices, maps global identifiers to task-local ones, and
-// exchanges boundary updates (Algorithm 3's communication step) over
-// per-neighbor point-to-point rounds (DeltaExchanger).
+// Vertex distributions of the one-dimensional CSR (XtraPuLP §III.A):
+// the pure gid-to-owner maps every rank evaluates without
+// communication, and the owned-vertex lists they induce.
+
 package dgraph
 
 import (

@@ -35,13 +35,12 @@ import (
 //     modes: the HCWaves, HCAllred, and HCs/src columns show async
 //     issuing fewer total Allreduces while the centralities stay
 //     bit-identical.
-//   - SpMV: the expand/fold phases under 1D and 2D layouts, where sync
-//     still ships through Alltoallv and the async engine sends
-//     point-to-point, bypasses self-destined shares and — on
-//     complete expand neighborhoods (NormRide column) — piggybacks
-//     the power iteration's ∞-norm on the expand messages, collapsing
-//     the Allreduces column from iterations to a constant 2. The
-//     Reduction column is async's volume saving against sync's.
+//   - SpMV: the expand/fold phases under 1D and 2D layouts. Both modes
+//     send point-to-point and bypass self-destined shares, so the
+//     SentVals column is equal; they differ only in the Allreduces
+//     and NormRide columns. On complete expand neighborhoods async
+//     piggybacks the power iteration's deferred ∞-norm on the expand
+//     messages, collapsing Allreduces from iterations to a constant 2.
 //
 //repro:deterministic
 func Exchange(cfg Config) error {
@@ -257,7 +256,7 @@ func exchangeSpMV(cfg Config) error {
 	iters := scalePick(cfg.Scale, 10, 100)
 	threads := cfg.threads()
 	fmt.Fprintln(cfg.W, "\nSpMV path (expand/fold phases):")
-	t := newTable(cfg.W, "Graph", "Ranks", "Threads", "Layout", "Mode", "Sweep(s)", "SentVals", "Reduction", "Allreduces", "NormRide")
+	t := newTable(cfg.W, "Graph", "Ranks", "Threads", "Layout", "Mode", "Sweep(s)", "SentVals", "Allreduces", "NormRide")
 	for _, tg := range representatives(cfg.Scale, seed)[:scalePick(cfg.Scale, 2, 4)] {
 		shared, err := tg.gen.Build()
 		if err != nil {
@@ -265,7 +264,6 @@ func exchangeSpMV(cfg Config) error {
 		}
 		placement := partition.VertexBlock(shared, ranks)
 		for _, layout := range []string{repro.Layout1D, repro.Layout2D} {
-			var syncVol int64
 			for _, async := range []bool{false, true} {
 				l := spmv.OneD
 				if layout == repro.Layout2D {
@@ -295,14 +293,8 @@ func exchangeSpMV(cfg Config) error {
 				if runErr != nil {
 					return fmt.Errorf("exchange: %s spmv %s: %w", tg.name, layout, runErr)
 				}
-				reduction := "-"
-				if !async {
-					syncVol = volume
-				} else if syncVol > 0 {
-					reduction = fmt.Sprintf("%.1f%%", 100*(1-float64(volume)/float64(syncVol)))
-				}
 				t.add(tg.name, fmt.Sprintf("%d", ranks), fmt.Sprintf("%d", threads), layout, modeName(async), secs(sweep),
-					fmt.Sprintf("%d", volume), reduction,
+					fmt.Sprintf("%d", volume),
 					fmt.Sprintf("%d", reductions),
 					fmt.Sprintf("%v", piggyback))
 			}

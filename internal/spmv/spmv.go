@@ -14,11 +14,14 @@
 // phases touch only a processor row/column, which is what accelerates
 // skewed graphs in Table III.
 //
-// Both phases run on either of two transports (Options.Async): the
-// bulk-synchronous world-wide Alltoallv, or nonblocking point-to-point
-// messages over the precomputed per-peer schedules with a local-copy
-// bypass for self-destined shares. The numerics are identical; only
-// traffic and synchronization differ.
+// Both phases send nonblocking point-to-point messages over the
+// precomputed per-peer schedules, with a local-copy bypass for
+// self-destined shares. Normalization is deferred by one iteration:
+// each expand ships the previous product unnormalized and receivers
+// divide by the global ∞-norm while filling their x buffers. The mode
+// (Options.Async) decides only where that divisor comes from — riding
+// the expand messages, or one Allreduce per expand — so the numerics
+// are identical in both modes.
 package spmv
 
 import (
@@ -59,30 +62,19 @@ type Options struct {
 	Layout Layout
 	// Iterations is the number of chained multiplies (paper: 100).
 	Iterations int
-	// Async replaces the two world-wide Alltoallv collectives per
-	// multiply with nonblocking point-to-point messages over the
-	// precomputed expand/fold schedules: each rank sends only to the
-	// peers its schedule names, and the self share — the entire fold
-	// under a 1D layout — bypasses the transport as a local copy. The
-	// numerics are bit-identical to the synchronous engine (values,
-	// fill order, and accumulation order are unchanged); only traffic
-	// and synchronization differ.
-	//
-	// Async mode additionally piggybacks the power iteration's
-	// per-iteration ∞-norm on the expand messages when the expand
-	// schedule's rank neighborhood is complete (detected collectively
-	// once per run): normalization is deferred one iteration — each
-	// rank ships its still-unnormalized vector entries plus its local
-	// norm contribution, and receivers fold the global max (exact in
-	// any order) and divide while filling their x buffers — so
-	// iterations perform zero AllreduceScalar, with one trailing
-	// reduction settling the final normalization. On incomplete
-	// neighborhoods the engine falls back to the exact per-iteration
-	// Allreduce; 2D layouts confine each rank's expand traffic to its
-	// processor column, so they always take the fallback — the
-	// piggyback is effectively a 1D-layout optimization. Checksums
-	// stay bit-identical either way (same IEEE divisions of the same
-	// operands, only computed receiver-side).
+	// Async decides only where each expand's deferred-normalization
+	// divisor comes from; both modes run the same point-to-point
+	// multiply. Sync reduces the global ∞-norm with one
+	// AllreduceScalar per expand (none on the first, whose divisor is
+	// 1 on every rank). Async rides each rank's local norm
+	// contribution on its expand messages when the expand schedule's
+	// rank neighborhood is complete (detected collectively once per
+	// run): receivers fold the global max, exact in any order, so
+	// iterations perform zero AllreduceScalar. On incomplete
+	// neighborhoods async falls back to sync's per-expand Allreduce;
+	// 2D layouts confine each rank's expand traffic to its processor
+	// column, so they always take the fallback. Checksums are
+	// bit-identical in both modes.
 	Async bool
 }
 
@@ -91,15 +83,13 @@ type Result struct {
 	// Time is the wall clock for all iterations on this rank.
 	Time time.Duration
 	// CommVolume is the total number of vector/partial values this rank
-	// sent across all iterations. The synchronous engine pushes
-	// self-destined shares through the Alltoallv like any MPI
-	// implementation and counts them; the async engine's local-copy
-	// bypass counts only values sent to other ranks. The piggybacked
-	// norm element is framing, not a vector value, and is not counted.
+	// sent to other ranks across all iterations, equal in both modes.
+	// Self-destined shares are local copies and are not counted, and
+	// neither is the ridden norm element (framing, not a vector value).
 	CommVolume int64
 	// Checksum is the global ∞-norm the last iteration divides by,
 	// ‖A·x_{k−1}‖∞ (0 when that product is zero), identical on every
-	// rank. It is bit-identical across engines, thread counts and
+	// rank. It is bit-identical across modes, thread counts and
 	// substrates under one layout; 1D and 2D fold partial sums in
 	// different orders, so across layouts it agrees only to rounding.
 	Checksum float64
@@ -109,15 +99,15 @@ type Result struct {
 	// communication.
 	MultiplyTime time.Duration
 	// Reductions is the number of Allreduce operations this rank
-	// performed during Run: iterations for the synchronous engine (one
-	// norm per iteration); 2 for the async engine on complete rank
-	// neighborhoods (completeness detection and the trailing deferred
-	// normalization, independent of the iteration count); and
-	// iterations+1 for the async engine's per-iteration fallback.
+	// performed during Run: iterations in sync mode (one norm per
+	// expand after the first, plus the trailing settle); 2 in async
+	// mode on complete rank neighborhoods (completeness detection and
+	// the trailing settle, independent of the iteration count); and
+	// iterations+1 for the async fallback (sync's plus the detection).
 	Reductions int64
-	// NormPiggyback reports whether the async engine rode the
-	// per-iteration ∞-norm on the expand messages (complete rank
-	// neighborhood detected).
+	// NormPiggyback reports whether async mode rode the per-iteration
+	// ∞-norm on the expand messages (complete rank neighborhood
+	// detected).
 	NormPiggyback bool
 }
 
@@ -161,9 +151,8 @@ type matrix struct {
 	xbuf    []float64
 
 	// Expand schedule: for each dst, the owned vector positions to send
-	// (indices into x). Received values fill xbuf directly because
-	// colGIDs is sorted (owner rank, gid) — the concatenation order of
-	// the Alltoallv.
+	// (indices into x). Each source's values fill one contiguous xbuf
+	// segment because colGIDs is sorted (owner rank, gid).
 	expandSend [][]int
 
 	// Fold schedule (2D): per dst, positions into rowGIDs to send; and
@@ -171,22 +160,20 @@ type matrix struct {
 	foldSend [][]int
 	foldRecv [][]int
 
-	// Async engine state (Options.Async): xbuf segment offsets per
-	// source rank, and the remote peers each phase actually touches.
-	// The synchronous engine needs none of this — the Alltoallv counts
-	// encode the same information per call.
-	async     bool
+	// xbuf segment offsets per source rank, and the remote peers each
+	// phase actually touches.
 	colOff    []int
 	expandOut []int
 	expandIn  []int
 	foldOut   []int
 
-	// Norm-piggyback state (async mode, complete expand neighborhood):
-	// pendNorm is this rank's local ∞-norm contribution for the
-	// deferred normalization — max |y| of the previous multiply, 1.0
-	// before the first (dividing by it must be exact, and x/1.0 is) —
-	// and normSegs parks received expand segments until every peer's
-	// contribution has arrived and the global divisor is known.
+	// Deferred-normalization state: pendNorm is this rank's local
+	// ∞-norm contribution — max |y| of the previous multiply, 1.0
+	// before the first (dividing by it must be exact, and x/1.0 is);
+	// normPiggyback rides it on the expand messages (async mode,
+	// complete expand neighborhood) instead of reducing it; and
+	// normSegs parks received expand segments until the global
+	// divisor is known.
 	normPiggyback bool
 	pendNorm      float64
 	normSegs      [][]float64
@@ -195,16 +182,10 @@ type matrix struct {
 	partial []float64 // per present row
 	y       []float64 // per owned vector entry
 
-	// Reusable per-multiply wire state: the expand/fold send counts and
-	// buffers of the synchronous engine, and the per-peer staging
-	// buffer of the async engine. The schedules are fixed after build,
-	// so one warmup multiply sizes them and steady-state iterations
-	// stop allocating in the send paths.
-	expandCounts []int
-	foldCounts   []int
-	expandBuf    []float64
-	foldBuf      []float64
-	peerBuf      []float64
+	// Reusable per-peer send staging buffer. The schedules are fixed
+	// after build, so one warmup multiply sizes it and steady-state
+	// iterations stop allocating in the send paths.
+	peerBuf []float64
 }
 
 // nzRank maps nonzero (u, v) to its rank for the given layout.
@@ -388,70 +369,107 @@ func build(c *mpi.Comm, g *graph.Graph, parts []int32, layout Layout) (*matrix, 
 	return m, nil
 }
 
-// multiply performs one distributed SpMV: y = A x, leaving y in m.y.
-// It returns the number of values this rank sent.
-func (m *matrix) multiply() int64 {
-	if m.async {
-		return m.multiplyAsync()
-	}
+// multiply performs one distributed SpMV on the deferred-normalized
+// vector, y = A·(x / norm), leaving y in m.y. norm is the global max of
+// every rank's pendNorm: reduced by one Allreduce when reduce is set,
+// folded from the expand messages under the norm ride, and taken as
+// is otherwise (before the first multiply every rank's pendNorm is 1).
+// It returns the number of vector/partial values this rank sent to
+// other ranks.
+//
+// Both phases send one point-to-point message per scheduled remote
+// peer and copy the self share locally. Fill and accumulation orders
+// are fixed (xbuf segments are source-major, y adds run in ascending
+// source rank with the self share at its rank position), and every
+// entry is divided by the same global max however it was obtained
+// (max never rounds), so the iterated vector — and Result.Checksum —
+// is bit-identical in both modes.
+//
+//repro:hotpath
+func (m *matrix) multiply(reduce bool) int64 {
 	var volume int64
 
-	// Expand: ship owned x entries to nonzero holders. Counts are
-	// schedule-derived and fixed; buffers reuse their capacity.
-	if m.expandCounts == nil {
-		m.expandCounts = make([]int, m.p)
-		m.foldCounts = make([]int, m.p)
-		for d := 0; d < m.p; d++ {
-			m.expandCounts[d] = len(m.expandSend[d])
-			m.foldCounts[d] = len(m.foldSend[d])
-		}
-	}
-	total := 0
-	sendBuf := m.expandBuf[:0]
-	for d := 0; d < m.p; d++ {
-		total += m.expandCounts[d]
+	// Expand: the remote sends first (Isend is eager and never blocks,
+	// and copies at call time, so one staging buffer serves every
+	// peer), then the divisor, then the receives. Entries travel
+	// unnormalized; under the ride each message appends the sender's
+	// norm contribution. Received segments are parked in normSegs
+	// until the divisor is total.
+	for _, d := range m.expandOut {
+		buf := m.peerBuf[:0]
 		for _, xi := range m.expandSend[d] {
-			sendBuf = append(sendBuf, m.x[xi])
+			buf = append(buf, m.x[xi])
 		}
+		volume += int64(len(buf))
+		if m.normPiggyback {
+			buf = append(buf, m.pendNorm)
+		}
+		m.peerBuf = buf
+		mpi.Isend(m.c, d, buf)
 	}
-	m.expandBuf = sendBuf
-	volume += int64(total)
-	recv, _ := mpi.Alltoallv(m.c, sendBuf, m.expandCounts)
-	copy(m.xbuf, recv) // src-major, gid-sorted: matches colGIDs order
+	norm := m.pendNorm
+	if reduce {
+		norm = mpi.AllreduceScalar(m.c, norm, mpi.Max)
+	}
+	m.normSegs = m.normSegs[:0]
+	for _, s := range m.expandIn {
+		seg := mpi.Irecv[float64](m.c, s).Await()
+		if m.normPiggyback {
+			if n := seg[len(seg)-1]; n > norm {
+				norm = n
+			}
+		}
+		m.normSegs = append(m.normSegs, seg)
+	}
+	if norm == 0 {
+		norm = 1 // a zero product leaves x unscaled
+	}
+	for i, xi := range m.expandSend[m.me] {
+		m.xbuf[m.colOff[m.me]+i] = m.x[xi] / norm
+	}
+	m.divNorm = norm
+	for si, s := range m.expandIn {
+		m.divDst, m.divSrc = m.xbuf[m.colOff[s]:m.colOff[s+1]], m.normSegs[si]
+		par.ForChunk(0, m.colOff[s+1]-m.colOff[s], m.threads, m.divBody)
+		m.normSegs[si] = nil // release the transfer copy
+	}
 
 	m.localMultiply()
 
-	// Fold: ship partial row sums to vector owners and accumulate.
-	ftotal := 0
-	fbuf := m.foldBuf[:0]
-	for d := 0; d < m.p; d++ {
-		ftotal += m.foldCounts[d]
+	// Fold: ship partial row sums to remote vector owners; under a 1D
+	// layout every row is owner-local and this loop sends nothing.
+	for _, d := range m.foldOut {
+		buf := m.peerBuf[:0]
 		for _, ri := range m.foldSend[d] {
-			fbuf = append(fbuf, m.partial[ri])
+			buf = append(buf, m.partial[ri])
 		}
+		m.peerBuf = buf
+		mpi.Isend(m.c, d, buf)
+		volume += int64(len(buf))
 	}
-	m.foldBuf = fbuf
-	volume += int64(ftotal)
-	frecv, _ := mpi.Alltoallv(m.c, fbuf, m.foldCounts)
 	for i := range m.y {
 		m.y[i] = 0
 	}
-	pos := 0
 	for s := 0; s < m.p; s++ {
-		n := len(m.foldRecv[s])
-		m.foldDstIdx, m.foldSeg = m.foldRecv[s], frecv[pos:pos+n]
-		par.ForChunk(0, n, m.threads, m.foldBody)
-		pos += n
+		if s == m.me {
+			par.ForChunk(0, len(m.foldSend[s]), m.threads, m.selfBody)
+			continue
+		}
+		if len(m.foldRecv[s]) == 0 {
+			continue
+		}
+		seg := mpi.Irecv[float64](m.c, s).Await()
+		m.foldDstIdx, m.foldSeg = m.foldRecv[s], seg
+		par.ForChunk(0, len(m.foldRecv[s]), m.threads, m.foldBody)
 	}
 	return volume
 }
 
 // localMultiply computes the partial row sums from the filled x
-// buffer — the compute kernel both engines share, so the cross-engine
-// bit-identical-checksum guarantee cannot drift. Rows fan out across
-// the rank's worker threads; each row's inner sum stays a serial
-// ascending accumulation and each row writes its own partial slot, so
-// the partials are bit-identical at every thread count.
+// buffer. Rows fan out across the rank's worker threads; each row's
+// inner sum stays a serial ascending accumulation and each row writes
+// its own partial slot, so the partials are bit-identical at every
+// thread count.
 //
 //repro:hotpath
 //repro:timing
@@ -478,7 +496,7 @@ func (m *matrix) mulChunk(lo, hi, _ int) {
 // foldAddChunk accumulates one source's received fold segment:
 // y[foldDstIdx[j]] += foldSeg[j]. Within a source the destination
 // indices are distinct, so the adds are disjoint; sources are folded
-// serially in ascending rank order by the callers, which is what keeps
+// serially in ascending rank order by multiply, which is what keeps
 // each y element's float accumulation order fixed.
 //
 //repro:hotpath
@@ -500,8 +518,8 @@ func (m *matrix) foldSelfChunk(lo, hi, _ int) {
 	}
 }
 
-// divChunk performs the piggyback's deferred normalization on one
-// xbuf segment: divDst[j] = divSrc[j] / divNorm, disjoint per index.
+// divChunk performs the deferred normalization on one received xbuf
+// segment: divDst[j] = divSrc[j] / divNorm, disjoint per index.
 //
 //repro:hotpath
 func (m *matrix) divChunk(lo, hi, _ int) {
@@ -509,123 +527,6 @@ func (m *matrix) divChunk(lo, hi, _ int) {
 	for j := lo; j < hi; j++ {
 		dst[j] = src[j] / norm
 	}
-}
-
-// multiplyAsync is multiply on point-to-point messages: the expand and
-// fold phases each send one message per scheduled remote peer and copy
-// the self share locally. Fill and accumulation orders match the
-// synchronous engine exactly (xbuf segments are source-major, y adds
-// run in ascending source rank with the self share at its rank
-// position), so the iterated vector — and Result.Checksum — is
-// bit-identical across engines.
-//
-//repro:hotpath
-func (m *matrix) multiplyAsync() int64 {
-	var volume int64
-	me := m.c.Rank()
-
-	// Expand: remote sends first (Isend is eager and never blocks),
-	// then the local copy, then the receives. Isend copies at call
-	// time, so one staging buffer serves every peer.
-	if m.normPiggyback {
-		volume += m.expandPiggyback(me)
-	} else {
-		for _, d := range m.expandOut {
-			buf := m.peerBuf[:0]
-			for _, xi := range m.expandSend[d] {
-				buf = append(buf, m.x[xi])
-			}
-			m.peerBuf = buf
-			mpi.Isend(m.c, d, buf)
-			volume += int64(len(buf))
-		}
-		for i, xi := range m.expandSend[me] {
-			m.xbuf[m.colOff[me]+i] = m.x[xi]
-		}
-		for _, s := range m.expandIn {
-			seg := mpi.Irecv[float64](m.c, s).Await()
-			copy(m.xbuf[m.colOff[s]:m.colOff[s+1]], seg)
-		}
-	}
-
-	m.localMultiply()
-
-	// Fold: ship partial row sums to remote vector owners; under a 1D
-	// layout every row is owner-local and this loop sends nothing.
-	for _, d := range m.foldOut {
-		buf := m.peerBuf[:0]
-		for _, ri := range m.foldSend[d] {
-			buf = append(buf, m.partial[ri])
-		}
-		m.peerBuf = buf
-		mpi.Isend(m.c, d, buf)
-		volume += int64(len(buf))
-	}
-	for i := range m.y {
-		m.y[i] = 0
-	}
-	for s := 0; s < m.p; s++ {
-		if s == me {
-			par.ForChunk(0, len(m.foldSend[me]), m.threads, m.selfBody)
-			continue
-		}
-		if len(m.foldRecv[s]) == 0 {
-			continue
-		}
-		seg := mpi.Irecv[float64](m.c, s).Await()
-		m.foldDstIdx, m.foldSeg = m.foldRecv[s], seg
-		par.ForChunk(0, len(m.foldRecv[s]), m.threads, m.foldBody)
-	}
-	return volume
-}
-
-// expandPiggyback is the expand phase under the ∞-norm piggyback: the
-// vector entries travel unnormalized with the sender's local norm
-// contribution appended, the receiver folds the global max over its
-// own and every peer's contribution (exact in any order — max never
-// rounds — so it equals the AllreduceScalar it replaces bit for bit),
-// and the deferred division happens while filling xbuf. The divided
-// values are the same IEEE quotients the synchronous engine computes
-// owner-side before shipping, so the numerics cannot drift. Received
-// segments are parked in normSegs until every contribution has
-// arrived, because no entry may be divided before the fold is total.
-//
-//repro:hotpath
-func (m *matrix) expandPiggyback(me int) int64 {
-	var volume int64
-	for _, d := range m.expandOut {
-		buf := m.peerBuf[:0]
-		for _, xi := range m.expandSend[d] {
-			buf = append(buf, m.x[xi])
-		}
-		buf = append(buf, m.pendNorm)
-		m.peerBuf = buf
-		mpi.Isend(m.c, d, buf)
-		volume += int64(len(buf) - 1)
-	}
-	norm := m.pendNorm
-	m.normSegs = m.normSegs[:0]
-	for _, s := range m.expandIn {
-		seg := mpi.Irecv[float64](m.c, s).Await()
-		if n := seg[len(seg)-1]; n > norm {
-			norm = n
-		}
-		m.normSegs = append(m.normSegs, seg)
-	}
-	if norm == 0 {
-		norm = 1 // the synchronous engine's zero-norm guard
-	}
-	for i, xi := range m.expandSend[me] {
-		m.xbuf[m.colOff[me]+i] = m.x[xi] / norm
-	}
-	m.divNorm = norm
-	for si, s := range m.expandIn {
-		seg := m.normSegs[si]
-		m.divDst, m.divSrc = m.xbuf[m.colOff[s]:m.colOff[s+1]], seg
-		par.ForChunk(0, m.colOff[s+1]-m.colOff[s], m.threads, m.divBody)
-		m.normSegs[si] = nil // release the transfer copy
-	}
-	return volume
 }
 
 // Run executes opt.Iterations chained multiplies (x ← A x / ‖A x‖∞)
@@ -649,50 +550,35 @@ func run(c *mpi.Comm, g *graph.Graph, parts []int32, opt Options) (Result, *matr
 	if err != nil {
 		return Result{}, nil, err
 	}
-	m.async = opt.Async
 	redBase := c.Stats().ReductionOps
 	if opt.Async {
-		// One-time collective detection: the norm piggyback needs every
-		// rank to hear every other rank's contribution on each expand,
-		// i.e. a complete expand rank neighborhood on EVERY rank.
+		// One-time collective detection: the norm ride needs every rank
+		// to hear every other rank's contribution on each expand, i.e.
+		// a complete expand rank neighborhood on EVERY rank.
 		m.normPiggyback = mpi.NeighborhoodComplete(c, len(m.expandIn))
-		m.pendNorm = 1
 	}
+	m.pendNorm = 1
 	var res Result
 	start := time.Now()
 	for it := 0; it < opt.Iterations; it++ {
-		res.CommVolume += m.multiply()
-		// Normalize by the global ∞-norm to keep the iteration bounded
-		// (power iteration on the adjacency matrix). Max is order-
-		// independent, so the parallel reduction is exact.
-		local := par.MaxFloat64(0, len(m.y), m.threads, 0,
+		res.CommVolume += m.multiply(it > 0 && !m.normPiggyback)
+		// Power iteration on the adjacency matrix, normalized by the
+		// global ∞-norm one iteration late: y becomes the next x
+		// unnormalized, and its local norm contribution the next
+		// expand's divisor. Max is order-independent, so the parallel
+		// reduction is exact.
+		m.pendNorm = par.MaxFloat64(0, len(m.y), m.threads, 0,
 			func(i int) float64 { return math.Abs(m.y[i]) })
-		if m.normPiggyback {
-			// Deferred: keep y unnormalized and remember the local norm
-			// contribution — the next expand ships it and divides on
-			// receive; no reduction this iteration.
-			m.pendNorm = local
-			copy(m.x, m.y)
-			continue
-		}
-		norm := mpi.AllreduceScalar(c, local, mpi.Max)
-		res.Checksum = norm
-		if norm == 0 {
-			norm = 1
-		}
-		par.For(0, len(m.y), m.threads, func(i int) { m.x[i] = m.y[i] / norm })
+		m.x, m.y = m.y, m.x
 	}
-	if m.normPiggyback {
-		// Settle the last iteration's deferred normalization: the one
-		// reduction the piggyback leaves, independent of the iteration
-		// count.
-		norm := mpi.AllreduceScalar(c, m.pendNorm, mpi.Max)
-		res.Checksum = norm
-		if norm == 0 {
-			norm = 1
-		}
-		par.For(0, len(m.x), m.threads, func(i int) { m.x[i] = m.x[i] / norm })
+	// Settle the last iteration's deferred normalization: the one
+	// reduction left after the loop in both modes.
+	norm := mpi.AllreduceScalar(c, m.pendNorm, mpi.Max)
+	res.Checksum = norm
+	if norm == 0 {
+		norm = 1
 	}
+	par.For(0, len(m.x), m.threads, func(i int) { m.x[i] /= norm })
 	res.Time = time.Since(start)
 	res.Reductions = c.Stats().ReductionOps - redBase
 	res.NormPiggyback = m.normPiggyback

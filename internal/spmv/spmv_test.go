@@ -176,27 +176,38 @@ func TestRejectsBadPartition(t *testing.T) {
 	})
 }
 
+// BenchmarkSpMV1D8Ranks times 10 chained multiplies in each mode: the
+// one point-to-point engine with the norm reduced per expand (sync) or
+// riding the expand messages (async). Two threads per rank put the
+// row sums, folds and receive-side divides on parallel chunks, so a
+// -race run of this benchmark covers them.
 func BenchmarkSpMV1D8Ranks(b *testing.B) {
 	g := gen.RMAT(12, 16, 1).MustBuild()
 	parts := partition.Random(g, 8, 2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mpi.Run(8, func(c *mpi.Comm) {
-			if _, err := Run(c, g, parts, Options{Layout: OneD, Iterations: 10}); err != nil {
-				b.Fatal(err)
+	for _, async := range []bool{false, true} {
+		name := "sync"
+		if async {
+			name = "async"
+		}
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				mpi.RunThreads(8, 2, func(c *mpi.Comm) {
+					if _, err := Run(c, g, parts, Options{Layout: OneD, Iterations: 10, Async: async}); err != nil {
+						b.Error(err)
+					}
+				})
 			}
 		})
 	}
 }
 
-// The async engine's ∞-norm piggyback: on a complete expand
-// neighborhood the per-iteration norm reduction rides the expand
-// messages, so the run's Allreduce count is a small constant
-// independent of the iteration count — while the checksum stays
-// bit-identical to the synchronous engine. The 2D layout confines each
-// rank's expand traffic to its processor column, so its neighborhood
-// is structurally incomplete and it must take the exact per-iteration
-// fallback instead (same checksum either way).
+// Async mode's ∞-norm piggyback: on a complete expand neighborhood the
+// per-iteration norm reduction rides the expand messages, so the run's
+// Allreduce count is a small constant independent of the iteration
+// count — while the checksum stays bit-identical to sync mode. The 2D
+// layout confines each rank's expand traffic to its processor column,
+// so its neighborhood is structurally incomplete and it must take the
+// exact per-iteration fallback instead (same checksum either way).
 func TestNormPiggybackZeroPerIterationAllreduce(t *testing.T) {
 	g := gen.ChungLu(2048, 16384, 2.0, 9).MustBuild()
 	const p = 4
