@@ -62,7 +62,7 @@ func seedLevels(g *dgraph.Graph, all []int64, srcGID int64, frontier []int32) []
 	for i := range all {
 		all[i] = -1
 	}
-	if lid, ok := g.G2L[srcGID]; ok {
+	if lid, ok := g.LID(srcGID); ok {
 		all[lid] = 0
 		if !g.IsGhost(lid) {
 			frontier = append(frontier, lid)

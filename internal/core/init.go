@@ -82,7 +82,7 @@ func (s *state) initBFS() int {
 	pending := 0
 	var rootQ []dgraph.Update
 	for i, gid := range roots {
-		if lid, ok := g.G2L[gid]; ok && !g.IsGhost(lid) {
+		if lid, ok := g.LID(gid); ok && !g.IsGhost(lid) {
 			s.parts[lid] = int32(i)
 			rootQ = append(rootQ, dgraph.Update{LID: lid, Value: int32(i)})
 			pending++

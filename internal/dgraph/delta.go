@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
 
 	"repro/internal/mpi"
 )
@@ -70,9 +69,11 @@ type boundaryPlan struct {
 	// sendLists[i] holds the owned lids shared with sendRanks[i] in
 	// increasing gid order.
 	sendLists [][]int32
-	// targets[v] lists, for owned vertex v, every (neighbor, index)
-	// slot it occupies; nil for interior vertices.
-	targets [][]ghostTarget
+	// targetOff and targets are a CSR over owned vertices: owned vertex
+	// v occupies the (neighbor, index) slots
+	// targets[targetOff[v]:targetOff[v+1]], none for interior vertices.
+	targetOff []int64
+	targets   []ghostTarget
 	// recvRanks are the neighbor ranks owning at least one ghost,
 	// ascending (equal to sendRanks by symmetry of the undirected
 	// graph, but derived independently from the ghost set).
@@ -93,63 +94,99 @@ type boundaryPlan struct {
 // communication happens. Correctness rests on a symmetry of the CSR
 // build: owned vertex v is ghosted on rank r exactly when v has a
 // neighbor owned by r, so both endpoints of a rank pair can enumerate
-// the same shared set and sort it by gid.
+// the same shared set in gid order. Every per-rank list is a window of
+// one flat array, sized by a counting pass before it is filled.
 func newBoundaryPlan(g *Graph) *boundaryPlan {
 	nprocs := g.Comm.Size()
-	p := &boundaryPlan{targets: make([][]ghostTarget, g.NLocal)}
+	p := &boundaryPlan{targetOff: make([]int64, g.NLocal+1)}
 
 	// Send side: owned vertices in lid order are already gid-sorted.
-	seen := make([]int32, nprocs) // last owned lid appended per rank, +1
-	perRank := make([][]int32, nprocs)
-	for v := 0; v < g.NLocal; v++ {
+	// eachOwner calls fn once per distinct owner rank of v's ghosts.
+	seen := make([]int32, nprocs) // last owned lid visited per rank, +1
+	eachOwner := func(v int, fn func(r int32)) {
 		for _, u := range g.Neighbors(int32(v)) {
 			if !g.IsGhost(u) {
 				continue
 			}
 			r := g.GhostOwner[int(u)-g.NLocal]
-			if seen[r] == int32(v)+1 {
-				continue
+			if seen[r] != int32(v)+1 {
+				seen[r] = int32(v) + 1
+				fn(r)
 			}
-			seen[r] = int32(v) + 1
-			perRank[r] = append(perRank[r], int32(v))
 		}
 	}
-	for r := 0; r < nprocs; r++ {
-		if len(perRank[r]) == 0 {
-			continue
-		}
-		pos := int32(len(p.sendRanks))
-		p.sendRanks = append(p.sendRanks, int32(r))
-		p.sendLists = append(p.sendLists, perRank[r])
-		for idx, lid := range perRank[r] {
-			p.targets[lid] = append(p.targets[lid], ghostTarget{rankPos: pos, idx: int32(idx)})
-		}
+	sendLen := make([]int32, nprocs)
+	nTargets := 0
+	for v := 0; v < g.NLocal; v++ {
+		eachOwner(v, func(r int32) {
+			sendLen[r]++
+			nTargets++
+		})
+	}
+	var sendPos []int32
+	p.sendRanks, p.sendLists, sendPos = windows(sendLen)
+	p.targets = make([]ghostTarget, nTargets)
+	clear(seen)
+	clear(sendLen)
+	n := int64(0)
+	for v := 0; v < g.NLocal; v++ {
+		eachOwner(v, func(r int32) {
+			pos := sendPos[r]
+			p.sendLists[pos][sendLen[r]] = int32(v)
+			p.targets[n] = ghostTarget{rankPos: pos, idx: sendLen[r]}
+			sendLen[r]++
+			n++
+		})
+		p.targetOff[v+1] = n
 	}
 
-	// Receive side: ghosts grouped by owner, then gid-sorted to match
-	// the owner's enumeration order.
-	ghostsByOwner := make([][]int32, nprocs)
-	for i := 0; i < g.NGhost; i++ {
-		r := g.GhostOwner[i]
-		ghostsByOwner[r] = append(ghostsByOwner[r], int32(g.NLocal+i))
+	// Receive side: a gid-ordered scan of the build's index lists each
+	// owner's ghosts in the owner's enumeration order.
+	recvLen := make([]int32, nprocs)
+	for _, r := range g.GhostOwner {
+		recvLen[r]++
 	}
+	var recvPos []int32
+	p.recvRanks, p.recvLists, recvPos = windows(recvLen)
+	clear(recvLen)
 	p.ghostRankPos = make([]int32, g.NGhost)
 	p.ghostIdx = make([]int32, g.NGhost)
-	for r := 0; r < nprocs; r++ {
-		lids := ghostsByOwner[r]
-		if len(lids) == 0 {
+	for _, x := range g.index {
+		lid := int(x) - 1
+		if lid < g.NLocal {
 			continue
 		}
-		sort.Slice(lids, func(a, b int) bool { return g.L2G[lids[a]] < g.L2G[lids[b]] })
-		pos := int32(len(p.recvRanks))
-		p.recvRanks = append(p.recvRanks, int32(r))
-		p.recvLists = append(p.recvLists, lids)
-		for idx, lid := range lids {
-			p.ghostRankPos[int(lid)-g.NLocal] = pos
-			p.ghostIdx[int(lid)-g.NLocal] = int32(idx)
-		}
+		gi := lid - g.NLocal
+		r := g.GhostOwner[gi]
+		pos := recvPos[r]
+		p.recvLists[pos][recvLen[r]] = int32(lid)
+		p.ghostRankPos[gi] = pos
+		p.ghostIdx[gi] = recvLen[r]
+		recvLen[r]++
 	}
 	return p
+}
+
+// windows lays out one list per rank of nonzero length as windows of
+// one flat array, in rank order. It returns those ranks, their
+// windows, and each rank's position among them.
+func windows(lens []int32) (ranks []int32, lists [][]int32, pos []int32) {
+	total := 0
+	for _, n := range lens {
+		total += int(n)
+	}
+	flat := make([]int32, total)
+	pos = make([]int32, len(lens))
+	for r, n := range lens {
+		if n == 0 {
+			continue
+		}
+		pos[r] = int32(len(ranks))
+		ranks = append(ranks, int32(r))
+		lists = append(lists, flat[:n:n])
+		flat = flat[n:]
+	}
+	return ranks, lists, pos
 }
 
 // packUpdate encodes (index in shared list, part value) as one int64,
@@ -691,10 +728,10 @@ func (ex *DeltaExchanger) FlushTally(q []Update, tally []int64) ([]Update, []int
 		ex.sendBufs[i] = ex.sendBufs[i][:0]
 	}
 	for _, upd := range q {
-		if int(upd.LID) >= len(plan.targets) {
+		if upd.LID < 0 || int(upd.LID) >= ex.g.NLocal {
 			panic(fmt.Sprintf("dgraph: DeltaExchanger.Flush with non-owned lid %d", upd.LID))
 		}
-		for _, t := range plan.targets[upd.LID] {
+		for _, t := range plan.targets[plan.targetOff[upd.LID]:plan.targetOff[upd.LID+1]] {
 			ex.sendBufs[t.rankPos] = append(ex.sendBufs[t.rankPos], packUpdate(t.idx, upd.Value))
 		}
 	}
@@ -905,10 +942,10 @@ func (ex *DeltaExchanger) BeginValues(lids []int32, payloads []int64, tally []in
 		ex.fwdVal[i] = ex.fwdVal[i][:0]
 	}
 	for qi, lid := range lids {
-		if int(lid) >= len(plan.targets) {
+		if lid < 0 || int(lid) >= ex.g.NLocal {
 			panic(fmt.Sprintf("dgraph: BeginValues with non-owned lid %d", lid))
 		}
-		for _, t := range plan.targets[lid] {
+		for _, t := range plan.targets[plan.targetOff[lid]:plan.targetOff[lid+1]] {
 			ex.fwdIdx[t.rankPos] = append(ex.fwdIdx[t.rankPos], t.idx)
 			ex.fwdVal[t.rankPos] = append(ex.fwdVal[t.rankPos], payloads[qi])
 		}

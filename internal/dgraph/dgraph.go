@@ -2,7 +2,6 @@ package dgraph
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/graph"
@@ -32,14 +31,16 @@ type Graph struct {
 	Adj []int32
 	// L2G maps local id -> global id (len NLocal+NGhost).
 	L2G []int64
-	// G2L maps global id -> local id for owned and ghost vertices.
-	G2L map[int64]int32
 	// Degrees holds the global degree of every local and ghost vertex;
 	// ghost degrees are fetched from their owners at build time (the
 	// edge-weighted label propagation needs them).
 	Degrees []int64
 	// GhostOwner[i] is the owning rank of ghost NLocal+i.
 	GhostOwner []int32
+
+	// index maps gid -> lid+1 for owned and ghost vertices, 0 for the
+	// rest (len NGlobal); LID reads it.
+	index []int32
 
 	// boundary caches BoundaryVertices; interior its complement;
 	// boundaryMark the membership bitmap behind IsBoundaryVertex. The
@@ -85,110 +86,111 @@ func (g *Graph) OwnerOfLocal(v int32) int {
 }
 
 // FromEdgeChunks builds the distributed graph collectively. Each rank
-// passes its (arbitrary, possibly overlapping-none) chunk of the global
-// undirected edge list; edges are shuffled so that every arc lands on
-// its head's owner, then each rank assembles its local CSR, discovers
-// ghosts, and fetches ghost degrees.
+// passes its (arbitrary, possibly empty) chunk of the global undirected
+// edge list; every arc lands on its head's owner, then each rank
+// assembles its local CSR, discovers ghosts, and fetches ghost degrees.
+// The package doc's Construction section describes the passes.
 func FromEdgeChunks(c *mpi.Comm, nGlobal int64, chunk []graph.Edge, dist Distribution) (*Graph, error) {
 	if err := validateDistribution(dist, c.Size(), nGlobal); err != nil {
 		return nil, err
 	}
-	nprocs := c.Size()
+	nprocs, me := c.Size(), c.Rank()
+	b := &shardBuilder{index: make([]int32, nGlobal)}
+	b.nLocal = int32(indexOwned(dist, nGlobal, me, b.index))
 
-	// Shuffle arcs to owners: edge {u, v} becomes arc u->v sent to
-	// owner(u) and arc v->u sent to owner(v). Self loops produce a
-	// single arc.
+	// Ship the arcs whose head another rank owns: edge {u, v} becomes
+	// arc u->v for owner(u) and arc v->u for owner(v); a self loop is a
+	// single arc. This rank's own arcs stay in chunk, uncopied.
 	counts := make([]int, nprocs)
 	for _, e := range chunk {
 		if e.U < 0 || e.U >= nGlobal || e.V < 0 || e.V >= nGlobal {
 			return nil, fmt.Errorf("dgraph: edge (%d,%d) out of range [0,%d)", e.U, e.V, nGlobal)
 		}
-		counts[dist.Owner(e.U)] += 2
-		if e.U != e.V {
+		if !b.owns(e.U) {
+			counts[dist.Owner(e.U)] += 2
+		}
+		if e.U != e.V && !b.owns(e.V) {
 			counts[dist.Owner(e.V)] += 2
 		}
 	}
-	offsets := make([]int, nprocs+1)
-	for r := 0; r < nprocs; r++ {
-		offsets[r+1] = offsets[r] + counts[r]
-	}
-	sendBuf := make([]int64, offsets[nprocs])
 	cursor := make([]int, nprocs)
-	copy(cursor, offsets[:nprocs])
+	words := 0
+	for r, n := range counts {
+		cursor[r] = words
+		words += n
+	}
+	sendBuf := make([]int64, words)
 	put := func(dst int, head, tail int64) {
 		sendBuf[cursor[dst]] = head
 		sendBuf[cursor[dst]+1] = tail
 		cursor[dst] += 2
 	}
 	for _, e := range chunk {
-		put(dist.Owner(e.U), e.U, e.V)
-		if e.U != e.V {
+		if !b.owns(e.U) {
+			put(dist.Owner(e.U), e.U, e.V)
+		}
+		if e.U != e.V && !b.owns(e.V) {
 			put(dist.Owner(e.V), e.V, e.U)
 		}
 	}
-	recv, _ := mpi.Alltoallv(c, sendBuf, counts)
+	recv, recvCounts := mpi.Alltoallv(c, sendBuf, counts)
 
-	// Owned vertex universe (including isolated vertices).
-	owned := ownedList(dist, nGlobal, c.Rank())
-	nLocal := len(owned)
-	g2l := make(map[int64]int32, nLocal*2)
-	for i, gid := range owned {
-		g2l[gid] = int32(i)
+	// Arcs are read in source-rank order, with this rank's own arcs
+	// (its Alltoallv slot is empty) read from chunk at position me, in
+	// chunk order: each vertex's adjacency keeps the order a full
+	// Alltoallv would have delivered.
+	if err := b.checkRemote(recv, me); err != nil {
+		return nil, err
 	}
-
-	// Local CSR over owned vertices with global neighbor ids first.
-	deg := make([]int64, nLocal)
-	for i := 0; i < len(recv); i += 2 {
-		head := recv[i]
-		lid, ok := g2l[head]
-		if !ok {
-			return nil, fmt.Errorf("dgraph: rank %d received arc head %d it does not own", c.Rank(), head)
+	split := 0
+	for _, n := range recvCounts[:me] {
+		split += n
+	}
+	before, after := recv[:split], recv[split:]
+	eachArc := func(fn func(head, tail int64)) {
+		for i := 0; i < len(before); i += 2 {
+			fn(before[i], before[i+1])
 		}
-		deg[lid]++
-	}
-	csrOff := make([]int64, nLocal+1)
-	for i := 0; i < nLocal; i++ {
-		csrOff[i+1] = csrOff[i] + deg[i]
-	}
-	adjGlobal := make([]int64, csrOff[nLocal])
-	fill := make([]int64, nLocal)
-	copy(fill, csrOff[:nLocal])
-	for i := 0; i < len(recv); i += 2 {
-		lid := g2l[recv[i]]
-		adjGlobal[fill[lid]] = recv[i+1]
-		fill[lid]++
-	}
-
-	// Ghost discovery: every adjacency gid not owned becomes a ghost.
-	l2g := make([]int64, nLocal, nLocal+64)
-	copy(l2g, owned)
-	var ghostOwner []int32
-	for _, gid := range adjGlobal {
-		if _, ok := g2l[gid]; !ok {
-			g2l[gid] = int32(len(l2g))
-			l2g = append(l2g, gid)
-			ghostOwner = append(ghostOwner, int32(dist.Owner(gid)))
+		for _, e := range chunk {
+			if b.owns(e.U) {
+				fn(e.U, e.V)
+			}
+			if e.U != e.V && b.owns(e.V) {
+				fn(e.V, e.U)
+			}
+		}
+		for i := 0; i < len(after); i += 2 {
+			fn(after[i], after[i+1])
 		}
 	}
-	nGhost := len(l2g) - nLocal
 
-	// Localize adjacency.
-	adj := make([]int32, len(adjGlobal))
-	for i, gid := range adjGlobal {
-		adj[i] = g2l[gid]
+	// Count pass: off[lid+1] accumulates the degree of lid.
+	b.off = make([]int64, b.nLocal+1)
+	eachArc(func(head, _ int64) { b.off[b.index[head]]++ })
+	for v := int32(0); v < b.nLocal; v++ {
+		b.off[v+1] += b.off[v]
 	}
 
+	// Fill pass: off[lid] is lid's cursor, so afterwards it holds lid's
+	// end, and shifting it one slot right restores the CSR offsets.
+	b.adj = make([]int32, b.off[b.nLocal])
+	eachArc(b.place)
+	copy(b.off[1:], b.off[:b.nLocal])
+	b.off[0] = 0
+
+	l2g, ghostOwner := b.renumberGhosts(dist)
+	nLocal, nGhost := int(b.nLocal), int(b.nGhost)
 	g := &Graph{
 		Comm:       c,
 		Dist:       dist,
 		NGlobal:    nGlobal,
 		NLocal:     nLocal,
 		NGhost:     nGhost,
-		Offsets:    csrOff,
-		Adj:        adj,
+		Offsets:    b.off,
+		Adj:        b.adj,
 		L2G:        l2g,
-		G2L:        g2l,
 		GhostOwner: ghostOwner,
+		index:      b.index,
 	}
 
 	// Global degree array: owned degrees are local CSR degrees (each
@@ -196,15 +198,100 @@ func FromEdgeChunks(c *mpi.Comm, nGlobal int64, chunk []graph.Edge, dist Distrib
 	// degrees are fetched from their owners.
 	g.Degrees = make([]int64, g.NTotal())
 	for v := 0; v < nLocal; v++ {
-		g.Degrees[v] = deg[v]
+		g.Degrees[v] = g.Offsets[v+1] - g.Offsets[v]
 	}
 	if err := g.fetchGhostDegrees(); err != nil {
 		return nil, err
 	}
 
-	arcsLocal := int64(len(adj))
+	arcsLocal := int64(len(g.Adj))
 	g.MGlobal = mpi.AllreduceScalar(c, arcsLocal, mpi.Sum) / 2
 	return g, nil
+}
+
+// shardBuilder holds FromEdgeChunks' working state. index maps gid to
+// lid+1 (0: not local): owned lids [1, nLocal] first, then ghosts as the
+// fill pass meets them.
+type shardBuilder struct {
+	index  []int32
+	nLocal int32
+	nGhost int32
+	off    []int64
+	adj    []int32
+}
+
+// owns reports whether gid is one of this rank's owned vertices.
+func (b *shardBuilder) owns(gid int64) bool {
+	x := b.index[gid]
+	return x > 0 && x <= b.nLocal
+}
+
+// checkRemote rejects received arcs this rank cannot own.
+func (b *shardBuilder) checkRemote(arcs []int64, rank int) error {
+	n := uint64(len(b.index))
+	for i := 0; i < len(arcs); i += 2 {
+		head, tail := arcs[i], arcs[i+1]
+		if uint64(head) >= n || uint64(tail) >= n || !b.owns(head) {
+			return fmt.Errorf("dgraph: rank %d received arc (%d,%d) whose head it does not own", rank, head, tail)
+		}
+	}
+	return nil
+}
+
+// place appends arc head->tail to head's adjacency, numbering tail as
+// the next ghost the first time it is met.
+func (b *shardBuilder) place(head, tail int64) {
+	lid := b.index[head] - 1
+	x := b.index[tail]
+	if x == 0 {
+		b.nGhost++
+		x = b.nLocal + b.nGhost
+		b.index[tail] = x
+	}
+	b.adj[b.off[lid]] = x - 1
+	b.off[lid]++
+}
+
+// renumberGhosts renumbers the ghosts, met in arrival order, in
+// first-seen CSR order (owned lid, then adjacency position), and then
+// derives L2G, GhostOwner and the final index in one gid-ordered scan.
+func (b *shardBuilder) renumberGhosts(dist Distribution) (l2g []int64, ghostOwner []int32) {
+	final := make([]int32, b.nGhost) // arrival number -> CSR number + 1
+	next := int32(0)
+	for i, a := range b.adj {
+		if a < b.nLocal {
+			continue
+		}
+		k := a - b.nLocal
+		if final[k] == 0 {
+			next++
+			final[k] = next
+		}
+		b.adj[i] = b.nLocal + final[k] - 1
+	}
+	l2g = make([]int64, b.nLocal+b.nGhost)
+	ghostOwner = make([]int32, b.nGhost)
+	for gid, x := range b.index {
+		if x > b.nLocal {
+			x = b.nLocal + final[x-1-b.nLocal]
+			b.index[gid] = x
+			ghostOwner[x-1-b.nLocal] = int32(dist.Owner(int64(gid)))
+		}
+		if x != 0 {
+			l2g[x-1] = int64(gid)
+		}
+	}
+	return l2g, ghostOwner
+}
+
+// LID returns the local id of global vertex gid and whether this rank
+// holds it, as an owned vertex or as a ghost.
+func (g *Graph) LID(gid int64) (int32, bool) {
+	if uint64(gid) >= uint64(len(g.index)) {
+		return -1, false
+	}
+	x := g.index[gid]
+	return x - 1, x != 0
 }
 
 // fetchGhostDegrees asks each ghost's owner for its degree via two
@@ -234,7 +321,7 @@ func (g *Graph) fetchGhostDegrees() error {
 	// Answer with degrees in the same order.
 	answers := make([]int64, len(recvQ))
 	for i, gid := range recvQ {
-		lid, ok := g.G2L[gid]
+		lid, ok := g.LID(gid)
 		if !ok || g.IsGhost(lid) {
 			return fmt.Errorf("dgraph: rank %d asked for degree of %d it does not own", g.Comm.Rank(), gid)
 		}
@@ -432,16 +519,10 @@ func (g *Graph) GatherGlobal(vals []int32) []int32 {
 	return out
 }
 
-// SortedGhostGIDs returns the ghost global ids in increasing order
-// (diagnostics and tests).
-func (g *Graph) SortedGhostGIDs() []int64 {
-	out := make([]int64, g.NGhost)
-	copy(out, g.L2G[g.NLocal:])
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Validate checks the shard's structural invariants.
+// Validate checks the shard's structural invariants: array lengths,
+// CSR shape, owned degrees, owned gids ascending and owned here, ghosts
+// owned by the rank GhostOwner names and never by this one, and LID the
+// exact inverse of L2G (which makes the ghosts distinct).
 func (g *Graph) Validate() error {
 	if int64(len(g.Offsets)) != int64(g.NLocal)+1 {
 		return fmt.Errorf("dgraph: offsets length %d != NLocal+1 = %d", len(g.Offsets), g.NLocal+1)
@@ -455,9 +536,15 @@ func (g *Graph) Validate() error {
 	if len(g.GhostOwner) != g.NGhost {
 		return fmt.Errorf("dgraph: ghost owner length %d != NGhost %d", len(g.GhostOwner), g.NGhost)
 	}
+	if int64(len(g.index)) != g.NGlobal {
+		return fmt.Errorf("dgraph: index length %d != NGlobal %d", len(g.index), g.NGlobal)
+	}
 	for v := 0; v < g.NLocal; v++ {
 		if g.Offsets[v+1] < g.Offsets[v] {
 			return fmt.Errorf("dgraph: offsets not monotone at %d", v)
+		}
+		if g.Degrees[v] != g.Offsets[v+1]-g.Offsets[v] {
+			return fmt.Errorf("dgraph: degree of lid %d is %d, its adjacency has %d", v, g.Degrees[v], g.Offsets[v+1]-g.Offsets[v])
 		}
 	}
 	if int64(len(g.Adj)) != g.Offsets[g.NLocal] {
@@ -468,17 +555,34 @@ func (g *Graph) Validate() error {
 			return fmt.Errorf("dgraph: adj[%d] = %d outside [0,%d)", i, u, g.NTotal())
 		}
 	}
+	me := g.Comm.Rank()
 	for lid, gid := range g.L2G {
-		if got, ok := g.G2L[gid]; !ok || got != int32(lid) {
-			return fmt.Errorf("dgraph: G2L/L2G mismatch at lid %d gid %d", lid, gid)
+		if gid < 0 || gid >= g.NGlobal {
+			return fmt.Errorf("dgraph: lid %d has gid %d outside [0,%d)", lid, gid, g.NGlobal)
 		}
-		want := g.Comm.Rank()
-		if lid >= g.NLocal {
-			want = int(g.GhostOwner[lid-g.NLocal])
+		if got, ok := g.LID(gid); !ok || got != int32(lid) {
+			return fmt.Errorf("dgraph: LID(L2G[%d] = %d) = %d, %v", lid, gid, got, ok)
 		}
-		if g.Dist.Owner(gid) != want {
-			return fmt.Errorf("dgraph: ownership mismatch for gid %d", gid)
+		owner := g.Dist.Owner(gid)
+		if lid < g.NLocal {
+			if owner != me {
+				return fmt.Errorf("dgraph: owned gid %d belongs to rank %d", gid, owner)
+			}
+			if lid > 0 && gid <= g.L2G[lid-1] {
+				return fmt.Errorf("dgraph: owned gids not ascending at lid %d", lid)
+			}
+		} else if want := int(g.GhostOwner[lid-g.NLocal]); owner != want || owner == me {
+			return fmt.Errorf("dgraph: ghost gid %d belongs to rank %d, GhostOwner says %d on rank %d", gid, owner, want, me)
 		}
+	}
+	held := 0
+	for _, x := range g.index {
+		if x != 0 {
+			held++
+		}
+	}
+	if held != g.NTotal() {
+		return fmt.Errorf("dgraph: index holds %d gids, NTotal is %d", held, g.NTotal())
 	}
 	return nil
 }

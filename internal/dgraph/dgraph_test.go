@@ -317,14 +317,16 @@ func TestFromEdgeChunksRejectsBadEdges(t *testing.T) {
 	// Every rank passes a bad edge so all fail locally before entering
 	// any collective (a single failing rank would deadlock, as real MPI
 	// would).
-	mpi.Run(2, func(c *mpi.Comm) {
-		chunk := []graph.Edge{{U: 0, V: 99}}
-		dg, err := FromEdgeChunks(c, 10, chunk, BlockDist{N: 10, P: c.Size()})
-		if err == nil {
-			t.Errorf("rank %d: expected out-of-range error", c.Rank())
-			dg.Close()
-		}
-	})
+	for _, bad := range []graph.Edge{{U: 0, V: 99}, {U: -1, V: 2}, {U: 10, V: 10}} {
+		mpi.Run(2, func(c *mpi.Comm) {
+			chunk := []graph.Edge{{U: 1, V: 2}, bad}
+			dg, err := FromEdgeChunks(c, 10, chunk, BlockDist{N: 10, P: c.Size()})
+			if err == nil {
+				t.Errorf("rank %d: expected out-of-range error for %v", c.Rank(), bad)
+				dg.Close()
+			}
+		})
+	}
 }
 
 func TestExchangeUpdatesThreadedMatchesSerial(t *testing.T) {

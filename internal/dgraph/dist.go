@@ -68,24 +68,26 @@ func (d HashDist) Owner(gid int64) int {
 // Name implements Distribution.
 func (d HashDist) Name() string { return "random" }
 
-// ownedList enumerates the gids owned by rank under dist over [0, n),
-// in increasing order.
-func ownedList(dist Distribution, n int64, rank int) []int64 {
+// indexOwned numbers the gids rank owns under dist over [0, n) in
+// increasing gid order, writing lid+1 into index[gid], and returns how
+// many it owns. A block distribution touches only its own range; any
+// other distribution is evaluated once per gid.
+func indexOwned(dist Distribution, n int64, rank int, index []int32) int {
 	if b, ok := dist.(BlockDist); ok {
 		lo, hi := b.Range(rank)
-		out := make([]int64, hi-lo)
-		for i := range out {
-			out[i] = lo + int64(i)
+		for gid := lo; gid < hi; gid++ {
+			index[gid] = int32(gid-lo) + 1
 		}
-		return out
+		return int(hi - lo)
 	}
-	var out []int64
+	nLocal := int32(0)
 	for gid := int64(0); gid < n; gid++ {
 		if dist.Owner(gid) == rank {
-			out = append(out, gid)
+			nLocal++
+			index[gid] = nLocal
 		}
 	}
-	return out
+	return int(nLocal)
 }
 
 // validateDistribution sanity checks a distribution against a world

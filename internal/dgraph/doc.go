@@ -8,10 +8,28 @@
 // # Construction
 //
 // FromEdgeChunks builds the shard collectively from arbitrary edge-list
-// chunks: arcs are shuffled to their head's owner, each rank assembles
-// a local CSR, discovers ghosts, and fetches ghost degrees. The
-// Distribution implementations (BlockDist, HashDist, PartsDist) map
-// global vertex ids to owning ranks.
+// chunks in linear passes, with no hash map and no copy of the rank's
+// own arcs. The Distribution implementations (BlockDist, HashDist,
+// PartsDist) map global vertex ids to owning ranks.
+//
+//   - A dense length-NGlobal index maps gid to lid+1 (0: not local).
+//     Owned vertices are numbered first, in gid order; a block
+//     distribution writes only its own range.
+//   - Only arcs whose head another rank owns are packed and shipped in
+//     one Alltoallv. The rank's own arcs stay in its chunk: the build
+//     reads arcs in source-rank order, taking its own straight from the
+//     chunk at its own position, which is the order a full shuffle
+//     would deliver. A one-rank world packs and copies nothing.
+//   - A count pass sizes the CSR and rejects received arcs whose head
+//     this rank does not own; a fill pass writes task-local adjacency,
+//     giving each new ghost the next index entry as it is met.
+//   - Ghosts are then renumbered in first-seen CSR order, and one
+//     gid-ordered scan of the index fills L2G, GhostOwner and the final
+//     index. Ghost degrees come from their owners in two Alltoallvs.
+//
+// Every array is sized before it is filled. Graph.LID reads the index
+// afterwards, and the boundary plan takes its per-owner receive lists
+// from the same gid-ordered scan.
 //
 // # Boundary exchange: one transport
 //

@@ -7,7 +7,7 @@ import (
 )
 
 // The exchange tests check the delta exchanger against a serial
-// oracle built from L2G and G2L: every rank's shipped (gid, payload)
+// oracle built from L2G and LID: every rank's shipped (gid, payload)
 // pairs are gathered world-wide, and what a rank must receive follows
 // from its own id maps alone.
 
@@ -40,7 +40,7 @@ func oraclePushPairs(c *mpi.Comm, dg *Graph, ghosts []int32, payloads []int64) [
 	var vals []int64
 	for _, pairs := range mpi.Allgatherv(c, gidPairs(dg, ghosts, payloads)) {
 		for i := 0; i+1 < len(pairs); i += 2 {
-			if lid, ok := dg.G2L[pairs[i]]; ok && !dg.IsGhost(lid) {
+			if lid, ok := dg.LID(pairs[i]); ok && !dg.IsGhost(lid) {
 				lids = append(lids, lid)
 				vals = append(vals, pairs[i+1])
 			}

@@ -36,6 +36,9 @@ type Generator struct {
 	M int64
 	// blocks is the number of generation blocks covering M edges.
 	blocks int64
+	// blockEdges bounds the edges one block emits, so a chunk's edge
+	// array is allocated once.
+	blockEdges int64
 	// genBlock appends block b's edges to out.
 	genBlock func(b int64, out []graph.Edge) []graph.Edge
 }
@@ -52,7 +55,7 @@ func (g *Generator) EdgesChunk(rank, nranks int) []graph.Edge {
 	}
 	lo := g.blocks * int64(rank) / int64(nranks)
 	hi := g.blocks * int64(rank+1) / int64(nranks)
-	est := (hi - lo) * blockSize
+	est := (hi - lo) * g.blockEdges
 	if est > g.M {
 		est = g.M
 	}
@@ -110,10 +113,11 @@ func RMAT(scale int, avgDeg int64, seed uint64) *Generator {
 	m := n * avgDeg / 2
 	const a, b, c = 0.57, 0.19, 0.19
 	gen := &Generator{
-		Name:   fmt.Sprintf("rmat_%d", scale),
-		N:      n,
-		M:      m,
-		blocks: numBlocksFor(m),
+		Name:       fmt.Sprintf("rmat_%d", scale),
+		N:          n,
+		M:          m,
+		blocks:     numBlocksFor(m),
+		blockEdges: blockSize,
 	}
 	gen.genBlock = func(blk int64, out []graph.Edge) []graph.Edge {
 		r := rng.NewStream(seed, uint64(blk))
@@ -145,10 +149,11 @@ func RMAT(scale int, avgDeg int64, seed uint64) *Generator {
 // m edges with both endpoints uniform over [0, n).
 func ER(n, m int64, seed uint64) *Generator {
 	gen := &Generator{
-		Name:   fmt.Sprintf("rander_n%d_m%d", n, m),
-		N:      n,
-		M:      m,
-		blocks: numBlocksFor(m),
+		Name:       fmt.Sprintf("rander_n%d_m%d", n, m),
+		N:          n,
+		M:          m,
+		blocks:     numBlocksFor(m),
+		blockEdges: blockSize,
 	}
 	gen.genBlock = func(blk int64, out []graph.Edge) []graph.Edge {
 		r := rng.NewStream(seed, uint64(blk))
@@ -179,10 +184,11 @@ func RandHD(n, davg int64, seed uint64) *Generator {
 	}
 	m := n * perVertex
 	gen := &Generator{
-		Name:   fmt.Sprintf("randhd_n%d_d%d", n, davg),
-		N:      n,
-		M:      m,
-		blocks: numBlocksFor(n), // vertex-indexed blocks
+		Name:       fmt.Sprintf("randhd_n%d_d%d", n, davg),
+		N:          n,
+		M:          m,
+		blocks:     numBlocksFor(n), // vertex-indexed blocks
+		blockEdges: blockSize * perVertex,
 	}
 	gen.genBlock = func(blk int64, out []graph.Edge) []graph.Edge {
 		r := rng.NewStream(seed, uint64(blk))
@@ -211,10 +217,11 @@ func Grid3D(nx, ny, nz int64) *Generator {
 	// Forward edges only (each interior vertex emits +x, +y, +z).
 	m := (nx-1)*ny*nz + nx*(ny-1)*nz + nx*ny*(nz-1)
 	gen := &Generator{
-		Name:   fmt.Sprintf("mesh_%dx%dx%d", nx, ny, nz),
-		N:      n,
-		M:      m,
-		blocks: numBlocksFor(n),
+		Name:       fmt.Sprintf("mesh_%dx%dx%d", nx, ny, nz),
+		N:          n,
+		M:          m,
+		blocks:     numBlocksFor(n),
+		blockEdges: blockSize * 3, // at most +x, +y, +z per vertex
 	}
 	idx := func(x, y, z int64) int64 { return (z*ny+y)*nx + x }
 	gen.genBlock = func(blk int64, out []graph.Edge) []graph.Edge {
@@ -248,10 +255,11 @@ func WattsStrogatz(n, k int64, beta float64, seed uint64) *Generator {
 	}
 	m := n * half
 	gen := &Generator{
-		Name:   fmt.Sprintf("ws_n%d_k%d", n, k),
-		N:      n,
-		M:      m,
-		blocks: numBlocksFor(n),
+		Name:       fmt.Sprintf("ws_n%d_k%d", n, k),
+		N:          n,
+		M:          m,
+		blocks:     numBlocksFor(n),
+		blockEdges: blockSize * half,
 	}
 	gen.genBlock = func(blk int64, out []graph.Edge) []graph.Edge {
 		r := rng.NewStream(seed, uint64(blk))
@@ -300,10 +308,11 @@ func ChungLu(n, m int64, gamma float64, seed uint64) *Generator {
 		return lo
 	}
 	gen := &Generator{
-		Name:   fmt.Sprintf("chunglu_n%d_m%d", n, m),
-		N:      n,
-		M:      m,
-		blocks: numBlocksFor(m),
+		Name:       fmt.Sprintf("chunglu_n%d_m%d", n, m),
+		N:          n,
+		M:          m,
+		blocks:     numBlocksFor(m),
+		blockEdges: blockSize,
 	}
 	gen.genBlock = func(blk int64, out []graph.Edge) []graph.Edge {
 		r := rng.NewStream(seed, uint64(blk))
@@ -323,10 +332,11 @@ func ChungLu(n, m int64, gamma float64, seed uint64) *Generator {
 func FromEdgeList(name string, n int64, edges []graph.Edge) *Generator {
 	m := int64(len(edges))
 	gen := &Generator{
-		Name:   name,
-		N:      n,
-		M:      m,
-		blocks: numBlocksFor(m),
+		Name:       name,
+		N:          n,
+		M:          m,
+		blocks:     numBlocksFor(m),
+		blockEdges: blockSize,
 	}
 	gen.genBlock = func(blk int64, out []graph.Edge) []graph.Edge {
 		lo, hi := blockBounds(blk, m)
@@ -359,7 +369,7 @@ func PrefAttach(n, m0 int64, seed uint64) *Generator {
 	} else if n > 1 {
 		m = n - 1
 	}
-	gen.M = m
+	gen.M, gen.blockEdges = m, m
 	gen.genBlock = func(blk int64, out []graph.Edge) []graph.Edge {
 		r := rng.NewStream(seed, 0)
 		// endpoints records every edge endpoint; sampling from it is

@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -79,6 +80,47 @@ func TestChunkUnionEqualsSerial(t *testing.T) {
 				if union[e] != c {
 					t.Errorf("%s p=%d: edge %v count %d != %d", g.Name, p, e, union[e], c)
 					break
+				}
+			}
+		}
+	}
+}
+
+// TestEdgesChunkAllocatesOnce: every generator class sizes a chunk's
+// edge array before filling it (one allocation; PrefAttach adds its
+// endpoint pool; a chunk of no blocks allocates nothing), and the
+// chunk holds exactly the edges its blocks append to an unsized slice.
+func TestEdgesChunkAllocatesOnce(t *testing.T) {
+	gens := []*Generator{
+		RMAT(14, 8, 1),
+		ER(20000, 40000, 2),
+		RandHD(30000, 8, 3),
+		Grid3D(32, 32, 32),
+		WattsStrogatz(30000, 6, 0.1, 4),
+		ChungLu(5000, 20000, 2.2, 5),
+		PrefAttach(3000, 3, 6),
+		FromEdgeList("copy", 20000, ER(20000, 30000, 7).Edges()),
+	}
+	for _, g := range gens {
+		for _, p := range []int{1, 2, 3, 5} {
+			for r := 0; r < p; r++ {
+				lo, hi := g.blocks*int64(r)/int64(p), g.blocks*int64(r+1)/int64(p)
+				want := 0.0 // a chunk of no blocks allocates nothing
+				if hi > lo {
+					want = 1
+					if g.Name == "ba_n3000_m3" {
+						want = 2
+					}
+				}
+				if got := testing.AllocsPerRun(2, func() { g.EdgesChunk(r, p) }); got != want {
+					t.Errorf("%s chunk %d/%d: %.0f allocations, want %.0f", g.Name, r, p, got, want)
+				}
+				var ref []graph.Edge
+				for b := lo; b < hi; b++ {
+					ref = g.genBlock(b, ref)
+				}
+				if !slices.Equal(g.EdgesChunk(r, p), ref) {
+					t.Errorf("%s chunk %d/%d: edges differ from the blocks' own output", g.Name, r, p)
 				}
 			}
 		}
