@@ -3,7 +3,6 @@ package core
 import (
 	"sync/atomic"
 
-	"repro/internal/dgraph"
 	"repro/internal/par"
 )
 
@@ -30,7 +29,7 @@ func (s *state) vertBalance() {
 	for iter := 0; iter < s.opt.Ibal; iter++ {
 		maxV := maxOf(s.sv, s.imbV)
 		mult := s.mult()
-		queues := par.NewQueues[dgraph.Update](threads)
+		s.q.Reset()
 		s.ex.BeginTally(s.roundTallyLen(false))
 
 		par.ForChunk(0, g.NLocal, threads, func(lo, hi, tid int) {
@@ -107,12 +106,12 @@ func (s *state) vertBalance() {
 					atomic.AddInt64(&s.cv[x], -1)
 					atomic.AddInt64(&s.cv[w], 1)
 					s.storePart(v, w)
-					queues.Push(tid, dgraph.Update{LID: v, Value: w})
+					s.push(tid, v, w)
 				}
 			}
 		})
 
-		moved := s.exchangeSettle(queues.Merge(), false)
+		moved := s.exchangeSettle(s.merged(), false)
 		s.trace("vbal", mult, moved)
 		s.iterTot++
 	}
@@ -135,7 +134,7 @@ func (s *state) vertRefine() {
 	mult := float64(g.Comm.Size())
 
 	for iter := 0; iter < s.opt.Iref; iter++ {
-		queues := par.NewQueues[dgraph.Update](threads)
+		s.q.Reset()
 		s.ex.BeginTally(s.roundTallyLen(false))
 
 		par.ForChunk(0, g.NLocal, threads, func(lo, hi, tid int) {
@@ -169,12 +168,12 @@ func (s *state) vertRefine() {
 					atomic.AddInt64(&s.cv[x], -1)
 					atomic.AddInt64(&s.cv[w], 1)
 					s.storePart(v, w)
-					queues.Push(tid, dgraph.Update{LID: v, Value: w})
+					s.push(tid, v, w)
 				}
 			}
 		})
 
-		moved := s.exchangeSettle(queues.Merge(), false)
+		moved := s.exchangeSettle(s.merged(), false)
 		s.trace("vref", mult, moved)
 		s.iterTot++
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"sync/atomic"
 
-	"repro/internal/dgraph"
 	"repro/internal/par"
 )
 
@@ -59,7 +58,7 @@ func (s *state) edgeBalance() {
 		} else {
 			rc++
 		}
-		queues := par.NewQueues[dgraph.Update](threads)
+		s.q.Reset()
 		s.ex.BeginTally(s.roundTallyLen(true))
 
 		par.ForChunk(0, g.NLocal, threads, func(lo, hi, tid int) {
@@ -178,12 +177,12 @@ func (s *state) edgeBalance() {
 				if w != x {
 					s.moveEdgeDeltas(v, x, w)
 					s.storePart(v, w)
-					queues.Push(tid, dgraph.Update{LID: v, Value: w})
+					s.push(tid, v, w)
 				}
 			}
 		})
 
-		moved := s.exchangeSettle(queues.Merge(), true)
+		moved := s.exchangeSettle(s.merged(), true)
 		s.trace("ebal", mult, moved)
 		s.iterTot++
 	}
@@ -203,7 +202,7 @@ func (s *state) edgeRefine() {
 
 	for iter := 0; iter < s.opt.Iref; iter++ {
 		maxC := maxOf(s.sc, 1)
-		queues := par.NewQueues[dgraph.Update](threads)
+		s.q.Reset()
 		s.ex.BeginTally(s.roundTallyLen(true))
 
 		par.ForChunk(0, g.NLocal, threads, func(lo, hi, tid int) {
@@ -240,12 +239,12 @@ func (s *state) edgeRefine() {
 				if w != x {
 					s.moveEdgeDeltas(v, x, w)
 					s.storePart(v, w)
-					queues.Push(tid, dgraph.Update{LID: v, Value: w})
+					s.push(tid, v, w)
 				}
 			}
 		})
 
-		moved := s.exchangeSettle(queues.Merge(), true)
+		moved := s.exchangeSettle(s.merged(), true)
 		s.trace("eref", mult, moved)
 		s.iterTot++
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"sync/atomic"
 
-	"repro/internal/dgraph"
 	"repro/internal/mpi"
 	"repro/internal/par"
 	"repro/internal/rng"
@@ -28,19 +27,19 @@ func (s *state) initialize() int {
 // propagates assignments to ghosts.
 func (s *state) initRandom() {
 	r := rng.NewStream(s.opt.Seed, uint64(s.g.Comm.Rank()))
-	q := make([]dgraph.Update, s.g.NLocal)
+	s.q.Reset()
 	for v := 0; v < s.g.NLocal; v++ {
 		w := int32(r.Intn(s.p))
 		s.parts[v] = w
-		q[v] = dgraph.Update{LID: int32(v), Value: w}
+		s.push(0, int32(v), w)
 	}
-	s.applyGhostUpdates(s.ex.Flush(q))
+	s.applyGhostUpdates(s.ex.Flush(s.merged()))
 }
 
 // initBlock assigns parts by contiguous global-id blocks (vertex block
 // partitioning), the initialization used for the paper's analytics runs.
 func (s *state) initBlock() {
-	q := make([]dgraph.Update, s.g.NLocal)
+	s.q.Reset()
 	for v := 0; v < s.g.NLocal; v++ {
 		gid := s.g.L2G[v]
 		w := int32(gid * int64(s.p) / s.g.NGlobal)
@@ -48,9 +47,9 @@ func (s *state) initBlock() {
 			w = int32(s.p - 1)
 		}
 		s.parts[v] = w
-		q[v] = dgraph.Update{LID: int32(v), Value: w}
+		s.push(0, int32(v), w)
 	}
-	s.applyGhostUpdates(s.ex.Flush(q))
+	s.applyGhostUpdates(s.ex.Flush(s.merged()))
 }
 
 // initBFS implements Algorithm 2: the master rank broadcasts p unique
@@ -79,16 +78,14 @@ func (s *state) initBFS() int {
 	for i := range s.parts {
 		s.parts[i] = -1
 	}
-	pending := 0
-	var rootQ []dgraph.Update
+	s.q.Reset()
 	for i, gid := range roots {
 		if lid, ok := g.LID(gid); ok && !g.IsGhost(lid) {
 			s.parts[lid] = int32(i)
-			rootQ = append(rootQ, dgraph.Update{LID: lid, Value: int32(i)})
-			pending++
+			s.push(0, lid, int32(i))
 		}
 	}
-	s.applyGhostUpdates(s.ex.Flush(rootQ))
+	s.applyGhostUpdates(s.ex.Flush(s.merged()))
 
 	// Primary propagation loop. In async mode with a complete rank
 	// neighborhood the round's assignment counter piggybacks on the
@@ -97,7 +94,7 @@ func (s *state) initBFS() int {
 	rounds := 0
 	for {
 		rounds++
-		queues := par.NewQueues[dgraph.Update](threads)
+		s.q.Reset()
 		s.ex.BeginTally(s.initTallyLen())
 		var updates int64
 		par.ForChunk(0, g.NLocal, threads, func(lo, hi, tid int) {
@@ -127,19 +124,19 @@ func (s *state) initBFS() int {
 					seen[pc] = false
 				}
 				s.storePart(int32(v), w)
-				queues.Push(tid, dgraph.Update{LID: int32(v), Value: w})
+				s.push(tid, int32(v), w)
 				local++
 			}
 			atomic.AddInt64(&updates, local)
 		})
-		if s.exchangeInitCount(queues.Merge(), updates) == 0 {
+		if s.exchangeInitCount(s.merged(), updates) == 0 {
 			break
 		}
 	}
 
 	// Leftovers: random assignment for vertices unreached by any root
 	// (disconnected components), then one final exchange.
-	queues := par.NewQueues[dgraph.Update](threads)
+	s.q.Reset()
 	s.ex.Begin()
 	par.ForChunk(0, g.NLocal, threads, func(lo, hi, tid int) {
 		r := rng.NewStream(s.opt.Seed^0xD00D, uint64(tid)<<16|uint64(c.Rank()))
@@ -147,10 +144,10 @@ func (s *state) initBFS() int {
 			if s.parts[v] == -1 {
 				w := int32(r.Intn(s.p))
 				s.storePart(int32(v), w)
-				queues.Push(tid, dgraph.Update{LID: int32(v), Value: w})
+				s.push(tid, int32(v), w)
 			}
 		}
 	})
-	s.applyGhostUpdates(s.ex.Flush(queues.Merge()))
+	s.applyGhostUpdates(s.ex.Flush(s.merged()))
 	return rounds
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/dgraph"
 	"repro/internal/mpi"
+	"repro/internal/par"
 )
 
 // state bundles everything a partitioning run shares across stages.
@@ -25,6 +26,13 @@ type state struct {
 	// the piggybacked tallies would miss non-neighbor ranks, so
 	// settles Allreduce exactly.
 	piggyback bool
+
+	// q holds each round's moves, one lane per worker thread, and qbuf
+	// is the merged queue a round hands the exchanger. Both live for
+	// the whole Partition call, so rounds reuse their capacity instead
+	// of allocating (push, merged).
+	q    *par.Queues[dgraph.Update]
+	qbuf []dgraph.Update
 
 	// parts holds assignments for owned and ghost vertices. Hot-loop
 	// reads and writes go through atomics because intra-rank threads
@@ -77,6 +85,7 @@ func Partition(g *dgraph.Graph, opt Options) ([]int32, Report, error) {
 		ce:    make([]int64, opt.NumParts),
 		cc:    make([]int64, opt.NumParts),
 		iTot:  opt.Iouter * (opt.Ibal + opt.Iref),
+		q:     par.NewQueues[dgraph.Update](g.Comm.Threads()),
 	}
 	s.imbV = (1 + opt.VertImbalance) * float64(g.NGlobal) / float64(s.p)
 	s.imbE = (1 + opt.EdgeImbalance) * float64(2*g.MGlobal) / float64(s.p)
@@ -218,6 +227,24 @@ func (s *state) trace(stage string, mult float64, moved int64) {
 		Stage: stage, Iter: s.iterTot, Mult: mult,
 		MaxVerts: maxV, MaxEdges: maxE, MaxCut: maxC, Moved: moved,
 	})
+}
+
+// push queues worker tid's move of owned vertex v to part w, unless v
+// is interior: no peer ghosts it, so its update would ship nowhere and
+// leaving it out changes no message.
+func (s *state) push(tid int, v, w int32) {
+	if s.ex.Ships(v) {
+		s.q.Push(tid, dgraph.Update{LID: v, Value: w})
+	}
+}
+
+// merged concatenates the round's queued moves into the pooled merge
+// buffer and empties the lanes. The exchanger encodes the buffer into
+// its own send buffers before Flush returns, so the next round may
+// overwrite it.
+func (s *state) merged() []dgraph.Update {
+	s.qbuf = s.q.MergeInto(s.qbuf[:0])
+	return s.qbuf
 }
 
 // applyGhostUpdates writes received boundary updates into parts.

@@ -286,6 +286,30 @@ func TestBuildRejectsForeignHead(t *testing.T) {
 	})
 }
 
+// TestFromEdgeChunksRejectsHugeNGlobal: an nGlobal beyond what the
+// int32 local ids can index is a named error, returned before the
+// dense gid index is allocated.
+func TestFromEdgeChunksRejectsHugeNGlobal(t *testing.T) {
+	const n = int64(1) << 40
+	mpi.Run(1, func(c *mpi.Comm) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		dg, err := FromEdgeChunks(c, n, nil, BlockDist{N: n, P: 1})
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("nGlobal %d accepted", n)
+			dg.Close()
+			return
+		}
+		if want := fmt.Sprintf("dgraph: nGlobal %d exceeds the int32 local-id range", n); err.Error() != want {
+			t.Errorf("error %q, want %q", err, want)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Errorf("rejected build allocated %d bytes, want under 1 MiB", got)
+		}
+	})
+}
+
 // TestValidateRejectsCorruptShards corrupts a valid shard one field at
 // a time: Validate must reject each corruption and accept the shard
 // again once it is undone.
@@ -417,7 +441,7 @@ func (bc buildCase) run() int64 {
 }
 
 // shuffleBytes is what the arc shuffle must move: every arc whose head
-// another rank owns, two words in the send buffer and two in the
+// another rank owns, one packed word in the send buffer and one in the
 // receive buffer.
 func (bc buildCase) shuffleBytes() int64 {
 	dist := bc.dist()
@@ -432,7 +456,7 @@ func (bc buildCase) shuffleBytes() int64 {
 			}
 		}
 	}
-	return 32 * remote
+	return 16 * remote
 }
 
 // TestFromEdgeChunksByteBudget bounds what a build allocates: at most

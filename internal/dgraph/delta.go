@@ -743,6 +743,17 @@ func (ex *DeltaExchanger) FlushTally(q []Update, tally []int64) ([]Update, []int
 	return res.updates, res.tally
 }
 
+// Ships reports whether an update for owned vertex v goes to any peer:
+// some neighbor rank ghosts it. An interior vertex ships nothing, so
+// a caller may leave its update out of a Flush queue and every peer
+// still receives the same message. It is a plan read, with no lazy
+// classification behind it.
+//
+//repro:hotpath
+func (ex *DeltaExchanger) Ships(v int32) bool {
+	return ex.plan.targetOff[v+1] > ex.plan.targetOff[v]
+}
+
 // NeighborhoodComplete reports whether every rank of the communicator
 // neighbors every other rank — the condition under which tallies
 // piggybacked on boundary messages already sum over all ranks, making

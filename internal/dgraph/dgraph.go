@@ -2,6 +2,7 @@ package dgraph
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/graph"
@@ -91,6 +92,11 @@ func (g *Graph) OwnerOfLocal(v int32) int {
 // assembles its local CSR, discovers ghosts, and fetches ghost degrees.
 // The package doc's Construction section describes the passes.
 func FromEdgeChunks(c *mpi.Comm, nGlobal int64, chunk []graph.Edge, dist Distribution) (*Graph, error) {
+	// The index holds lid+1 as an int32, which bounds nGlobal; the same
+	// bound lets one int64 word carry a shipped arc's head and tail.
+	if nGlobal > math.MaxInt32 {
+		return nil, fmt.Errorf("dgraph: nGlobal %d exceeds the int32 local-id range", nGlobal)
+	}
 	if err := validateDistribution(dist, c.Size(), nGlobal); err != nil {
 		return nil, err
 	}
@@ -98,19 +104,20 @@ func FromEdgeChunks(c *mpi.Comm, nGlobal int64, chunk []graph.Edge, dist Distrib
 	b := &shardBuilder{index: make([]int32, nGlobal)}
 	b.nLocal = int32(indexOwned(dist, nGlobal, me, b.index))
 
-	// Ship the arcs whose head another rank owns: edge {u, v} becomes
-	// arc u->v for owner(u) and arc v->u for owner(v); a self loop is a
-	// single arc. This rank's own arcs stay in chunk, uncopied.
+	// Ship the arcs whose head another rank owns, one packed word each
+	// (packArc): edge {u, v} becomes arc u->v for owner(u) and arc v->u
+	// for owner(v); a self loop is a single arc. This rank's own arcs
+	// stay in chunk, uncopied.
 	counts := make([]int, nprocs)
 	for _, e := range chunk {
 		if e.U < 0 || e.U >= nGlobal || e.V < 0 || e.V >= nGlobal {
 			return nil, fmt.Errorf("dgraph: edge (%d,%d) out of range [0,%d)", e.U, e.V, nGlobal)
 		}
 		if !b.owns(e.U) {
-			counts[dist.Owner(e.U)] += 2
+			counts[dist.Owner(e.U)]++
 		}
 		if e.U != e.V && !b.owns(e.V) {
-			counts[dist.Owner(e.V)] += 2
+			counts[dist.Owner(e.V)]++
 		}
 	}
 	cursor := make([]int, nprocs)
@@ -121,9 +128,8 @@ func FromEdgeChunks(c *mpi.Comm, nGlobal int64, chunk []graph.Edge, dist Distrib
 	}
 	sendBuf := make([]int64, words)
 	put := func(dst int, head, tail int64) {
-		sendBuf[cursor[dst]] = head
-		sendBuf[cursor[dst]+1] = tail
-		cursor[dst] += 2
+		sendBuf[cursor[dst]] = packArc(head, tail)
+		cursor[dst]++
 	}
 	for _, e := range chunk {
 		if !b.owns(e.U) {
@@ -148,8 +154,8 @@ func FromEdgeChunks(c *mpi.Comm, nGlobal int64, chunk []graph.Edge, dist Distrib
 	}
 	before, after := recv[:split], recv[split:]
 	eachArc := func(fn func(head, tail int64)) {
-		for i := 0; i < len(before); i += 2 {
-			fn(before[i], before[i+1])
+		for _, w := range before {
+			fn(unpackArc(w))
 		}
 		for _, e := range chunk {
 			if b.owns(e.U) {
@@ -159,8 +165,8 @@ func FromEdgeChunks(c *mpi.Comm, nGlobal int64, chunk []graph.Edge, dist Distrib
 				fn(e.V, e.U)
 			}
 		}
-		for i := 0; i < len(after); i += 2 {
-			fn(after[i], after[i+1])
+		for _, w := range after {
+			fn(unpackArc(w))
 		}
 	}
 
@@ -226,11 +232,22 @@ func (b *shardBuilder) owns(gid int64) bool {
 	return x > 0 && x <= b.nLocal
 }
 
+// packArc encodes arc head->tail as one word, head in the high half.
+// Both ids are below nGlobal <= math.MaxInt32, so each fits 32 bits.
+func packArc(head, tail int64) int64 {
+	return int64(uint64(head)<<32 | uint64(tail))
+}
+
+// unpackArc reverses packArc.
+func unpackArc(w int64) (head, tail int64) {
+	return int64(uint64(w) >> 32), int64(uint32(w))
+}
+
 // checkRemote rejects received arcs this rank cannot own.
 func (b *shardBuilder) checkRemote(arcs []int64, rank int) error {
 	n := uint64(len(b.index))
-	for i := 0; i < len(arcs); i += 2 {
-		head, tail := arcs[i], arcs[i+1]
+	for _, w := range arcs {
+		head, tail := unpackArc(w)
 		if uint64(head) >= n || uint64(tail) >= n || !b.owns(head) {
 			return fmt.Errorf("dgraph: rank %d received arc (%d,%d) whose head it does not own", rank, head, tail)
 		}

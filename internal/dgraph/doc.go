@@ -14,12 +14,16 @@
 //
 //   - A dense length-NGlobal index maps gid to lid+1 (0: not local).
 //     Owned vertices are numbered first, in gid order; a block
-//     distribution writes only its own range.
-//   - Only arcs whose head another rank owns are packed and shipped in
-//     one Alltoallv. The rank's own arcs stay in its chunk: the build
-//     reads arcs in source-rank order, taking its own straight from the
-//     chunk at its own position, which is the order a full shuffle
-//     would deliver. A one-rank world packs and copies nothing.
+//     distribution writes only its own range. The int32 entries bound
+//     NGlobal at math.MaxInt32; a larger NGlobal is an error returned
+//     before the index is allocated.
+//   - Only arcs whose head another rank owns are shipped, in one
+//     Alltoallv, each packed into one word as head<<32 | tail (the
+//     NGlobal bound makes both ids fit 32 bits). The rank's own arcs
+//     stay in its chunk: the build reads arcs in source-rank order,
+//     taking its own straight from the chunk at its own position, which
+//     is the order a full shuffle would deliver. A one-rank world packs
+//     and copies nothing.
 //   - A count pass sizes the CSR and rejects received arcs whose head
 //     this rank does not own; a fill pass writes task-local adjacency,
 //     giving each new ghost the next index entry as it is met.

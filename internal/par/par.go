@@ -286,9 +286,10 @@ func MaxFloat64(begin, end int, threads int, identity float64, body func(i int) 
 	return global
 }
 
-// Queues is a set of per-thread append-only buffers that merge into one
-// slice, mirroring the paper's Qthread -> Qtask merge. Type parameter T
-// is the queued record type (for example a (vertex, part) pair).
+// Queues is a set of per-thread append-only buffers that MergeInto
+// concatenates into one caller-pooled slice, mirroring the paper's
+// Qthread -> Qtask merge. Type parameter T is the queued record type
+// (for example a (vertex, part) pair).
 type Queues[T any] struct {
 	lanes [][]T
 }
@@ -302,33 +303,18 @@ func NewQueues[T any](threads int) *Queues[T] {
 }
 
 // Push appends v to thread tid's lane. Each tid must be used by at most
-// one goroutine at a time. Lanes keep their capacity across Merge /
-// MergeInto / Reset, so steady-state pushes do not allocate.
+// one goroutine at a time. Lanes keep their capacity across MergeInto
+// and Reset, so steady-state pushes do not allocate.
 //
 //repro:hotpath
 func (q *Queues[T]) Push(tid int, v T) {
 	q.lanes[tid] = append(q.lanes[tid], v)
 }
 
-// Merge concatenates all lanes into a single slice (Qtask) and resets
-// the lanes for reuse. Ordering is by thread id, then push order.
-func (q *Queues[T]) Merge() []T {
-	total := 0
-	for _, l := range q.lanes {
-		total += len(l)
-	}
-	out := make([]T, 0, total)
-	for i, l := range q.lanes {
-		out = append(out, l...)
-		q.lanes[i] = q.lanes[i][:0]
-	}
-	return out
-}
-
-// MergeInto appends every lane's records to dst in thread-id order
-// (then push order, like Merge) and resets the lanes for reuse. It is
-// Merge without the allocation: pass a pooled buffer re-sliced to
-// [:0] and steady-state merges stay at AllocsPerRun == 0.
+// MergeInto appends every lane's records to dst in thread-id order,
+// then push order (the paper's Qthread -> Qtask merge), and resets the
+// lanes for reuse. Pass a pooled buffer re-sliced to [:0] and
+// steady-state merges stay at AllocsPerRun == 0.
 //
 //repro:hotpath
 func (q *Queues[T]) MergeInto(dst []T) []T {

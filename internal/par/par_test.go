@@ -89,18 +89,18 @@ func TestQueuesMerge(t *testing.T) {
 	if q.Len() != 4 {
 		t.Fatalf("Len = %d, want 4", q.Len())
 	}
-	got := q.Merge()
+	got := q.MergeInto(nil)
 	want := []int{1, 4, 2, 3} // lane 0 first, then lanes 1, 2
 	if len(got) != len(want) {
-		t.Fatalf("Merge returned %v, want %v", got, want)
+		t.Fatalf("MergeInto returned %v, want %v", got, want)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("Merge returned %v, want %v", got, want)
+			t.Fatalf("MergeInto returned %v, want %v", got, want)
 		}
 	}
 	if q.Len() != 0 {
-		t.Fatal("Merge did not reset lanes")
+		t.Fatal("MergeInto did not reset lanes")
 	}
 }
 
@@ -113,7 +113,7 @@ func TestQueuesConcurrentLanes(t *testing.T) {
 			q.Push(tid, i)
 		}
 	})
-	merged := q.Merge()
+	merged := q.MergeInto(nil)
 	if len(merged) != threads*per {
 		t.Fatalf("merged %d elements, want %d", len(merged), threads*per)
 	}
@@ -314,7 +314,7 @@ func TestQueuesMergeIntoAllocFree(t *testing.T) {
 	}
 }
 
-// Property: Merge and MergeInto emit lanes in thread-id order with
+// Property: MergeInto emits lanes in thread-id order with
 // push order preserved inside each lane, for arbitrary push schedules.
 func TestQuickMergeTidOrderStable(t *testing.T) {
 	f := func(raw []uint16, threadsRaw uint8) bool {
@@ -339,11 +339,12 @@ func TestQuickMergeTidOrderStable(t *testing.T) {
 				return false
 			}
 		}
-		// Refill and Merge must agree with MergeInto.
+		// Refill and merge again into the reused buffer: the lanes
+		// were reset by the first merge and emit the same order.
 		for i, v := range raw {
 			q.Push(i%threads, v)
 		}
-		got2 := q.Merge()
+		got2 := q.MergeInto(got[:0])
 		if len(got2) != len(want) {
 			return false
 		}
