@@ -347,19 +347,15 @@ func TestExchangeUpdatesThreadedMatchesSerial(t *testing.T) {
 				q[v] = Update{LID: int32(v), Value: int32(dg.L2G[v] % 997)}
 			}
 			recv := dg.AsyncExchanger().Flush(q)
-			type kv struct {
-				gid int64
-				val int32
-			}
-			pairs := make([]kv, len(recv))
-			for i, u := range recv {
-				pairs[i] = kv{dg.L2G[u.LID], u.Value}
+			pairs := make([]int64, 0, 2*len(recv)) // (gid, value) words
+			for _, u := range recv {
+				pairs = append(pairs, dg.L2G[u.LID], int64(u.Value))
 			}
 			all := mpi.Allgatherv(c, pairs)
 			if c.Rank() == 0 {
 				for _, rankPairs := range all {
-					for _, p := range rankPairs {
-						out[p.gid] = p.val
+					for i := 0; i+1 < len(rankPairs); i += 2 {
+						out[rankPairs[i]] = int32(rankPairs[i+1])
 					}
 				}
 			}

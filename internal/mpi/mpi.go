@@ -41,10 +41,10 @@ func (w *world) poisonAll() {
 }
 
 // Comm is one rank's handle on the communicator: a Transport plus the
-// per-rank traffic statistics and the generic convenience API. A Comm
-// is confined to the goroutine that received it from Run (or built it
+// per-rank traffic statistics and the word-typed MPI API. A Comm is
+// confined to the goroutine that received it from Run (or built it
 // with NewComm): collectives must be called from that goroutine only.
-// The nonblocking point-to-point operations (Isend, Irecv, Waitall) may
+// The point-to-point operations (Isend64, Recv64, Recycle64) may
 // additionally be completed from one helper goroutine concurrently with
 // point-to-point traffic — or a collective — on the main goroutine:
 // traffic counters are atomic, and the transports keep their
@@ -60,7 +60,7 @@ type Comm struct {
 }
 
 // Stats accumulates per-rank communication counters. Volumes count
-// elements (not bytes) since the collectives are generic. All fields
+// elements (int64 or float64 words), not bytes. All fields
 // are maintained with atomic operations so point-to-point completions
 // on a helper goroutine stay race-free.
 type Stats struct {
@@ -142,55 +142,27 @@ func (c *Comm) Barrier() {
 	c.t.Barrier()
 }
 
-// slotsOf returns the in-process generic extension or panics: wire
-// transports cannot ship arbitrary element types, only the numeric
-// encodings the typed Transport surface covers.
-func (c *Comm) slotsOf(op string) genericTransport {
-	gt, ok := c.t.(genericTransport)
-	if !ok {
-		panic(fmt.Sprintf("mpi: %s with a non-numeric element type requires the in-process transport (have %T)", op, c.t))
-	}
-	return gt
-}
-
 // Bcast distributes root's data to every rank. The root passes the
 // source slice; all ranks (including the root) receive an independent
 // copy. Non-root callers may pass nil.
-func Bcast[T any](c *Comm, root int, data []T) []T {
+func Bcast(c *Comm, root int, data []int64) []int64 {
 	atomic.AddInt64(&c.stats.Collectives, 1)
 	if c.rank == root {
 		atomic.AddInt64(&c.stats.ElemsSent, int64(len(data)))
 	}
-	var out []T
-	if v, ok := any(data).([]int64); ok {
-		out = any(c.t.BcastI64(root, v)).([]T)
-	} else {
-		out = bcastSlots(c.slotsOf("Bcast"), root, data)
-	}
+	out := c.t.BcastI64(root, data)
 	atomic.AddInt64(&c.stats.ElemsRecv, int64(len(out)))
 	return out
 }
 
 // Allgather collects one value from each rank; out[r] is rank r's value.
-func Allgather[T any](c *Comm, v T) []T {
+func Allgather(c *Comm, v int64) []int64 {
 	atomic.AddInt64(&c.stats.Collectives, 1)
 	atomic.AddInt64(&c.stats.ElemsSent, 1)
-	var out []T
-	if s, ok := any(v).(int64); ok {
-		parts := c.t.AllgathervI64([]int64{s})
-		o := make([]int64, len(parts))
-		for r, p := range parts {
-			o[r] = p[0]
-		}
-		out = any(o).([]T)
-	} else {
-		gt := c.slotsOf("Allgather")
-		release := gt.publish(v)
-		out = make([]T, c.size)
-		for r := 0; r < c.size; r++ {
-			out[r] = gt.slot(r).(T)
-		}
-		release()
+	parts := c.t.AllgathervI64([]int64{v})
+	out := make([]int64, len(parts))
+	for r, p := range parts {
+		out[r] = p[0]
 	}
 	atomic.AddInt64(&c.stats.ElemsRecv, int64(c.size))
 	return out
@@ -198,15 +170,10 @@ func Allgather[T any](c *Comm, v T) []T {
 
 // Allgatherv collects a variable-length slice from each rank; out[r] is
 // an independent copy of rank r's contribution.
-func Allgatherv[T any](c *Comm, data []T) [][]T {
+func Allgatherv(c *Comm, data []int64) [][]int64 {
 	atomic.AddInt64(&c.stats.Collectives, 1)
 	atomic.AddInt64(&c.stats.ElemsSent, int64(len(data)))
-	var out [][]T
-	if v, ok := any(data).([]int64); ok {
-		out = any(c.t.AllgathervI64(v)).([][]T)
-	} else {
-		out = allgathervSlots(c.slotsOf("Allgatherv"), data)
-	}
+	out := c.t.AllgathervI64(data)
 	total := 0
 	for _, p := range out {
 		total += len(p)
@@ -217,29 +184,17 @@ func Allgatherv[T any](c *Comm, data []T) [][]T {
 
 // Alltoall exchanges one element per rank pair: send[r] goes to rank r,
 // and out[r] is what rank r sent to this rank. len(send) must be Size().
-func Alltoall[T any](c *Comm, send []T) []T {
+func Alltoall(c *Comm, send []int64) []int64 {
 	if len(send) != c.size {
 		panic(fmt.Sprintf("mpi: Alltoall send length %d != world size %d", len(send), c.size))
 	}
 	atomic.AddInt64(&c.stats.Collectives, 1)
 	atomic.AddInt64(&c.stats.ElemsSent, int64(len(send)))
-	var out []T
-	if v, ok := any(send).([]int64); ok {
-		counts := make([]int, c.size)
-		for i := range counts {
-			counts[i] = 1
-		}
-		recv, _ := c.t.AlltoallvI64(v, counts)
-		out = any(recv).([]T)
-	} else {
-		gt := c.slotsOf("Alltoall")
-		release := gt.publish(send)
-		out = make([]T, c.size)
-		for r := 0; r < c.size; r++ {
-			out[r] = gt.slot(r).([]T)[c.rank]
-		}
-		release()
+	counts := make([]int, c.size)
+	for i := range counts {
+		counts[i] = 1
 	}
+	out, _ := c.t.AlltoallvI64(send, counts)
 	atomic.AddInt64(&c.stats.ElemsRecv, int64(c.size))
 	return out
 }
@@ -248,22 +203,12 @@ func Alltoall[T any](c *Comm, send []T) []T {
 // holds the data for all destinations packed contiguously in rank order;
 // sendCounts[r] elements go to rank r. It returns the received data
 // packed in source-rank order along with per-source counts.
-func Alltoallv[T any](c *Comm, sendBuf []T, sendCounts []int) (recv []T, recvCounts []int) {
+func Alltoallv(c *Comm, sendBuf []int64, sendCounts []int) (recv []int64, recvCounts []int) {
 	alltoallvOffsets(len(sendBuf), sendCounts, c.size) // validate on every transport
 	atomic.AddInt64(&c.stats.Collectives, 1)
 	atomic.AddInt64(&c.stats.ExchangeOps, 1)
 	atomic.AddInt64(&c.stats.ElemsSent, int64(len(sendBuf)))
-
-	switch v := any(sendBuf).(type) {
-	case []int64:
-		r, rc := c.t.AlltoallvI64(v, sendCounts)
-		recv, recvCounts = any(r).([]T), rc
-	case []float64:
-		r, rc := c.t.AlltoallvF64(v, sendCounts)
-		recv, recvCounts = any(r).([]T), rc
-	default:
-		recv, recvCounts = alltoallvSlots(c.slotsOf("Alltoallv"), sendBuf, sendCounts)
-	}
+	recv, recvCounts = c.t.AlltoallvI64(sendBuf, sendCounts)
 	atomic.AddInt64(&c.stats.ElemsRecv, int64(len(recv)))
 	return recv, recvCounts
 }
@@ -278,9 +223,10 @@ const (
 	Min
 )
 
-// Number is the constraint for reducible element types.
+// Number is the constraint for reducible element types: the two
+// element types every transport reduces natively.
 type Number interface {
-	~int | ~int32 | ~int64 | ~uint64 | ~float64
+	int64 | float64
 }
 
 // Allreduce reduces vals element-wise across all ranks with the given
@@ -298,35 +244,6 @@ func Allreduce[T Number](c *Comm, vals []T, op Op) []T {
 		out = any(c.t.AllreduceI64(v, op)).([]T)
 	case []float64:
 		out = any(c.t.AllreduceF64(v, op)).([]T)
-	default:
-		if gt, ok := c.t.(genericTransport); ok {
-			out = allreduceSlots(gt, vals, op)
-		} else {
-			// Wire transport with a derived numeric type: reduce through
-			// the int64 word encoding (exact for every integer type the
-			// engine uses; T(1)/T(2) != 0 detects a floating T).
-			if T(1)/T(2) != T(0) {
-				tmp := make([]float64, len(vals))
-				for i, x := range vals {
-					tmp[i] = float64(x)
-				}
-				red := c.t.AllreduceF64(tmp, op)
-				out = make([]T, len(red))
-				for i, x := range red {
-					out[i] = T(x)
-				}
-			} else {
-				tmp := make([]int64, len(vals))
-				for i, x := range vals {
-					tmp[i] = int64(x)
-				}
-				red := c.t.AllreduceI64(tmp, op)
-				out = make([]T, len(red))
-				for i, x := range red {
-					out[i] = T(x)
-				}
-			}
-		}
 	}
 	atomic.AddInt64(&c.stats.ElemsRecv, int64(len(out)))
 	return out

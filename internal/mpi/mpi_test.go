@@ -74,9 +74,9 @@ func TestBcast(t *testing.T) {
 func TestAllgather(t *testing.T) {
 	const p = 6
 	Run(p, func(c *Comm) {
-		got := Allgather(c, c.Rank()*10)
+		got := Allgather(c, int64(c.Rank())*10)
 		for r := 0; r < p; r++ {
-			if got[r] != r*10 {
+			if got[r] != int64(r)*10 {
 				t.Errorf("rank %d Allgather[%d] = %d, want %d", c.Rank(), r, got[r], r*10)
 			}
 		}
@@ -86,13 +86,13 @@ func TestAllgather(t *testing.T) {
 func TestAlltoall(t *testing.T) {
 	const p = 4
 	Run(p, func(c *Comm) {
-		send := make([]int, p)
+		send := make([]int64, p)
 		for r := range send {
-			send[r] = c.Rank()*100 + r // tagged (src, dst)
+			send[r] = int64(c.Rank()*100 + r) // tagged (src, dst)
 		}
 		got := Alltoall(c, send)
 		for r := 0; r < p; r++ {
-			want := r*100 + c.Rank()
+			want := int64(r*100 + c.Rank())
 			if got[r] != want {
 				t.Errorf("rank %d Alltoall[%d] = %d, want %d", c.Rank(), r, got[r], want)
 			}
@@ -136,7 +136,7 @@ func TestAlltoallv(t *testing.T) {
 func TestAlltoallvEmpty(t *testing.T) {
 	const p = 3
 	Run(p, func(c *Comm) {
-		recv, rc := Alltoallv[int64](c, nil, make([]int, p))
+		recv, rc := Alltoallv(c, nil, make([]int, p))
 		if len(recv) != 0 {
 			t.Errorf("rank %d received %d elements from empty exchange", c.Rank(), len(recv))
 		}
@@ -242,9 +242,9 @@ func TestCollectiveSequenceStress(t *testing.T) {
 	const p = 8
 	Run(p, func(c *Comm) {
 		for iter := 0; iter < 50; iter++ {
-			v := Allgather(c, c.Rank()+iter)
+			v := Allgather(c, int64(c.Rank()+iter))
 			for r := 0; r < p; r++ {
-				if v[r] != r+iter {
+				if v[r] != int64(r+iter) {
 					t.Errorf("iter %d: Allgather[%d] = %d", iter, r, v[r])
 					return
 				}
@@ -323,9 +323,9 @@ func BenchmarkAlltoallv8Ranks(b *testing.B) {
 func TestAllgatherv(t *testing.T) {
 	const p = 4
 	Run(p, func(c *Comm) {
-		mine := make([]int, c.Rank()) // rank r contributes r elements
+		mine := make([]int64, c.Rank()) // rank r contributes r elements
 		for i := range mine {
-			mine[i] = c.Rank()*100 + i
+			mine[i] = int64(c.Rank()*100 + i)
 		}
 		all := Allgatherv(c, mine)
 		if len(all) != p {
@@ -338,7 +338,7 @@ func TestAllgatherv(t *testing.T) {
 				return
 			}
 			for i, v := range all[r] {
-				if v != r*100+i {
+				if v != int64(r*100+i) {
 					t.Errorf("all[%d][%d] = %d", r, i, v)
 					return
 				}

@@ -2,18 +2,19 @@ package mpi
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 )
 
-// Nonblocking point-to-point messaging. Each ordered rank pair
-// (src, dst) owns one FIFO channel — an in-process mailbox or a socket
-// stream, depending on the transport — so messages between a pair are
-// delivered in send order (MPI's non-overtaking guarantee) while
-// messages from different sources are independent. Isend copies its
-// buffer at call time — the sender may reuse it immediately, and the
-// receiver gets a slice no other rank aliases.
+// Nonblocking point-to-point messaging over int64 words. Each ordered
+// rank pair (src, dst) owns one FIFO channel — an in-process mailbox or
+// a socket stream, depending on the transport — so messages between a
+// pair are delivered in send order (MPI's non-overtaking guarantee)
+// while messages from different sources are independent. Isend64
+// copies its buffer at call time — the sender may reuse it
+// immediately, and the receiver gets a slice no other rank aliases.
+// Other element types travel as words: float64 values as
+// math.Float64bits, which every transport carries bit-exactly.
 //
 // Unlike the collectives, the point-to-point operations are safe to
 // complete from a goroutine other than the rank's main goroutine: all
@@ -29,15 +30,12 @@ import (
 // let a round-structured receiver assert that the frame it dequeued
 // belongs to the round it is draining.
 
-// message is one in-flight point-to-point transfer. Generic sends box
-// their copy in data; the int64 fast path (Isend64) stores its pooled
-// copy in i64 instead, so enqueueing allocates nothing. tag carries the
+// message is one in-flight point-to-point transfer: a pooled private
+// copy of the payload, so enqueueing allocates nothing, and the
 // sender's round tag (Isend64Tag), zero for untagged sends.
 type message struct {
-	data  any     // a private []T copy (generic path)
-	i64   []int64 // a pooled private copy (int64 fast path)
-	count int
-	tag   uint32
+	i64 []int64
+	tag uint32
 }
 
 // mailbox is the unbounded FIFO for one ordered (src, dst) rank pair.
@@ -59,7 +57,7 @@ func newMailbox() *mailbox {
 }
 
 // put enqueues a message; put never blocks (the simulator models an
-// eager/buffered transport, so Isend completes immediately).
+// eager/buffered transport, so Isend64 completes immediately).
 //
 //repro:hotpath
 func (m *mailbox) put(msg message) {
@@ -118,137 +116,6 @@ func (w *world) box(src, dst int) *mailbox {
 	return w.boxes[src*w.size+dst]
 }
 
-// Request is the handle of a nonblocking point-to-point operation.
-// Wait blocks until the operation completes; it is idempotent.
-type Request interface {
-	Wait()
-}
-
-// sendRequest is the (already complete) handle of an Isend.
-type sendRequest struct{}
-
-func (sendRequest) Wait() {}
-
-// RecvRequest is the typed handle of an Irecv. Data is valid only
-// after Wait returns. A RecvRequest must be completed by exactly one
-// goroutine.
-type RecvRequest[T any] struct {
-	c    *Comm
-	src  int
-	done bool
-	data []T
-}
-
-// Wait blocks until the matching message arrives and materializes it.
-func (r *RecvRequest[T]) Wait() {
-	if r.done {
-		return
-	}
-	var data []T
-	count := 0
-	if gt, ok := r.c.t.(genericTransport); ok {
-		msg := gt.recvAny(r.src)
-		if msg.i64 != nil {
-			// Fast-path message (Isend64) received through the generic API.
-			d, ok := any(msg.i64).([]T)
-			if !ok {
-				panic(fmt.Sprintf("mpi: Irecv from rank %d: element type mismatch, message holds []int64", r.src))
-			}
-			data = d
-		} else {
-			d, ok := msg.data.([]T)
-			if !ok {
-				panic(fmt.Sprintf("mpi: Irecv from rank %d: element type mismatch, message holds %T", r.src, msg.data))
-			}
-			data = d
-		}
-		count = msg.count
-	} else {
-		// Wire transport: the frame carries int64 words; float64
-		// payloads travel bit-converted (see Isend).
-		words, _ := r.c.t.Recv64(r.src)
-		count = len(words)
-		switch any(data).(type) {
-		case []int64:
-			data = any(words).([]T)
-		case []float64:
-			vals := make([]float64, len(words))
-			for i, wd := range words {
-				vals[i] = math.Float64frombits(uint64(wd))
-			}
-			r.c.t.Recycle64(words)
-			data = any(vals).([]T)
-		default:
-			panic(fmt.Sprintf("mpi: Irecv of %T requires the in-process transport (have %T)", data, r.c.t))
-		}
-	}
-	r.data = data
-	r.done = true
-	atomic.AddInt64(&r.c.stats.RecvOps, 1)
-	atomic.AddInt64(&r.c.stats.ElemsRecv, int64(count))
-}
-
-// Await is Wait followed by Data, for single-request call sites.
-func (r *RecvRequest[T]) Await() []T {
-	r.Wait()
-	return r.Data()
-}
-
-// Data returns the received buffer (a private copy; the sender cannot
-// alias it). It panics if the request has not completed.
-func (r *RecvRequest[T]) Data() []T {
-	if !r.done {
-		panic("mpi: RecvRequest.Data before Wait")
-	}
-	return r.data
-}
-
-// Isend starts a nonblocking send of data to rank dst. The buffer is
-// copied before Isend returns, so the caller may modify data
-// immediately. Messages to the same destination are received in send
-// order. On a wire transport, []int64 payloads take the framed fast
-// path and []float64 payloads travel bit-converted to words; other
-// element types require the in-process transport.
-func Isend[T any](c *Comm, dst int, data []T) Request {
-	atomic.AddInt64(&c.stats.SendOps, 1)
-	atomic.AddInt64(&c.stats.ElemsSent, int64(len(data)))
-	if gt, ok := c.t.(genericTransport); ok {
-		cp := make([]T, len(data))
-		copy(cp, data)
-		gt.sendAny(dst, cp, len(cp))
-		return sendRequest{}
-	}
-	switch v := any(data).(type) {
-	case []int64:
-		c.t.Send64(dst, 0, v)
-	case []float64:
-		words := make([]int64, len(v))
-		for i, f := range v {
-			words[i] = int64(math.Float64bits(f))
-		}
-		c.t.Send64(dst, 0, words)
-	default:
-		panic(fmt.Sprintf("mpi: Isend of %T requires the in-process transport (have %T)", data, c.t))
-	}
-	return sendRequest{}
-}
-
-// Irecv starts a nonblocking receive of the next []T message from rank
-// src. The transfer completes when Wait (or Await) is called.
-func Irecv[T any](c *Comm, src int) *RecvRequest[T] {
-	if src < 0 || src >= c.size {
-		panic(fmt.Sprintf("mpi: Irecv from rank %d outside [0,%d)", src, c.size))
-	}
-	return &RecvRequest[T]{c: c, src: src}
-}
-
-// Waitall completes every request; the MPI_Waitall of this simulator.
-func Waitall(reqs ...Request) {
-	for _, r := range reqs {
-		r.Wait()
-	}
-}
-
 // Round-tag space. A 32-bit round tag is split into an 8-bit wave id
 // (high bits) and a 24-bit round sequence (low bits), so callers that
 // interleave several independent round streams over one pair FIFO —
@@ -281,12 +148,12 @@ func SplitRoundTag(tag uint32) (wave int, seq uint32) {
 	return int(tag >> TagSeqBits), tag & (1<<TagSeqBits - 1)
 }
 
-// Isend64 is Isend for int64 payloads with the transfer copy drawn
-// from the transport's buffer pool instead of the heap: together with
-// Recv64/Recycle64 on the receive side, a steady-state exchange round
-// allocates nothing. Like Isend, the buffer is copied before return
-// and may be reused immediately; completion is eager, so no Request is
-// returned.
+// Isend64 starts a nonblocking send of data to rank dst. The transfer
+// copy is drawn from the transport's buffer pool instead of the heap:
+// together with Recv64/Recycle64 on the receive side, a steady-state
+// exchange round allocates nothing. The buffer is copied before return
+// and may be reused immediately; completion is eager, so there is no
+// request to wait on.
 func Isend64(c *Comm, dst int, data []int64) {
 	Isend64Tag(c, dst, 0, data)
 }
@@ -309,10 +176,9 @@ func Isend64Tag(c *Comm, dst int, tag uint32, data []int64) {
 // Recv64 blocks until the next int64 message from rank src arrives and
 // returns its payload. The returned buffer is a private copy; when the
 // caller has decoded it, passing it to Recycle64 returns it to the
-// pool so subsequent sends reuse it. Messages sent with the generic
-// Isend are accepted too (they just were not pooled). Recv64 ignores
-// round tags; the delta exchanger's drainer receives through Recv64Tag,
-// which asserts them.
+// pool so subsequent sends reuse it. Recv64 ignores round tags; the
+// delta exchanger's drainer receives through Recv64Tag, which asserts
+// them.
 func Recv64(c *Comm, src int) []int64 {
 	data, _ := recv64(c, src)
 	return data

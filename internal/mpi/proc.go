@@ -41,11 +41,10 @@ func (p *procTransport) Send64(dst int, tag uint32, data []int64) {
 	}
 	cp := p.w.pool.get(len(data))
 	copy(cp, data)
-	p.w.box(p.rank, dst).put(message{i64: cp, count: len(cp), tag: tag})
+	p.w.box(p.rank, dst).put(message{i64: cp, tag: tag})
 }
 
-// Recv64 dequeues the oldest message from src. Messages sent with the
-// generic Isend are accepted too (they just were not pooled).
+// Recv64 dequeues the oldest message from src.
 //
 //repro:hotpath
 func (p *procTransport) Recv64(src int) ([]int64, uint32) {
@@ -53,15 +52,7 @@ func (p *procTransport) Recv64(src int) ([]int64, uint32) {
 		panic(fmt.Sprintf("mpi: Recv64 from rank %d outside [0,%d)", src, p.w.size))
 	}
 	msg := p.w.box(src, p.rank).take()
-	data := msg.i64
-	if data == nil {
-		d, ok := msg.data.([]int64)
-		if !ok {
-			panic(fmt.Sprintf("mpi: Recv64 from rank %d: element type mismatch, message holds %T", src, msg.data))
-		}
-		data = d
-	}
-	return data, msg.tag
+	return msg.i64, msg.tag
 }
 
 //repro:hotpath
@@ -81,24 +72,6 @@ func (p *procTransport) Abort() { p.w.poisonAll() }
 // process; there are no per-rank resources to release.
 func (p *procTransport) Close() error { return nil }
 
-// sendAny enqueues a generic message copy (the caller has already made
-// the private copy); part of the genericTransport extension.
-func (p *procTransport) sendAny(dst int, data any, count int) {
-	if dst < 0 || dst >= p.w.size {
-		panic(fmt.Sprintf("mpi: Isend to rank %d outside [0,%d)", dst, p.w.size))
-	}
-	p.w.box(p.rank, dst).put(message{data: data, count: count})
-}
-
-// recvAny dequeues the oldest message from src without interpreting its
-// payload; part of the genericTransport extension.
-func (p *procTransport) recvAny(src int) message {
-	if src < 0 || src >= p.w.size {
-		panic(fmt.Sprintf("mpi: Irecv from rank %d outside [0,%d)", src, p.w.size))
-	}
-	return p.w.box(src, p.rank).take()
-}
-
 // publish writes v into this rank's slot and synchronizes so all slots
 // are visible; the returned release function must be called after the
 // caller has finished reading other ranks' slots.
@@ -113,8 +86,8 @@ func (p *procTransport) publish(v any) (release func()) {
 
 func (p *procTransport) slot(r int) any { return p.w.slots[r] }
 
-// Typed collectives: thin instantiations of the slot-based generic
-// algorithms shared with Comm's generic API.
+// Typed collectives: thin instantiations of the slot-based algorithms
+// below.
 
 func (p *procTransport) AllreduceI64(vals []int64, op Op) []int64 {
 	return allreduceSlots(p, vals, op)
@@ -142,17 +115,17 @@ func (p *procTransport) AlltoallvF64(send []float64, counts []int) ([]float64, [
 
 // allreduceSlots reduces vals element-wise across all ranks in
 // ascending rank order over the publication slots.
-func allreduceSlots[T Number](gt genericTransport, vals []T, op Op) []T {
-	release := gt.publish(vals)
+func allreduceSlots[T Number](p *procTransport, vals []T, op Op) []T {
+	release := p.publish(vals)
 	out := make([]T, len(vals))
-	first := gt.slot(0).([]T)
+	first := p.slot(0).([]T)
 	if len(first) != len(vals) {
 		release()
 		panic("mpi: Allreduce length mismatch across ranks")
 	}
 	copy(out, first)
-	for r := 1; r < gt.Size(); r++ {
-		contrib := gt.slot(r).([]T)
+	for r := 1; r < p.Size(); r++ {
+		contrib := p.slot(r).([]T)
 		if len(contrib) != len(vals) {
 			release()
 			panic("mpi: Allreduce length mismatch across ranks")
@@ -188,13 +161,13 @@ func foldVec[T Number](acc, contrib []T, op Op) {
 }
 
 // bcastSlots distributes root's data to every rank over the slots.
-func bcastSlots[T any](gt genericTransport, root int, data []T) []T {
+func bcastSlots[T any](p *procTransport, root int, data []T) []T {
 	var pub any
-	if gt.Rank() == root {
+	if p.Rank() == root {
 		pub = data
 	}
-	release := gt.publish(pub)
-	src := gt.slot(root).([]T)
+	release := p.publish(pub)
+	src := p.slot(root).([]T)
 	out := make([]T, len(src))
 	copy(out, src)
 	release()
@@ -202,11 +175,11 @@ func bcastSlots[T any](gt genericTransport, root int, data []T) []T {
 }
 
 // allgathervSlots collects a variable-length slice from each rank.
-func allgathervSlots[T any](gt genericTransport, data []T) [][]T {
-	release := gt.publish(data)
-	out := make([][]T, gt.Size())
-	for r := 0; r < gt.Size(); r++ {
-		src := gt.slot(r).([]T)
+func allgathervSlots[T any](p *procTransport, data []T) [][]T {
+	release := p.publish(data)
+	out := make([][]T, p.Size())
+	for r := 0; r < p.Size(); r++ {
+		src := p.slot(r).([]T)
 		cp := make([]T, len(src))
 		copy(cp, src)
 		out[r] = cp
@@ -225,22 +198,22 @@ type vPayload[T any] struct {
 
 // alltoallvSlots performs the variable-size personalized exchange over
 // the slots; counts are validated by the Comm wrapper.
-func alltoallvSlots[T any](gt genericTransport, sendBuf []T, sendCounts []int) (recv []T, recvCounts []int) {
-	offsets := alltoallvOffsets(len(sendBuf), sendCounts, gt.Size())
-	release := gt.publish(vPayload[T]{buf: sendBuf, counts: sendCounts, offsets: offsets})
-	size := gt.Size()
-	me := gt.Rank()
+func alltoallvSlots[T any](p *procTransport, sendBuf []T, sendCounts []int) (recv []T, recvCounts []int) {
+	offsets := alltoallvOffsets(len(sendBuf), sendCounts, p.Size())
+	release := p.publish(vPayload[T]{buf: sendBuf, counts: sendCounts, offsets: offsets})
+	size := p.Size()
+	me := p.Rank()
 	recvCounts = make([]int, size)
 	rtotal := 0
 	for r := 0; r < size; r++ {
-		p := gt.slot(r).(vPayload[T])
-		recvCounts[r] = p.counts[me]
+		pl := p.slot(r).(vPayload[T])
+		recvCounts[r] = pl.counts[me]
 		rtotal += recvCounts[r]
 	}
 	recv = make([]T, 0, rtotal)
 	for r := 0; r < size; r++ {
-		p := gt.slot(r).(vPayload[T])
-		seg := p.buf[p.offsets[me]:p.offsets[me+1]]
+		pl := p.slot(r).(vPayload[T])
+		seg := pl.buf[pl.offsets[me]:pl.offsets[me+1]]
 		recv = append(recv, seg...)
 	}
 	release()

@@ -10,7 +10,8 @@ import (
 // in-process goroutine mailboxes (NewProcWorld, the default) or by one
 // OS process per rank over TCP/Unix sockets (DialSocket). A Transport
 // is one rank's handle; Comm wraps it with traffic statistics and the
-// generic convenience API.
+// word-typed MPI API. Every operation moves int64 or float64 words, so
+// every Comm call runs unchanged on every implementation.
 //
 // Contract, shared by every implementation and enforced by the
 // conformance suite in internal/mpitest:
@@ -71,7 +72,9 @@ type Transport interface {
 	// counts[r] elements to rank r; it returns the received data packed
 	// in source-rank order with per-source counts.
 	AlltoallvI64(send []int64, counts []int) ([]int64, []int)
-	// AlltoallvF64 is AlltoallvI64 for float64 payloads.
+	// AlltoallvF64 is AlltoallvI64 for float64 payloads. No Comm
+	// operation calls it; it stays for transport decorators that
+	// forward it.
 	AlltoallvF64(send []float64, counts []int) ([]float64, []int)
 
 	// Abort poisons the transport after a local failure so peers blocked
@@ -82,22 +85,6 @@ type Transport interface {
 	// goroutines). In-process worlds share state across ranks and treat
 	// Close as a no-op; socket worlds tear down their connections.
 	Close() error
-}
-
-// genericTransport is the in-process extension of Transport: arbitrary
-// element types move through shared-memory mailboxes and publication
-// slots without serialization. Wire-backed transports do not implement
-// it; Comm's generic operations fall back to typed word encodings (or
-// panic for non-numeric element types).
-type genericTransport interface {
-	Transport
-	sendAny(dst int, data any, count int)
-	recvAny(src int) message
-	// publish writes v into this rank's slot and synchronizes so all
-	// slots are visible; the returned release function must be called
-	// after the caller has finished reading other ranks' slots.
-	publish(v any) (release func())
-	slot(r int) any
 }
 
 // TransportFailure is the panic payload raised by transport operations

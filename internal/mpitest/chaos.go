@@ -315,7 +315,8 @@ func runChaosTier(t *testing.T) {
 // chaosRendezvousReset resets the first connection through rank 0's
 // address mid-handshake; the retrying dialer must rendezvous anyway
 // and the world must produce results bit-identical to an undisturbed
-// fold — the fault is fully transparent.
+// fold, and deliver float64 words bit-exact through the proxies — the
+// fault is fully transparent.
 func chaosRendezvousReset(t *testing.T) {
 	const n = 3
 	real := sockAddrs(t, n)
@@ -346,6 +347,7 @@ func chaosRendezvousReset(t *testing.T) {
 					c.Rank(), i, math.Float64bits(got[i]), math.Float64bits(want[i])))
 			}
 		}
+		floatBitsP2P(c)
 	})
 }
 

@@ -15,9 +15,7 @@ import (
 // (never a hang), and pure delays must not change any result.
 //
 // Only the Send64 path is perturbed; collectives and receives pass
-// through. The wrapper deliberately does not forward the in-process
-// transport's generic extension, so faulty worlds reject non-numeric
-// payload types just like wire transports do.
+// through.
 type FaultyTransport struct {
 	mpi.Transport
 

@@ -103,6 +103,7 @@ func RunTransportConformance(t *testing.T, factory Factory, opts ...Option) {
 	t.Run("PoisonOnPanic", func(t *testing.T) { testPoisonOnPanic(t, factory) })
 	t.Run("Collectives", func(t *testing.T) { testCollectives(t, factory) })
 	t.Run("FloatFoldBits", func(t *testing.T) { testFloatFoldBits(t, factory) })
+	t.Run("FloatBitsP2P", func(t *testing.T) { testFloatBitsP2P(t, factory) })
 	t.Run("Barrier", func(t *testing.T) { testBarrier(t, factory) })
 	t.Run("TallyFold", func(t *testing.T) { testTallyFold(t, factory) })
 	t.Run("RecycleStability", func(t *testing.T) { testRecycleStability(t, factory) })
@@ -262,6 +263,59 @@ func testFloatFoldBits(t *testing.T, factory Factory) {
 		fr := mpi.Allreduce(c, contrib(c.Rank()), mpi.Max)
 		_ = fr
 	})
+}
+
+// floatBitsPayload is the float64 message of testFloatBitsP2P for one
+// (src, dst) pair: the values a word-typed transport could mangle — a
+// NaN with a payload, -0, ±Inf, the smallest subnormal — around
+// ordinary values that tag the pair.
+func floatBitsPayload(src, dst int) []float64 {
+	return []float64{
+		float64(src) + 0.25, math.Float64frombits(0x7ff8_0000_dead_beef), math.Copysign(0, -1),
+		math.Inf(1), math.Inf(-1), math.SmallestNonzeroFloat64, -1.0 / float64(dst+3),
+	}
+}
+
+// floatBitsP2P sends every other rank its floatBitsPayload as
+// math.Float64bits words through Isend64Tag and requires Recv64Tag to
+// deliver every bit unchanged: the word path is how float64 payloads
+// (SpMV's vector values) cross every transport.
+func floatBitsP2P(c *mpi.Comm) {
+	n := c.Size()
+	tag := mpi.RoundTag(0, 1)
+	for dst := 0; dst < n; dst++ {
+		if dst == c.Rank() {
+			continue
+		}
+		vals := floatBitsPayload(c.Rank(), dst)
+		words := make([]int64, len(vals))
+		for i, v := range vals {
+			words[i] = int64(math.Float64bits(v))
+		}
+		mpi.Isend64Tag(c, dst, tag, words)
+	}
+	for src := 0; src < n; src++ {
+		if src == c.Rank() {
+			continue
+		}
+		got := mpi.Recv64Tag(c, src, tag)
+		want := floatBitsPayload(src, c.Rank())
+		if len(got) != len(want) {
+			panic(fmt.Sprintf("rank %d: float message from %d has %d words, want %d", c.Rank(), src, len(got), len(want)))
+		}
+		for i, v := range want {
+			if uint64(got[i]) != math.Float64bits(v) {
+				panic(fmt.Sprintf("rank %d: float word %d from %d: %#x, want %#x", c.Rank(), i, src, uint64(got[i]), math.Float64bits(v)))
+			}
+		}
+		c.Recycle64(got)
+	}
+}
+
+// testFloatBitsP2P checks that float64 payloads shipped as words come
+// back bit-exact.
+func testFloatBitsP2P(t *testing.T, factory Factory) {
+	mpi.RunWorld(factory(t, 3), 1, floatBitsP2P)
 }
 
 // testBarrier checks that Barrier separates phases: no rank observes a

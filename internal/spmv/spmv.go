@@ -14,14 +14,14 @@
 // phases touch only a processor row/column, which is what accelerates
 // skewed graphs in Table III.
 //
-// Both phases send nonblocking point-to-point messages over the
-// precomputed per-peer schedules, with a local-copy bypass for
+// Both phases send nonblocking point-to-point messages of float64 bits
+// over the precomputed per-peer schedules, with a local-copy bypass for
 // self-destined shares. Normalization is deferred by one iteration:
 // each expand ships the previous product unnormalized and receivers
-// divide by the global ∞-norm while filling their x buffers. The mode
-// (Options.Async) decides only where that divisor comes from — riding
-// the expand messages, or one Allreduce per expand — so the numerics
-// are identical in both modes.
+// fill their x buffers, then divide them in place by the global
+// ∞-norm. The mode (Options.Async) decides only where that divisor
+// comes from — riding the expand messages, or one Allreduce per
+// expand — so the numerics are identical in both modes.
 package spmv
 
 import (
@@ -130,9 +130,8 @@ type matrix struct {
 	selfBody   func(lo, hi, tid int)
 	divBody    func(lo, hi, tid int)
 	foldDstIdx []int
-	foldSeg    []float64
-	divDst     []float64
-	divSrc     []float64
+	foldSeg    []float64 // decoded fold segment, sized once in build
+	divSeg     []float64
 	divNorm    float64
 	mulTime    time.Duration
 
@@ -171,21 +170,18 @@ type matrix struct {
 	// ∞-norm contribution — max |y| of the previous multiply, 1.0
 	// before the first (dividing by it must be exact, and x/1.0 is);
 	// normPiggyback rides it on the expand messages (async mode,
-	// complete expand neighborhood) instead of reducing it; and
-	// normSegs parks received expand segments until the global
-	// divisor is known.
+	// complete expand neighborhood) instead of reducing it.
 	normPiggyback bool
 	pendNorm      float64
-	normSegs      [][]float64
 
 	// y accumulators.
 	partial []float64 // per present row
 	y       []float64 // per owned vector entry
 
-	// Reusable per-peer send staging buffer. The schedules are fixed
-	// after build, so one warmup multiply sizes it and steady-state
-	// iterations stop allocating in the send paths.
-	peerBuf []float64
+	// Reusable per-peer send staging buffer of float64 bits. The
+	// schedules are fixed after build, so one warmup multiply sizes it
+	// and steady-state iterations stop allocating in the send paths.
+	peerBuf []int64
 }
 
 // nzRank maps nonzero (u, v) to its rank for the given layout.
@@ -355,17 +351,23 @@ func build(c *mpi.Comm, g *graph.Graph, parts []int32, layout Layout) (*matrix, 
 		m.foldSend[parts[u]] = append(m.foldSend[parts[u]], ri)
 	}
 
+	maxFold := 0
 	for d := 0; d < p; d++ {
-		if d != me && len(m.expandSend[d]) > 0 {
+		if d == me {
+			continue
+		}
+		if len(m.expandSend[d]) > 0 {
 			m.expandOut = append(m.expandOut, d)
 		}
-		if d != me && m.colOff[d+1] > m.colOff[d] {
+		if m.colOff[d+1] > m.colOff[d] {
 			m.expandIn = append(m.expandIn, d)
 		}
-		if d != me && len(m.foldSend[d]) > 0 {
+		if len(m.foldSend[d]) > 0 {
 			m.foldOut = append(m.foldOut, d)
 		}
+		maxFold = max(maxFold, len(m.foldRecv[d]))
 	}
+	m.foldSeg = make([]float64, maxFold)
 	return m, nil
 }
 
@@ -378,48 +380,53 @@ func build(c *mpi.Comm, g *graph.Graph, parts []int32, layout Layout) (*matrix, 
 // other ranks.
 //
 // Both phases send one point-to-point message per scheduled remote
-// peer and copy the self share locally. Fill and accumulation orders
-// are fixed (xbuf segments are source-major, y adds run in ascending
-// source rank with the self share at its rank position), and every
-// entry is divided by the same global max however it was obtained
-// (max never rounds), so the iterated vector — and Result.Checksum —
-// is bit-identical in both modes.
+// peer and copy the self share locally. Values travel as their
+// float64 bits through the pooled Isend64/Recv64 path, and each
+// received buffer is decoded and recycled at once. Fill and
+// accumulation orders are fixed (xbuf segments are source-major, y
+// adds run in ascending source rank with the self share at its rank
+// position), and every entry is divided by the same global max however
+// it was obtained (max never rounds), so the iterated vector — and
+// Result.Checksum — is bit-identical in both modes.
 //
 //repro:hotpath
 func (m *matrix) multiply(reduce bool) int64 {
 	var volume int64
 
-	// Expand: the remote sends first (Isend is eager and never blocks,
-	// and copies at call time, so one staging buffer serves every
-	// peer), then the divisor, then the receives. Entries travel
-	// unnormalized; under the ride each message appends the sender's
-	// norm contribution. Received segments are parked in normSegs
-	// until the divisor is total.
+	// Expand: the remote sends first (Isend64 is eager and never
+	// blocks, and copies at call time, so one staging buffer serves
+	// every peer), then the divisor, then the receives. Entries travel
+	// unnormalized and are decoded into their xbuf segments; under the
+	// ride each message appends the sender's norm contribution. The
+	// segments are divided in place once the divisor is total.
 	for _, d := range m.expandOut {
 		buf := m.peerBuf[:0]
 		for _, xi := range m.expandSend[d] {
-			buf = append(buf, m.x[xi])
+			buf = append(buf, int64(math.Float64bits(m.x[xi])))
 		}
 		volume += int64(len(buf))
 		if m.normPiggyback {
-			buf = append(buf, m.pendNorm)
+			buf = append(buf, int64(math.Float64bits(m.pendNorm)))
 		}
 		m.peerBuf = buf
-		mpi.Isend(m.c, d, buf)
+		mpi.Isend64(m.c, d, buf)
 	}
 	norm := m.pendNorm
 	if reduce {
 		norm = mpi.AllreduceScalar(m.c, norm, mpi.Max)
 	}
-	m.normSegs = m.normSegs[:0]
 	for _, s := range m.expandIn {
-		seg := mpi.Irecv[float64](m.c, s).Await()
+		words := mpi.Recv64(m.c, s)
+		seg := m.xbuf[m.colOff[s]:m.colOff[s+1]]
+		for j := range seg {
+			seg[j] = math.Float64frombits(uint64(words[j]))
+		}
 		if m.normPiggyback {
-			if n := seg[len(seg)-1]; n > norm {
+			if n := math.Float64frombits(uint64(words[len(seg)])); n > norm {
 				norm = n
 			}
 		}
-		m.normSegs = append(m.normSegs, seg)
+		m.c.Recycle64(words)
 	}
 	if norm == 0 {
 		norm = 1 // a zero product leaves x unscaled
@@ -428,10 +435,9 @@ func (m *matrix) multiply(reduce bool) int64 {
 		m.xbuf[m.colOff[m.me]+i] = m.x[xi] / norm
 	}
 	m.divNorm = norm
-	for si, s := range m.expandIn {
-		m.divDst, m.divSrc = m.xbuf[m.colOff[s]:m.colOff[s+1]], m.normSegs[si]
-		par.ForChunk(0, m.colOff[s+1]-m.colOff[s], m.threads, m.divBody)
-		m.normSegs[si] = nil // release the transfer copy
+	for _, s := range m.expandIn {
+		m.divSeg = m.xbuf[m.colOff[s]:m.colOff[s+1]]
+		par.ForChunk(0, len(m.divSeg), m.threads, m.divBody)
 	}
 
 	m.localMultiply()
@@ -441,15 +447,13 @@ func (m *matrix) multiply(reduce bool) int64 {
 	for _, d := range m.foldOut {
 		buf := m.peerBuf[:0]
 		for _, ri := range m.foldSend[d] {
-			buf = append(buf, m.partial[ri])
+			buf = append(buf, int64(math.Float64bits(m.partial[ri])))
 		}
 		m.peerBuf = buf
-		mpi.Isend(m.c, d, buf)
+		mpi.Isend64(m.c, d, buf)
 		volume += int64(len(buf))
 	}
-	for i := range m.y {
-		m.y[i] = 0
-	}
+	clear(m.y)
 	for s := 0; s < m.p; s++ {
 		if s == m.me {
 			par.ForChunk(0, len(m.foldSend[s]), m.threads, m.selfBody)
@@ -458,8 +462,12 @@ func (m *matrix) multiply(reduce bool) int64 {
 		if len(m.foldRecv[s]) == 0 {
 			continue
 		}
-		seg := mpi.Irecv[float64](m.c, s).Await()
-		m.foldDstIdx, m.foldSeg = m.foldRecv[s], seg
+		words := mpi.Recv64(m.c, s)
+		for j, w := range words {
+			m.foldSeg[j] = math.Float64frombits(uint64(w))
+		}
+		m.c.Recycle64(words)
+		m.foldDstIdx = m.foldRecv[s]
 		par.ForChunk(0, len(m.foldRecv[s]), m.threads, m.foldBody)
 	}
 	return volume
@@ -518,15 +526,32 @@ func (m *matrix) foldSelfChunk(lo, hi, _ int) {
 	}
 }
 
-// divChunk performs the deferred normalization on one received xbuf
-// segment: divDst[j] = divSrc[j] / divNorm, disjoint per index.
+// divChunk performs the deferred normalization in place on one
+// received xbuf segment: divSeg[j] /= divNorm, disjoint per index.
 //
 //repro:hotpath
 func (m *matrix) divChunk(lo, hi, _ int) {
-	dst, src, norm := m.divDst, m.divSrc, m.divNorm
+	seg, norm := m.divSeg, m.divNorm
 	for j := lo; j < hi; j++ {
-		dst[j] = src[j] / norm
+		seg[j] /= norm
 	}
+}
+
+// prepare builds the rank's matrix and sets up its deferred
+// normalization for the first multiply. Under opt.Async it runs the
+// one-time collective detection of the norm ride, which needs every
+// rank to hear every other rank's contribution on each expand, i.e. a
+// complete expand rank neighborhood on EVERY rank.
+func prepare(c *mpi.Comm, g *graph.Graph, parts []int32, opt Options) (*matrix, error) {
+	m, err := build(c, g, parts, opt.Layout)
+	if err != nil {
+		return nil, err
+	}
+	if opt.Async {
+		m.normPiggyback = mpi.NeighborhoodComplete(c, len(m.expandIn))
+	}
+	m.pendNorm = 1
+	return m, nil
 }
 
 // Run executes opt.Iterations chained multiplies (x ← A x / ‖A x‖∞)
@@ -546,18 +571,11 @@ func run(c *mpi.Comm, g *graph.Graph, parts []int32, opt Options) (Result, *matr
 	if opt.Iterations <= 0 {
 		opt.Iterations = 100
 	}
-	m, err := build(c, g, parts, opt.Layout)
+	redBase := c.Stats().ReductionOps
+	m, err := prepare(c, g, parts, opt)
 	if err != nil {
 		return Result{}, nil, err
 	}
-	redBase := c.Stats().ReductionOps
-	if opt.Async {
-		// One-time collective detection: the norm ride needs every rank
-		// to hear every other rank's contribution on each expand, i.e.
-		// a complete expand rank neighborhood on EVERY rank.
-		m.normPiggyback = mpi.NeighborhoodComplete(c, len(m.expandIn))
-	}
-	m.pendNorm = 1
 	var res Result
 	start := time.Now()
 	for it := 0; it < opt.Iterations; it++ {
