@@ -32,8 +32,24 @@ func (s *state) vertBalance() {
 		s.q.Reset()
 		s.ex.BeginTally(s.roundTallyLen(false))
 
+		s.beginRound()
 		par.ForChunk(0, g.NLocal, threads, func(lo, hi, tid int) {
-			counts := make([]float64, s.p)
+			sc := &s.scr[tid]
+			weigh := func(i int, c float64) float64 {
+				cvi := float64(atomic.LoadInt64(&s.cv[i]))
+				if float64(s.sv[i])+capMult*cvi+1 > maxV {
+					return 0
+				}
+				est := float64(s.sv[i]) + mult*cvi
+				if est < 1 {
+					est = 1
+				}
+				w := idealV/est - 1
+				if w < 0 {
+					w = 0
+				}
+				return c * w
+			}
 			for vi := lo; vi < hi; vi++ {
 				v := int32(vi)
 				x := s.loadPart(v)
@@ -45,36 +61,14 @@ func (s *state) vertBalance() {
 				if estX <= idealV {
 					continue
 				}
-				for i := range counts {
-					counts[i] = 0
-				}
-				for _, u := range g.Neighbors(v) {
-					counts[s.loadPart(u)] += float64(g.Degrees[u])
-				}
-				// Apply caps and weights.
-				for i := 0; i < s.p; i++ {
-					cvi := float64(atomic.LoadInt64(&s.cv[i]))
-					if float64(s.sv[i])+capMult*cvi+1 > maxV {
-						counts[i] = 0
-						continue
-					}
-					est := float64(s.sv[i]) + mult*cvi
-					if est < 1 {
-						est = 1
-					}
-					w := idealV/est - 1
-					if w < 0 {
-						w = 0
-					}
-					counts[i] *= w
-				}
-				w := x
-				best := counts[x]
-				for i := 0; i < s.p; i++ {
-					if counts[i] > best {
-						best = counts[i]
-						w = int32(i)
-					}
+				// Apply caps and weights, then take the argmax. A
+				// vertex whose neighbors all lie in x skips both and
+				// goes to the fallback.
+				w, best := x, 0.0
+				if sc.scanWeighted(s, v, x) {
+					var n int64
+					w, best, n = argmaxTouched(sc.wcount, sc.mask, x, false, weigh)
+					sc.partScans += n
 				}
 				if w == x || best <= 0 {
 					// No underweight part appears in v's neighborhood
@@ -82,31 +76,14 @@ func (s *state) vertBalance() {
 					// globally most underweight part so the balance
 					// phase always converges; refinement restores cut
 					// quality afterwards.
-					w = x
-					bestW := 0.0
-					for i := 0; i < s.p; i++ {
-						if int32(i) == x {
-							continue
-						}
-						cvi := float64(atomic.LoadInt64(&s.cv[i]))
-						if float64(s.sv[i])+capMult*cvi+1 > s.imbV {
-							continue
-						}
-						est := float64(s.sv[i]) + mult*cvi
-						if est < 1 {
-							est = 1
-						}
-						if wv := idealV/est - 1; wv > bestW {
-							bestW = wv
-							w = int32(i)
-						}
-					}
+					w = s.underFor(sc, x, mult, capMult, idealV)
 				}
 				if w != x {
 					atomic.AddInt64(&s.cv[x], -1)
 					atomic.AddInt64(&s.cv[w], 1)
 					s.storePart(v, w)
 					s.push(tid, v, w)
+					s.moved()
 				}
 			}
 		})
@@ -137,33 +114,26 @@ func (s *state) vertRefine() {
 		s.q.Reset()
 		s.ex.BeginTally(s.roundTallyLen(false))
 
+		s.beginRound()
 		par.ForChunk(0, g.NLocal, threads, func(lo, hi, tid int) {
-			counts := make([]int64, s.p)
+			sc := &s.scr[tid]
+			// A move may not push the receiving part above the vertex
+			// target Imbv: refinement only rearranges within the
+			// balance envelope. Gated parts score 0 and never win.
+			gate := func(i int, c int64) int64 {
+				if float64(s.sv[i])+mult*float64(atomic.LoadInt64(&s.cv[i]))+1 > s.imbV {
+					return 0
+				}
+				return c
+			}
 			for vi := lo; vi < hi; vi++ {
 				v := int32(vi)
-				for i := range counts {
-					counts[i] = 0
-				}
-				for _, u := range g.Neighbors(v) {
-					counts[s.loadPart(u)]++
-				}
 				x := s.loadPart(v)
-				w := x
-				best := counts[x]
-				for i := 0; i < s.p; i++ {
-					if counts[i] <= best {
-						continue
-					}
-					// A move may not push the receiving part above the
-					// vertex target Imbv: refinement only rearranges
-					// within the balance envelope.
-					est := float64(s.sv[i]) + mult*float64(atomic.LoadInt64(&s.cv[i]))
-					if est+1 > s.imbV {
-						continue
-					}
-					best = counts[i]
-					w = int32(i)
+				if !sc.scanCounts(s, v, x) {
+					continue
 				}
+				w, _, n := argmaxTouched(sc.icount, sc.mask, x, true, gate)
+				sc.partScans += n
 				if w != x {
 					atomic.AddInt64(&s.cv[x], -1)
 					atomic.AddInt64(&s.cv[w], 1)

@@ -12,7 +12,7 @@ import (
 
 // runPartition builds g distributed over nranks and partitions it,
 // returning the global assignment and the (rank 0) report.
-func runPartition(t *testing.T, g *gen.Generator, nranks int, opt Options) ([]int32, Report) {
+func runPartition(t testing.TB, g *gen.Generator, nranks int, opt Options) ([]int32, Report) {
 	t.Helper()
 	var global []int32
 	var rep Report

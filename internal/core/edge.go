@@ -61,8 +61,38 @@ func (s *state) edgeBalance() {
 		s.q.Reset()
 		s.ex.BeginTally(s.roundTallyLen(true))
 
+		s.beginRound()
 		par.ForChunk(0, g.NLocal, threads, func(lo, hi, tid int) {
-			counts := make([]float64, s.p)
+			sc := &s.scr[tid]
+			var dv float64
+			weigh := func(i int, c float64) float64 {
+				cvi := float64(atomic.LoadInt64(&s.cv[i]))
+				cei := float64(atomic.LoadInt64(&s.ce[i]))
+				// Receivers are capped at the vertex and edge targets
+				// so the balance achieved by earlier stages cannot be
+				// destroyed here.
+				if float64(s.sv[i])+capMult*cvi+1 > s.imbV ||
+					float64(s.se[i])+capMult*cei+dv > s.imbE {
+					return 0
+				}
+				estE := float64(s.se[i]) + mult*cei
+				estC := float64(s.sc[i]) + mult*float64(atomic.LoadInt64(&s.cc[i]))
+				if estE < 1 {
+					estE = 1
+				}
+				if estC < 1 {
+					estC = 1
+				}
+				we := s.imbE/estE - 1
+				if we < 0 {
+					we = 0
+				}
+				wc := maxC/estC - 1
+				if wc < 0 {
+					wc = 0
+				}
+				return c * (re*we + rc*wc)
+			}
 			for vi := lo; vi < hi; vi++ {
 				v := int32(vi)
 				x := s.loadPart(v)
@@ -76,72 +106,41 @@ func (s *state) edgeBalance() {
 				if !overE && !overC {
 					continue
 				}
-				for i := range counts {
-					counts[i] = 0
-				}
-				for _, u := range g.Neighbors(v) {
-					counts[s.loadPart(u)] += float64(g.Degrees[u])
-				}
-				dv := float64(g.Degree(v))
-				for i := 0; i < s.p; i++ {
-					cvi := float64(atomic.LoadInt64(&s.cv[i]))
-					cei := float64(atomic.LoadInt64(&s.ce[i]))
-					// Receivers are capped at the vertex and edge
-					// targets so the balance achieved by earlier stages
-					// cannot be destroyed here.
-					if float64(s.sv[i])+capMult*cvi+1 > s.imbV ||
-						float64(s.se[i])+capMult*cei+dv > s.imbE {
-						counts[i] = 0
-						continue
-					}
-					estE := float64(s.se[i]) + mult*cei
-					estC := float64(s.sc[i]) + mult*float64(atomic.LoadInt64(&s.cc[i]))
-					if estE < 1 {
-						estE = 1
-					}
-					if estC < 1 {
-						estC = 1
-					}
-					we := s.imbE/estE - 1
-					if we < 0 {
-						we = 0
-					}
-					wc := maxC/estC - 1
-					if wc < 0 {
-						wc = 0
-					}
-					counts[i] *= re*we + rc*wc
-				}
-				w := x
-				best := counts[x]
-				for i := 0; i < s.p; i++ {
-					if counts[i] > best {
-						best = counts[i]
-						w = int32(i)
-					}
+				dv = float64(g.Degree(v))
+				w, best := x, 0.0
+				if sc.scanWeighted(s, v, x) {
+					var n int64
+					w, best, n = argmaxTouched(sc.wcount, sc.mask, x, false, weigh)
+					sc.partScans += n
 				}
 				if (w == x || best <= 0) && overE {
 					// No weighted neighbor candidate: teleport toward
 					// the most edge-underweight part that can take v.
+					// Every receiver needs capped load + dv ≤ Imbe; if
+					// the lightest part other than x misses it, the
+					// scan cannot find one.
 					w = x
-					bestW := 0.0
-					for i := 0; i < s.p; i++ {
-						if int32(i) == x {
-							continue
-						}
-						cvi := float64(atomic.LoadInt64(&s.cv[i]))
-						cei := float64(atomic.LoadInt64(&s.ce[i]))
-						if float64(s.sv[i])+capMult*cvi+1 > s.imbV ||
-							float64(s.se[i])+capMult*cei+dv > s.imbE {
-							continue
-						}
-						estE := float64(s.se[i]) + mult*cei
-						if estE < 1 {
-							estE = 1
-						}
-						if we := s.imbE/estE - 1; we > bestW {
-							bestW = we
-							w = int32(i)
+					if s.lightestOther(sc, x, capMult)+dv <= s.imbE {
+						sc.partScans += int64(s.p)
+						bestW := 0.0
+						for i := 0; i < s.p; i++ {
+							if int32(i) == x {
+								continue
+							}
+							cvi := float64(atomic.LoadInt64(&s.cv[i]))
+							cei := float64(atomic.LoadInt64(&s.ce[i]))
+							if float64(s.sv[i])+capMult*cvi+1 > s.imbV ||
+								float64(s.se[i])+capMult*cei+dv > s.imbE {
+								continue
+							}
+							estE := float64(s.se[i]) + mult*cei
+							if estE < 1 {
+								estE = 1
+							}
+							if we := s.imbE/estE - 1; we > bestW {
+								bestW = we
+								w = int32(i)
+							}
 						}
 					}
 				}
@@ -157,20 +156,26 @@ func (s *state) edgeBalance() {
 					// vertex-dependent rotation so concurrent hub
 					// evictions spread over distinct receivers instead
 					// of all piling onto the single lightest part.
-					start := int(uint64(g.L2G[v]) % uint64(s.p))
-					for k := 0; k < s.p; k++ {
-						i := (start + k) % s.p
-						if int32(i) == x {
-							continue
-						}
-						cvi := float64(atomic.LoadInt64(&s.cv[i]))
-						if float64(s.sv[i])+capMult*cvi+1 > s.imbV {
-							continue
-						}
-						estE := float64(s.se[i]) + capMult*float64(atomic.LoadInt64(&s.ce[i]))
-						if estE+2*dv <= estEx && estE <= s.imbE {
-							w = int32(i)
-							break
+					// Both conditions are monotone in the receiver's
+					// capped load, so the lightest part other than x
+					// decides whether any part passes.
+					if m := s.lightestOther(sc, x, capMult); m <= s.imbE && m+2*dv <= estEx {
+						sc.partScans += int64(s.p)
+						start := int(uint64(g.L2G[v]) % uint64(s.p))
+						for k := 0; k < s.p; k++ {
+							i := (start + k) % s.p
+							if int32(i) == x {
+								continue
+							}
+							cvi := float64(atomic.LoadInt64(&s.cv[i]))
+							if float64(s.sv[i])+capMult*cvi+1 > s.imbV {
+								continue
+							}
+							estE := float64(s.se[i]) + capMult*float64(atomic.LoadInt64(&s.ce[i]))
+							if estE+2*dv <= estEx && estE <= s.imbE {
+								w = int32(i)
+								break
+							}
 						}
 					}
 				}
@@ -178,6 +183,7 @@ func (s *state) edgeBalance() {
 					s.moveEdgeDeltas(v, x, w)
 					s.storePart(v, w)
 					s.push(tid, v, w)
+					s.moved()
 				}
 			}
 		})
@@ -205,37 +211,32 @@ func (s *state) edgeRefine() {
 		s.q.Reset()
 		s.ex.BeginTally(s.roundTallyLen(true))
 
+		s.beginRound()
 		par.ForChunk(0, g.NLocal, threads, func(lo, hi, tid int) {
-			counts := make([]int64, s.p)
+			sc := &s.scr[tid]
+			var dv int64
+			// Moves must respect the vertex and edge targets and may
+			// not raise any part's incident cut beyond the current
+			// global maximum. Gated parts score 0 and never win.
+			gate := func(i int, c int64) int64 {
+				estV := float64(s.sv[i]) + mult*float64(atomic.LoadInt64(&s.cv[i]))
+				estE := float64(s.se[i]) + mult*float64(atomic.LoadInt64(&s.ce[i]))
+				estC := float64(s.sc[i]) + mult*float64(atomic.LoadInt64(&s.cc[i]))
+				cutAfter := float64(dv - c) // arcs leaving part i from v
+				if estV+1 > s.imbV || estE+float64(dv) > s.imbE || estC+cutAfter > maxC {
+					return 0
+				}
+				return c
+			}
 			for vi := lo; vi < hi; vi++ {
 				v := int32(vi)
-				for i := range counts {
-					counts[i] = 0
-				}
-				for _, u := range g.Neighbors(v) {
-					counts[s.loadPart(u)]++
-				}
 				x := s.loadPart(v)
-				dv := g.Degree(v)
-				w := x
-				best := counts[x]
-				for i := 0; i < s.p; i++ {
-					if counts[i] <= best {
-						continue
-					}
-					// Moves must respect the vertex and edge targets and
-					// may not raise any part's incident cut beyond the
-					// current global maximum.
-					estV := float64(s.sv[i]) + mult*float64(atomic.LoadInt64(&s.cv[i]))
-					estE := float64(s.se[i]) + mult*float64(atomic.LoadInt64(&s.ce[i]))
-					estC := float64(s.sc[i]) + mult*float64(atomic.LoadInt64(&s.cc[i]))
-					cutAfter := float64(dv - counts[i]) // arcs leaving part i from v
-					if estV+1 > s.imbV || estE+float64(dv) > s.imbE || estC+cutAfter > maxC {
-						continue
-					}
-					best = counts[i]
-					w = int32(i)
+				if !sc.scanCounts(s, v, x) {
+					continue
 				}
+				dv = g.Degree(v)
+				w, _, n := argmaxTouched(sc.icount, sc.mask, x, true, gate)
+				sc.partScans += n
 				if w != x {
 					s.moveEdgeDeltas(v, x, w)
 					s.storePart(v, w)

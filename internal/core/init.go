@@ -101,27 +101,29 @@ func (s *state) initBFS() int {
 			r := rng.NewStream(s.opt.Seed^0xBF0F, uint64(rounds)<<32|uint64(tid)<<16|uint64(c.Rank()))
 			var local int64
 			// isAssigned tracked as the candidate list itself: collect
-			// the distinct neighbor parts, then pick one uniformly.
-			seen := make([]bool, s.p)
-			cands := make([]int32, 0, 16)
+			// the distinct neighbor parts in first-seen order (the
+			// thread's touched mask marks them), then pick one
+			// uniformly.
+			sc := &s.scr[tid]
 			for v := lo; v < hi; v++ {
 				if s.parts[v] != -1 {
 					continue
 				}
-				cands = cands[:0]
+				cands := sc.cands[:0]
 				for _, u := range g.Neighbors(int32(v)) {
 					pu := s.loadPart(u)
-					if pu >= 0 && !seen[pu] {
-						seen[pu] = true
+					if pu >= 0 && sc.mask[pu>>6]&(1<<(uint32(pu)&63)) == 0 {
+						sc.touch(pu)
 						cands = append(cands, pu)
 					}
 				}
+				sc.cands = cands
 				if len(cands) == 0 {
 					continue
 				}
 				w := cands[r.Intn(len(cands))]
 				for _, pc := range cands {
-					seen[pc] = false
+					sc.mask[pc>>6] = 0
 				}
 				s.storePart(int32(v), w)
 				s.push(tid, int32(v), w)

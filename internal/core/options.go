@@ -167,6 +167,17 @@ type Report struct {
 	// SendOps is the number of point-to-point sends this rank posted
 	// during the stages. Both modes post the same sends.
 	SendOps int64
+	// Candidates is the number of vertices whose neighborhood the
+	// balance and refine sweeps scored, summed over all ranks.
+	Candidates int64
+	// PartScans is the number of (candidate, part) pairs those sweeps
+	// examined, summed over all ranks: one per part a candidate's
+	// neighborhood touches (one for a vertex its own part wins before
+	// any count is stored),
+	// plus p per full fallback scan or fallback summary rebuild.
+	// PartScans/Candidates is the sweeps' per-vertex cost in parts,
+	// flat in p when the fallbacks stay rare.
+	PartScans int64
 	// Quality holds the final partition metrics.
 	Quality partition.Quality
 }

@@ -34,6 +34,19 @@ type state struct {
 	q    *par.Queues[dgraph.Update]
 	qbuf []dgraph.Update
 
+	// scr is each worker thread's sweep scratch (counts, touched mask,
+	// fallback summaries, work counters), indexed by par's tid; tally
+	// is the reused per-round delta tally takeTally fills.
+	scr   []scratch
+	tally []int64
+
+	// moves counts balance moves and round starts; a thread's fallback
+	// summaries are stale once it advances (summaryStale). The padding
+	// keeps its cache line apart from the fields the sweeps read.
+	_     [64]byte
+	moves int64
+	_     [64]byte
+
 	// parts holds assignments for owned and ghost vertices. Hot-loop
 	// reads and writes go through atomics because intra-rank threads
 	// update it asynchronously (the paper's "asynchronous intra-task
@@ -86,6 +99,11 @@ func Partition(g *dgraph.Graph, opt Options) ([]int32, Report, error) {
 		cc:    make([]int64, opt.NumParts),
 		iTot:  opt.Iouter * (opt.Ibal + opt.Iref),
 		q:     par.NewQueues[dgraph.Update](g.Comm.Threads()),
+		scr:   make([]scratch, g.Comm.Threads()),
+		tally: make([]int64, 3*opt.NumParts),
+	}
+	for i := range s.scr {
+		s.scr[i] = newScratch(s.p)
 	}
 	s.imbV = (1 + opt.VertImbalance) * float64(g.NGlobal) / float64(s.p)
 	s.imbE = (1 + opt.EdgeImbalance) * float64(2*g.MGlobal) / float64(s.p)
@@ -126,7 +144,13 @@ func Partition(g *dgraph.Graph, opt Options) ([]int32, Report, error) {
 	after := g.Comm.Stats()
 	rep.ReductionOps = after.ReductionOps - before.ReductionOps
 	rep.SendOps = after.SendOps - before.SendOps
-	rep.ExchangeVolume = mpi.AllreduceScalar(g.Comm, after.ElemsSent-before.ElemsSent, mpi.Sum)
+	var cand, scans int64
+	for i := range s.scr {
+		cand += s.scr[i].candidates
+		scans += s.scr[i].partScans
+	}
+	tot := mpi.Allreduce(g.Comm, []int64{after.ElemsSent - before.ElemsSent, cand, scans}, mpi.Sum)
+	rep.ExchangeVolume, rep.Candidates, rep.PartScans = tot[0], tot[1], tot[2]
 	rep.Quality = dgraph.EvaluateDistributed(g, s.parts, s.p)
 	return s.parts, rep, nil
 }
@@ -254,12 +278,12 @@ func (s *state) applyGhostUpdates(recv []dgraph.Update) {
 	}
 }
 
-// takeTally snapshots this iteration's local part-size deltas into a
-// tally vector ([cv] or [cv | ce | cc]) and zeroes the counters. The
-// worker threads have joined by the time it runs, so the reads need no
-// atomics.
+// takeTally snapshots this iteration's local part-size deltas into the
+// reused tally vector ([cv] or [cv | ce | cc]) and zeroes the counters.
+// The worker threads have joined by the time it runs, so the reads need
+// no atomics. The vector is overwritten by the next round's takeTally.
 func (s *state) takeTally(withEdges bool) []int64 {
-	t := make([]int64, s.tallyLen(withEdges))
+	t := s.tally[:s.tallyLen(withEdges)]
 	copy(t[:s.p], s.cv)
 	if withEdges {
 		copy(t[s.p:2*s.p], s.ce)

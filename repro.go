@@ -153,6 +153,15 @@ type Report struct {
 	// during the partitioning stages; both exchange modes post the
 	// same sends.
 	SendOps int64
+	// Candidates is the number of vertices whose neighborhood the
+	// balance and refine sweeps scored, summed over all ranks.
+	Candidates int64
+	// PartScans is the number of (candidate, part) pairs those sweeps
+	// examined, summed over all ranks: one per part a candidate's
+	// neighborhood touches (one for a vertex its own part wins before
+	// any count is stored),
+	// plus p per full fallback scan or fallback summary rebuild.
+	PartScans int64
 }
 
 // XtraPuLP partitions g with the paper's distributed partitioner on
@@ -253,6 +262,7 @@ func XtraPuLPComm(c *mpi.Comm, g *Generator, cfg Config) ([]int32, Report, error
 		InitIters: r.InitIters, Quality: r.Quality,
 		CommVolume: vol, ExchangeVolume: r.ExchangeVolume,
 		ReductionOps: r.ReductionOps, SendOps: r.SendOps,
+		Candidates: r.Candidates, PartScans: r.PartScans,
 	}
 	return full, rep, nil
 }
