@@ -124,3 +124,24 @@ func slotOwnedAccumulation(hc []float64, levels []int64, threads int) {
 		}
 	})
 }
+
+// capturedProductInParFor folds a product into a captured variable
+// across workers: the same race and schedule-ordered fold as a sum.
+// Not reported: only += and -= (and x = x ± v) are matched.
+func capturedProductInParFor(vals []float64, threads int) float64 {
+	prod := 1.0
+	par.For(0, len(vals), threads, func(i int) {
+		prod *= vals[i]
+	})
+	return prod
+}
+
+// ownSlotInForChunk: out[i] += v where i is the chunk loop's own index
+// writes a distinct slot per iteration. Clean.
+func ownSlotInForChunk(out, vals []float64, threads int) {
+	par.ForChunk(0, len(vals), threads, func(lo, hi, tid int) {
+		for i := lo; i < hi; i++ {
+			out[i] += vals[i]
+		}
+	})
+}

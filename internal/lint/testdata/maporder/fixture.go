@@ -144,3 +144,42 @@ func countViaLocalToField(labels []int64) *Report {
 	r.Communities = int64(n) // want "rank-local map count flows into report field"
 	return r
 }
+
+// productInMapOrder: FP multiplication is no more associative than
+// addition, so a product folded in map order differs run to run too.
+func productInMapOrder(weights map[int64]float64) float64 {
+	p := 1.0
+	for _, w := range weights {
+		p *= w // want "float accumulation in map iteration order"
+	}
+	return p
+}
+
+// differenceInMapOrder: a running difference folds in map order.
+func differenceInMapOrder(weights map[int64]float64) float64 {
+	var s float64
+	for _, w := range weights {
+		s -= w // want "float accumulation in map iteration order"
+	}
+	return s
+}
+
+// spelledDifferenceInMapOrder is the same fold as differenceInMapOrder
+// spelled s = s - w. Not reported: only the x = x + v spelling is
+// matched.
+func spelledDifferenceInMapOrder(weights map[int64]float64) float64 {
+	var s float64
+	for _, w := range weights {
+		s = s - w
+	}
+	return s
+}
+
+// keyIndexedAccumulation adds each entry into the slot its own key
+// indexes. Reported, although every key is visited once and so each
+// slot takes exactly one addition whatever the order.
+func keyIndexedAccumulation(acc []float64, weights map[int]float64) {
+	for k, w := range weights {
+		acc[k] += w // want "float accumulation in map iteration order"
+	}
+}
