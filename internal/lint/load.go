@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Package is one loaded, type-checked unit of analysis.
@@ -39,14 +40,35 @@ type moduleImporter struct {
 	fallback types.Importer
 }
 
-func newModuleImporter(fset *token.FileSet, modPath, modDir string) *moduleImporter {
-	return &moduleImporter{
+// importers holds one moduleImporter per module root for the life of
+// the process, so every Load and LoadDir call type-checks each module
+// and standard-library package once. importMu serializes their use:
+// an importer and its FileSet are not safe for concurrent checks.
+var (
+	importMu  sync.Mutex
+	importers = map[string]*moduleImporter{}
+)
+
+// importerFor returns the process-wide importer of the module
+// enclosing dir. The caller holds importMu until its checks are done.
+func importerFor(dir string) (*moduleImporter, error) {
+	modPath, modDir, err := moduleRoot(dir)
+	if err != nil {
+		return nil, err
+	}
+	if m, ok := importers[modDir]; ok {
+		return m, nil
+	}
+	fset := token.NewFileSet()
+	m := &moduleImporter{
 		fset:     fset,
 		modPath:  modPath,
 		modDir:   modDir,
 		cache:    map[string]*types.Package{},
 		fallback: importer.ForCompiler(fset, "source", nil),
 	}
+	importers[modDir] = m
+	return m, nil
 }
 
 func (m *moduleImporter) Import(path string) (*types.Package, error) {
@@ -91,6 +113,11 @@ func parseDir(fset *token.FileSet, dir string, tests bool) ([]*ast.File, error) 
 		names = append(names, n)
 	}
 	sort.Strings(names)
+	return parseFiles(fset, dir, names)
+}
+
+// parseFiles parses the named files of dir, in the given order.
+func parseFiles(fset *token.FileSet, dir string, names []string) ([]*ast.File, error) {
 	var files []*ast.File
 	for _, n := range names {
 		f, err := parser.ParseFile(fset, filepath.Join(dir, n), nil, parser.ParseComments)
@@ -131,10 +158,6 @@ type listedPackage struct {
 // fully type-checked Package — in-package test files included, and
 // external test packages (_test package suffix) as separate units.
 func Load(dir string, patterns ...string) ([]*Package, error) {
-	modPath, modDir, err := moduleRoot(dir)
-	if err != nil {
-		return nil, err
-	}
 	args := append([]string{"list", "-json"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
@@ -156,8 +179,12 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		listed = append(listed, lp)
 	}
 
-	fset := token.NewFileSet()
-	imp := newModuleImporter(fset, modPath, modDir)
+	importMu.Lock()
+	defer importMu.Unlock()
+	imp, err := importerFor(dir)
+	if err != nil {
+		return nil, err
+	}
 	var pkgs []*Package
 	for _, lp := range listed {
 		units := []struct {
@@ -171,7 +198,11 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 			if len(u.names) == 0 {
 				continue
 			}
-			pkg, err := checkFiles(fset, imp, u.path, lp.Dir, u.names)
+			files, err := parseFiles(imp.fset, lp.Dir, u.names)
+			if err != nil {
+				return nil, fmt.Errorf("lint: %w", err)
+			}
+			pkg, err := imp.check(u.path, files)
 			if err != nil {
 				return nil, err
 			}
@@ -191,46 +222,31 @@ func LoadDir(dir string) (*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	modPath, modDir, err := moduleRoot(abs)
+	importMu.Lock()
+	defer importMu.Unlock()
+	imp, err := importerFor(abs)
 	if err != nil {
 		return nil, err
 	}
-	ents, err := os.ReadDir(abs)
+	files, err := parseDir(imp.fset, abs, true)
 	if err != nil {
 		return nil, fmt.Errorf("lint: %w", err)
 	}
-	var names []string
-	for _, e := range ents {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
-	if len(names) == 0 {
+	if len(files) == 0 {
 		return nil, fmt.Errorf("lint: no .go files in %s", dir)
 	}
-	fset := token.NewFileSet()
-	imp := newModuleImporter(fset, modPath, modDir)
-	return checkFiles(fset, imp, "fixture/"+filepath.Base(abs), abs, names)
+	return imp.check("fixture/"+filepath.Base(abs), files)
 }
 
-// checkFiles parses and type-checks one unit's files.
-func checkFiles(fset *token.FileSet, imp *moduleImporter, path, dir string, names []string) (*Package, error) {
-	var files []*ast.File
-	for _, n := range names {
-		f, err := parser.ParseFile(fset, filepath.Join(dir, n), nil, parser.ParseComments)
-		if err != nil {
-			return nil, fmt.Errorf("lint: %w", err)
-		}
-		files = append(files, f)
-	}
+// check type-checks one unit's parsed files against the module.
+func (m *moduleImporter) check(path string, files []*ast.File) (*Package, error) {
 	info := newInfo()
-	conf := types.Config{Importer: imp}
-	tpkg, err := conf.Check(path, fset, files, info)
+	conf := types.Config{Importer: m}
+	tpkg, err := conf.Check(path, m.fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("lint: type-checking %s: %w", path, err)
 	}
-	return &Package{Path: path, Fset: fset, Files: files, Types: tpkg, Info: info}, nil
+	return &Package{Path: path, Fset: m.fset, Files: files, Types: tpkg, Info: info}, nil
 }
 
 // moduleRoot walks up from dir to the enclosing go.mod and returns the
