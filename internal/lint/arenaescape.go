@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 )
 
@@ -44,8 +45,8 @@ func runArenaEscape(pass *Pass) {
 	if p := strings.TrimSuffix(pass.Pkg.Path(), "-test"); p == dgraphPath || p == mpiPath {
 		return
 	}
-	for _, unit := range funcUnits(pass.Files) {
-		checkArenaEscapes(pass, unit.decl)
+	for _, decl := range funcDecls(pass.Files) {
+		checkArenaEscapes(pass, decl)
 	}
 }
 
@@ -57,23 +58,17 @@ func checkArenaEscapes(pass *Pass, fd *ast.FuncDecl) {
 	info := pass.Info
 
 	tainted := map[types.Object]token.Pos{} // var -> where it became tainted
-	isTaintedExpr := func(e ast.Expr) bool { return false }
 
-	// taintedObjOf resolves an expression to a tainted variable, seeing
-	// through parens and slice expressions.
+	// taintedObjOf resolves an expression to the tainted variable it is
+	// a view of (through parens and slicing).
 	taintedObjOf := func(e ast.Expr) (types.Object, bool) {
-		for {
-			switch x := ast.Unparen(e).(type) {
-			case *ast.Ident:
-				o := objOf(info, x)
-				_, ok := tainted[o]
-				return o, ok && o != nil
-			case *ast.SliceExpr:
-				e = x.X
-			default:
-				return nil, false
-			}
+		root, view := rootIdent(e)
+		if root == nil || !view {
+			return nil, false
 		}
+		o := objOf(info, root)
+		_, ok := tainted[o]
+		return o, ok && o != nil
 	}
 
 	// arenaResultIndices reports which results of a call are
@@ -98,57 +93,31 @@ func checkArenaEscapes(pass *Pass, fd *ast.FuncDecl) {
 		return nil
 	}
 
-	isTaintedExpr = func(e ast.Expr) bool {
+	isTaintedExpr := func(e ast.Expr) bool {
 		if _, ok := taintedObjOf(e); ok {
 			return true
 		}
-		if call, ok := ast.Unparen(e).(*ast.CallExpr); ok {
-			return len(arenaResultIndices(call)) > 0
-		}
-		return false
+		call, ok := ast.Unparen(e).(*ast.CallExpr)
+		return ok && len(arenaResultIndices(call)) > 0
 	}
 
 	// Pass 1: propagate taint to a fixpoint over the assignments of the
-	// function (including its closures — same frame discipline).
-	for changed := true; changed; {
-		changed = false
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			as, ok := n.(*ast.AssignStmt)
-			if !ok {
-				return true
-			}
-			mark := func(lhs ast.Expr, pos token.Pos) {
-				id, ok := ast.Unparen(lhs).(*ast.Ident)
-				if !ok || id.Name == "_" {
-					return
-				}
-				o := objOf(info, id)
-				if o == nil {
-					return
-				}
-				if _, already := tainted[o]; !already {
-					tainted[o] = pos
-					changed = true
-				}
-			}
-			if len(as.Lhs) > 1 && len(as.Rhs) == 1 {
-				// Multi-result call: v, rest := ex.FlushTally(...)
-				if call, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr); ok {
-					for _, i := range arenaResultIndices(call) {
-						if i < len(as.Lhs) {
-							mark(as.Lhs[i], as.Lhs[i].Pos())
-						}
-					}
-				}
-				return true
-			}
-			for i, rhs := range as.Rhs {
-				if i < len(as.Lhs) && isTaintedExpr(rhs) {
-					mark(as.Lhs[i], as.Lhs[i].Pos())
-				}
-			}
-			return true
-		})
+	// function (including its closures — same frame discipline); of a
+	// tuple-valued call (v, rest := ex.FlushTally(...)) only the
+	// arena-backed results taint.
+	taint := func(a assignment) bool {
+		hit := a.res < 0 && isTaintedExpr(a.rhs)
+		if call, ok := ast.Unparen(a.rhs).(*ast.CallExpr); ok && a.res >= 0 {
+			hit = slices.Contains(arenaResultIndices(call), a.res)
+		}
+		if _, already := tainted[a.obj]; !hit || already {
+			return false
+		}
+		tainted[a.obj] = a.lhs.Pos()
+		return true
+	}
+	for assignSweep(info, fd.Body, taint) {
+		// until a sweep taints nothing new
 	}
 	if len(tainted) == 0 {
 		return
@@ -167,120 +136,78 @@ func checkArenaEscapes(pass *Pass, fd *ast.FuncDecl) {
 		return "", false
 	}
 
-	// Pass 2: find sinks. Closure bodies are walked with inLit set so
-	// their returns (which stay inside the frame) are not mistaken for
-	// the function's own.
-	recycled := map[types.Object]token.Pos{} // msg -> Recycle64 position
-	var inspect func(root ast.Node, inLit bool)
-	inspect = func(root ast.Node, inLit bool) {
-		ast.Inspect(root, func(n ast.Node) bool {
-			if lit, ok := n.(*ast.FuncLit); ok && n != root {
-				inspect(lit.Body, true)
-				return false
+	// Pass 2: tainted values leaving the round window. A closure's
+	// return stays inside the frame; a goroutine capture counts only
+	// when the variable was tainted before the goroutine started.
+	escapes(pass, fd.Body, func(e escape) {
+		name, ok := taintedName(e.value)
+		if !ok {
+			return
+		}
+		switch e.kind {
+		case escField:
+			pass.Reportf(e.at.Pos(),
+				"arena-backed slice %s stored into field %s: the backing buffer is recycled after the round window — copy it first",
+				name, exprString(e.dest))
+		case escContainer:
+			pass.Reportf(e.at.Pos(),
+				"arena-backed slice %s stored into container %s outlives its round window — copy it first", name, exprString(ast.Unparen(e.dest).(*ast.IndexExpr).X))
+		case escPointer:
+			pass.Reportf(e.at.Pos(),
+				"arena-backed slice %s stored through pointer %s outlives its round window — copy it first", name, exprString(e.dest))
+		case escGlobal:
+			pass.Reportf(e.at.Pos(),
+				"arena-backed slice %s stored into package variable %s outlives its round window — copy it first", name, exprString(e.dest))
+		case escReturn:
+			if !e.inLit {
+				pass.Reportf(e.value.Pos(),
+					"arena-backed slice %s returned to caller: the backing buffer is recycled after the round window — copy it first", name)
 			}
-			switch x := n.(type) {
-			case *ast.AssignStmt:
-				for i, lhs := range x.Lhs {
-					if i >= len(x.Rhs) && len(x.Rhs) != 1 {
-						break
+		case escSend:
+			pass.Reportf(e.at.Pos(),
+				"arena-backed slice %s sent on a channel escapes its round window — copy it first", name)
+		case escGoArg:
+			pass.Reportf(e.at.Pos(),
+				"arena-backed slice %s passed to a goroutine may outlive its round window — copy it first", name)
+		case escCaptured:
+			if tainted[objOf(info, e.value.(*ast.Ident))] < e.at.Pos() {
+				pass.Reportf(e.at.Pos(),
+					"goroutine captures arena-backed slice %s, which may be recycled before it runs — copy it first", name)
+			}
+		}
+	})
+
+	// Pass 3, in source order: append(dst, tainted) storing the slice
+	// header itself, and uses after Recycle64 returned the buffer.
+	recycled := map[types.Object]token.Pos{} // msg -> end of its Recycle64 call
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.CallExpr:
+			c, ok := calleeOf(info, x)
+			if ok && c.pkg == mpiPath && recyclerRecv(c.recv) && c.name == "Recycle64" && len(x.Args) > 0 {
+				if o, ok := taintedObjOf(x.Args[0]); ok {
+					if _, done := recycled[o]; !done {
+						recycled[o] = x.End()
 					}
-					rhs := x.Rhs[min(i, len(x.Rhs)-1)]
-					name, ok := taintedName(rhs)
-					if !ok {
-						continue
-					}
-					switch lhs := ast.Unparen(lhs).(type) {
-					case *ast.SelectorExpr:
-						pass.Reportf(x.Pos(),
-							"arena-backed slice %s stored into field %s: the backing buffer is recycled after the round window — copy it first",
-							name, exprString(lhs))
-					case *ast.IndexExpr:
-						pass.Reportf(x.Pos(),
-							"arena-backed slice %s stored into container %s outlives its round window — copy it first", name, exprString(lhs.X))
-					case *ast.StarExpr:
-						pass.Reportf(x.Pos(),
-							"arena-backed slice %s stored through pointer %s outlives its round window — copy it first", name, exprString(lhs))
-					case *ast.Ident:
-						if o := objOf(info, lhs); o != nil && o.Parent() == pass.Pkg.Scope() {
-							pass.Reportf(x.Pos(),
-								"arena-backed slice %s stored into package variable %s outlives its round window — copy it first", name, lhs.Name)
+				}
+			}
+			if id, ok := ast.Unparen(x.Fun).(*ast.Ident); ok && id.Name == "append" && !x.Ellipsis.IsValid() && len(x.Args) > 1 {
+				for _, a := range x.Args[1:] {
+					if t := info.TypeOf(a); t != nil {
+						if _, isSlice := t.Underlying().(*types.Slice); !isSlice {
+							continue
 						}
 					}
-				}
-			case *ast.ReturnStmt:
-				// The enclosing declaration must not leak the arena to
-				// its own callers; a closure's return stays in-frame.
-				if inLit {
-					break
-				}
-				for _, r := range x.Results {
-					if name, ok := taintedName(r); ok {
-						pass.Reportf(r.Pos(),
-							"arena-backed slice %s returned to caller: the backing buffer is recycled after the round window — copy it first", name)
-					}
-				}
-			case *ast.SendStmt:
-				if name, ok := taintedName(x.Value); ok {
-					pass.Reportf(x.Pos(),
-						"arena-backed slice %s sent on a channel escapes its round window — copy it first", name)
-				}
-			case *ast.GoStmt:
-				for _, a := range x.Call.Args {
 					if name, ok := taintedName(a); ok {
 						pass.Reportf(x.Pos(),
-							"arena-backed slice %s passed to a goroutine may outlive its round window — copy it first", name)
-					}
-				}
-				if lit, ok := ast.Unparen(x.Call.Fun).(*ast.FuncLit); ok {
-					for o, pos := range tainted {
-						if capturedBy(info, lit, o) && pos < lit.Pos() {
-							pass.Reportf(x.Pos(),
-								"goroutine captures arena-backed slice %s, which may be recycled before it runs — copy it first", o.Name())
-						}
-					}
-				}
-			case *ast.CallExpr:
-				c, ok := calleeOf(info, x)
-				if ok && c.pkg == mpiPath && recyclerRecv(c.recv) && c.name == "Recycle64" && len(x.Args) > 0 {
-					if o, ok := taintedObjOf(x.Args[0]); ok {
-						if _, done := recycled[o]; !done {
-							recycled[o] = x.End()
-						}
-					}
-				}
-				if id, ok := ast.Unparen(x.Fun).(*ast.Ident); ok && id.Name == "append" && !x.Ellipsis.IsValid() && len(x.Args) > 1 {
-					// append(dst, tainted) with a non-spread slice arg
-					// stores the slice header itself.
-					for _, a := range x.Args[1:] {
-						if t := info.TypeOf(a); t != nil {
-							if _, isSlice := t.Underlying().(*types.Slice); !isSlice {
-								continue
-							}
-						}
-						if name, ok := taintedName(a); ok {
-							pass.Reportf(x.Pos(),
-								"arena-backed slice %s appended by reference into a longer-lived slice — copy its contents instead", name)
-						}
+							"arena-backed slice %s appended by reference into a longer-lived slice — copy its contents instead", name)
 					}
 				}
 			}
-			return true
-		})
-	}
-	inspect(fd.Body, false)
-
-	// Pass 3: use-after-recycle, position-ordered within the function.
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		o := info.Uses[id]
-		if o == nil {
-			return true
-		}
-		if pos, done := recycled[o]; done && id.Pos() > pos {
-			pass.Reportf(id.Pos(), "%s used after Recycle64 returned its buffer to the pool", o.Name())
+		case *ast.Ident:
+			if pos, done := recycled[info.Uses[x]]; done && x.Pos() > pos {
+				pass.Reportf(x.Pos(), "%s used after Recycle64 returned its buffer to the pool", x.Name)
+			}
 		}
 		return true
 	})
@@ -295,18 +222,4 @@ func recyclerRecv(recv string) bool {
 		return true
 	}
 	return false
-}
-
-// capturedBy reports whether a function literal references obj without
-// declaring it.
-func capturedBy(info *types.Info, lit *ast.FuncLit, obj types.Object) bool {
-	found := false
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && info.Uses[id] == obj {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
 }

@@ -21,16 +21,6 @@ var BeginFlush = &Analyzer{
 	Run:  runBeginFlush,
 }
 
-func isBeginName(name string) bool {
-	return strings.HasPrefix(name, "Begin")
-}
-
-// isFlushName covers everything that retires outstanding rounds: the
-// Flush family and Close (which drains).
-func isFlushName(name string) bool {
-	return strings.HasPrefix(name, "Flush") || name == "Close"
-}
-
 // exCall is one Begin*/Flush*-family call on a DeltaExchanger, in
 // source order.
 type exCall struct {
@@ -46,15 +36,14 @@ func runBeginFlush(pass *Pass) {
 	if strings.TrimSuffix(pass.Pkg.Path(), "-test") == dgraphPath {
 		return
 	}
-	for _, unit := range funcUnits(pass.Files) {
-		checkBeginFlush(pass, unit.decl)
+	for _, decl := range funcDecls(pass.Files) {
+		checkBeginFlush(pass, decl)
 	}
 }
 
 func checkBeginFlush(pass *Pass, fd *ast.FuncDecl) {
 	var calls []exCall
-	escapes := map[string]bool{} // receiver strings passed out of the function
-	depth := map[string]int{}    // receiver -> literal SetPipeDepth bound
+	depth := map[string]int{} // receiver -> literal SetPipeDepth bound
 
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
@@ -62,34 +51,24 @@ func checkBeginFlush(pass *Pass, fd *ast.FuncDecl) {
 			return true
 		}
 		c, ok := calleeOf(pass.Info, call)
-		if ok && c.pkg == dgraphPath && c.recv == "DeltaExchanger" {
-			recv := recvString(call)
-			switch {
-			case isBeginName(c.name):
-				calls = append(calls, exCall{call.Pos(), recv, c.name, true})
-			case isFlushName(c.name):
-				calls = append(calls, exCall{call.Pos(), recv, c.name, false})
-			}
+		if !ok || c.pkg != dgraphPath {
 			return true
 		}
-		if ok && c.pkg == dgraphPath && c.recv == "Graph" && c.name == "SetPipeDepth" && len(call.Args) == 1 {
+		recv := recvString(call)
+		switch {
+		case c.recv == "DeltaExchanger" && strings.HasPrefix(c.name, "Begin"):
+			calls = append(calls, exCall{call.Pos(), recv, c.name, true})
+		case c.recv == "DeltaExchanger" && (strings.HasPrefix(c.name, "Flush") || c.name == "Close"):
+			// The Flush family and Close (which drains) retire
+			// outstanding rounds.
+			calls = append(calls, exCall{call.Pos(), recv, c.name, false})
+		case c.recv == "Graph" && c.name == "SetPipeDepth" && len(call.Args) == 1:
 			if lit, okLit := ast.Unparen(call.Args[0]).(*ast.BasicLit); okLit && lit.Kind == token.INT {
 				if v, err := strconv.Atoi(lit.Value); err == nil {
 					// The graph's depth governs exchangers it vends;
 					// record under the graph receiver and apply to any
 					// exchanger rooted at it below.
-					depth[recvString(call)] = v
-				}
-			}
-			return true
-		}
-		// Any other call taking an exchanger-looking argument means the
-		// pairing may complete elsewhere: disable Rule A for that
-		// receiver.
-		for _, a := range call.Args {
-			if t := pass.Info.TypeOf(a); t != nil {
-				if named := namedOf(t); named != nil && named.Obj().Name() == "DeltaExchanger" {
-					escapes[exprString(a)] = true
+					depth[recv] = v
 				}
 			}
 		}
@@ -98,23 +77,9 @@ func checkBeginFlush(pass *Pass, fd *ast.FuncDecl) {
 	if len(calls) == 0 {
 		return
 	}
-
-	// Returning the exchanger also moves the pairing obligation to the
-	// caller.
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		ret, ok := n.(*ast.ReturnStmt)
-		if !ok {
-			return true
-		}
-		for _, r := range ret.Results {
-			if t := pass.Info.TypeOf(r); t != nil {
-				if named := namedOf(t); named != nil && named.Obj().Name() == "DeltaExchanger" {
-					escapes[exprString(r)] = true
-				}
-			}
-		}
-		return true
-	})
+	// An exchanger handed to another call or returned moves the pairing
+	// obligation with it.
+	escapes := handedOff(pass, fd.Body)
 
 	// Rule A: a receiver with Begin* calls but zero Flush*/Close calls
 	// anywhere in the function (and which never escapes) leaves its
@@ -148,13 +113,17 @@ func checkBeginFlush(pass *Pass, fd *ast.FuncDecl) {
 	if len(depth) == 0 {
 		return
 	}
+	soleRecv := true
+	for _, c := range calls {
+		soleRecv = soleRecv && c.recv == calls[0].recv
+	}
 	boundFor := func(recv string) (int, bool) {
 		for g, d := range depth {
 			if recv == g || strings.HasPrefix(recv, g+".") {
 				return d, true
 			}
 		}
-		if len(depth) == 1 && len(uniqueRecvs(calls)) == 1 {
+		if len(depth) == 1 && soleRecv {
 			for _, d := range depth {
 				return d, true
 			}
@@ -176,12 +145,4 @@ func checkBeginFlush(pass *Pass, fd *ast.FuncDecl) {
 			outstanding[c.recv]--
 		}
 	}
-}
-
-func uniqueRecvs(calls []exCall) map[string]bool {
-	m := map[string]bool{}
-	for _, c := range calls {
-		m[c.recv] = true
-	}
-	return m
 }

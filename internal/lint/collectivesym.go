@@ -18,22 +18,6 @@ var CollectiveSym = &Analyzer{
 	Run:  runCollectiveSym,
 }
 
-// parWorkerFuncs is the set of internal/par entry points that run a
-// caller-supplied body on worker goroutines. A collective or exchange
-// round op reachable inside such a body is a diagnosed deadlock shape:
-// the comm binds its collectives to the goroutine that created it, and
-// a worker entering one while its siblings sweep on would hang the
-// world — rounds must be driven from the main goroutine, between
-// sweeps (the phase discipline of analytics/overlap.go).
-var parWorkerFuncs = map[string]bool{
-	"For":               true,
-	"ForChunk":          true,
-	"ReduceInt64":       true,
-	"MaxInt64":          true,
-	"MaxFloat64":        true,
-	"SumFloat64Ordered": true,
-}
-
 // collectiveFuncs is the set of collective entry points: package-level
 // mpi collectives, Comm.Barrier, and every DeltaExchanger/Graph method
 // that internally performs a round of symmetric communication.
@@ -96,32 +80,16 @@ func runCollectiveSym(pass *Pass) {
 	// the Barrier in a function must not launder the asymmetry.
 	directName := map[*types.Func]string{}
 	seed := func(fn *types.Func, decl *ast.FuncDecl) bool {
-		found := ""
-		ast.Inspect(decl.Body, func(n ast.Node) bool {
-			if found != "" {
-				return false
-			}
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if c, ok := calleeOf(pass.Info, call); ok && collectiveFuncs[c] {
-				found = c.name
-				if c.recv != "" {
-					found = c.recv + "." + c.name
-				}
-			}
-			return true
-		})
-		if found != "" {
-			directName[fn] = found
+		c, found := findCall(pass.Info, decl.Body, collectiveFuncs)
+		if found {
+			directName[fn] = c.qualName()
 		}
-		return found != ""
+		return found
 	}
-	performers := pass.Graph.propagate(pass.Files, seed)
-	for _, unit := range funcUnits(pass.Files) {
+	performers := pass.Graph.propagate(seed)
+	for _, decl := range funcDecls(pass.Files) {
 		w := &collectiveWalker{pass: pass, performers: performers, directName: directName}
-		w.stmts(unit.decl.Body.List)
+		w.stmts(decl.Body.List)
 	}
 }
 
@@ -227,18 +195,16 @@ func (w *collectiveWalker) stmt(s ast.Stmt) {
 		if st.Post != nil {
 			w.stmt(st.Post)
 		}
-		if reason, rankLocal := w.rankLocalCondOrNil(st.Cond); rankLocal {
+		if reason, rankLocal := w.rankLocalCond(st.Cond); rankLocal {
 			w.push(reason, func() { w.stmts(st.Body.List) })
 		} else {
 			w.stmts(st.Body.List)
 		}
 	case *ast.RangeStmt:
 		w.expr(st.X)
-		if t := w.pass.Info.TypeOf(st.X); t != nil {
-			if _, isMap := t.Underlying().(*types.Map); isMap {
-				w.push("map iteration order is rank-local", func() { w.stmts(st.Body.List) })
-				return
-			}
+		if isMapExpr(w.pass.Info, st.X) {
+			w.push("map iteration order is rank-local", func() { w.stmts(st.Body.List) })
+			return
 		}
 		w.stmts(st.Body.List)
 	case *ast.SwitchStmt:
@@ -294,17 +260,9 @@ func (w *collectiveWalker) stmt(s ast.Stmt) {
 			w.expr(e)
 		}
 	case *ast.DeferStmt:
-		w.expr(st.Call.Fun)
-		w.checkCall(st.Call)
-		for _, a := range st.Call.Args {
-			w.expr(a)
-		}
+		w.expr(st.Call)
 	case *ast.GoStmt:
-		w.expr(st.Call.Fun)
-		w.checkCall(st.Call)
-		for _, a := range st.Call.Args {
-			w.expr(a)
-		}
+		w.expr(st.Call)
 	case *ast.SendStmt:
 		w.expr(st.Chan)
 		w.expr(st.Value)
@@ -333,11 +291,16 @@ func (w *collectiveWalker) expr(e ast.Expr) {
 			w.checkCall(x)
 			// A par fan-out runs its function-literal arguments on
 			// worker goroutines: collectives and round ops inside them
-			// deadlock (parWorkerFuncs). Walk those literals under the
+			// deadlock (the comm binds its collectives to the goroutine
+			// that created it, and a worker entering one while its
+			// siblings sweep on hangs the world; rounds are driven from
+			// the main goroutine, between sweeps — the phase discipline
+			// of analytics/overlap.go). Walk those literals under the
 			// par guard and the remaining arguments normally, then stop
 			// the generic descent so the FuncLit case below does not
 			// re-walk the bodies unguarded.
-			if c, ok := calleeOf(w.pass.Info, x); ok && c.pkg == parPath && c.recv == "" && parWorkerFuncs[c.name] {
+			c, _ := calleeOf(w.pass.Info, x)
+			if _, par := parWorkerArg[c]; par {
 				reason := "inside a par." + c.name + " worker body, off the comm's main goroutine"
 				for _, a := range x.Args {
 					if fl, ok := ast.Unparen(a).(*ast.FuncLit); ok {
@@ -367,19 +330,15 @@ func (w *collectiveWalker) checkCall(call *ast.CallExpr) {
 		return
 	}
 	if c, ok := calleeOf(w.pass.Info, call); ok && collectiveFuncs[c] {
-		name := c.name
-		if c.recv != "" {
-			name = c.recv + "." + name
-		}
 		w.pass.Reportf(call.Pos(),
 			"collective %s reachable only under rank-local condition (%s): every rank must make the same collective calls in the same order",
-			name, reason)
+			c.qualName(), reason)
 		return
 	}
 	// Interprocedural: a guarded call to a same-package helper that
 	// performs a collective somewhere down its call chain is the same
 	// deadlock, one wrapper removed.
-	if fn := calleeFunc(w.pass.Info, call); fn != nil {
+	if fn := calleeFunc(w.pass.Info, call.Fun); fn != nil {
 		if _, performs := w.performers[fn]; performs {
 			w.pass.Reportf(call.Pos(),
 				"call to %s, which performs collective %s, reachable only under rank-local condition (%s): every rank must make the same collective calls in the same order",
@@ -415,13 +374,6 @@ func (w *collectiveWalker) rankLocalCond(cond ast.Expr) (string, bool) {
 		return true
 	})
 	return found, found != ""
-}
-
-func (w *collectiveWalker) rankLocalCondOrNil(cond ast.Expr) (string, bool) {
-	if cond == nil {
-		return "", false
-	}
-	return w.rankLocalCond(cond)
 }
 
 // rankIdent reports whether a variable name denotes this rank's id.

@@ -43,8 +43,8 @@ var errFuncs = map[callee]bool{
 }
 
 func runErrCheck(pass *Pass) {
-	for _, unit := range funcUnits(pass.Files) {
-		checkErrs(pass, unit.decl)
+	for _, decl := range funcDecls(pass.Files) {
+		checkErrs(pass, decl)
 	}
 }
 
@@ -54,11 +54,7 @@ func checkErrs(pass *Pass, fd *ast.FuncDecl) {
 		if !ok || !errFuncs[c] {
 			return
 		}
-		name := c.name
-		if c.recv != "" {
-			name = c.recv + "." + name
-		}
-		pass.Reportf(call.Pos(), "error result of %s.%s is discarded: check it or the artifact silently goes bad", c.pkg, name)
+		pass.Reportf(call.Pos(), "error result of %s.%s is discarded: check it or the artifact silently goes bad", c.pkg, c.qualName())
 	}
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch st := n.(type) {

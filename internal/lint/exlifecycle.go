@@ -21,14 +21,14 @@ var ExLifecycle = &Analyzer{
 
 func runExLifecycle(pass *Pass) {
 	inDgraph := strings.TrimSuffix(pass.Pkg.Path(), "-test") == dgraphPath
-	for _, unit := range funcUnits(pass.Files) {
+	for _, decl := range funcDecls(pass.Files) {
 		// The engine's own methods vend, cache, and close exchangers
 		// by design; its package-level functions and tests are callers
 		// like any other and are held to the contract.
-		if inDgraph && recvTypeName(unit.decl) != "" {
+		if inDgraph && decl.Recv != nil {
 			continue
 		}
-		checkExLifecycle(pass, unit.decl)
+		checkExLifecycle(pass, decl)
 	}
 }
 
@@ -44,17 +44,6 @@ func checkExLifecycle(pass *Pass, fd *ast.FuncDecl) {
 
 	var owned []ownedValue
 	closed := map[string]bool{}
-	escaped := map[string]bool{}
-
-	bindLHS := func(as *ast.AssignStmt, i int) string {
-		if as == nil || i >= len(as.Lhs) {
-			return ""
-		}
-		if isBlank(as.Lhs[i]) {
-			return "_"
-		}
-		return exprString(as.Lhs[i])
-	}
 
 	// Single pass in source order over all statements, including
 	// closures (t.Cleanup bodies, defers).
@@ -70,82 +59,31 @@ func checkExLifecycle(pass *Pass, fd *ast.FuncDecl) {
 				if !ok || c.pkg != dgraphPath {
 					continue
 				}
-				idx := i
-				if len(st.Rhs) == 1 {
-					idx = 0
+				bound := ""
+				if i < len(st.Lhs) {
+					bound = exprString(st.Lhs[i])
 				}
 				switch {
 				case c.recv == "Graph" && c.name == "NewDeltaExchanger":
-					owned = append(owned, ownedValue{call, bindLHS(st, idx), "exchanger"})
+					owned = append(owned, ownedValue{call, bound, "exchanger"})
 				case c.recv == "" && strings.HasPrefix(c.name, "FromEdge"):
 					// Graph construction: the graph retains (and
 					// closes) the exchanger its exchanges build, so
 					// the graph must be closed. A graph received as a
 					// parameter is its caller's problem.
-					owned = append(owned, ownedValue{call, bindLHS(st, idx), "graph"})
+					owned = append(owned, ownedValue{call, bound, "graph"})
 				}
 			}
 		case *ast.CallExpr:
-			c, ok := calleeOf(info, st)
-			if !ok {
-				return true
-			}
-			if c.pkg == dgraphPath && c.name == "Close" {
+			// Close calls inside closures (t.Cleanup(func() { x.Close() }),
+			// defers) are found by this same walk.
+			if c, ok := calleeOf(info, st); ok && c.pkg == dgraphPath && c.name == "Close" {
 				closed[recvString(st)] = true
 			}
-			// t.Cleanup(func() { ... x.Close() ... }) and any helper
-			// taking a closure: Close calls inside are found by this
-			// same Inspect (it descends into FuncLits), so nothing
-			// special is needed for detection. But passing the value
-			// itself to another function transfers ownership:
-			for _, a := range st.Args {
-				if t := info.TypeOf(a); t != nil {
-					if named := namedOf(t); named != nil && named.Obj().Name() == "DeltaExchanger" {
-						escaped[exprString(a)] = true
-					}
-				}
-			}
-		case *ast.ReturnStmt:
-			for _, r := range st.Results {
-				if t := info.TypeOf(r); t != nil {
-					if named := namedOf(t); named != nil {
-						switch named.Obj().Name() {
-						case "DeltaExchanger", "Graph":
-							escaped[exprString(r)] = true
-						}
-					}
-				}
-			}
-		case *ast.SendStmt:
-			if t := info.TypeOf(st.Value); t != nil {
-				if named := namedOf(t); named != nil && named.Obj().Name() == "DeltaExchanger" {
-					escaped[exprString(st.Value)] = true
-				}
-			}
 		}
 		return true
 	})
-
-	// Field/container stores escape too: x.ex = ex.
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok {
-			return true
-		}
-		for i, lhs := range as.Lhs {
-			switch ast.Unparen(lhs).(type) {
-			case *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
-				ri := i
-				if len(as.Rhs) == 1 {
-					ri = 0
-				}
-				if ri < len(as.Rhs) {
-					escaped[exprString(as.Rhs[ri])] = true
-				}
-			}
-		}
-		return true
-	})
+	escaped := handedOff(pass, fd.Body)
 
 	for _, o := range owned {
 		if o.recv == "" || o.recv == "_" {
@@ -160,4 +98,30 @@ func checkExLifecycle(pass *Pass, fd *ast.FuncDecl) {
 			"%s %s is never closed in this function: defer %s.Close() (or t.Cleanup) or the drainer goroutine leaks",
 			o.what, o.recv, o.recv)
 	}
+}
+
+// handedOff returns the exchangers and graphs a function hands to a
+// new owner, keyed by their exprString: returned, sent, stored
+// anywhere but a local, or — an exchanger only — passed to a call. The
+// new owner then carries the Close obligation, and the Begin*/Flush*
+// pairing may complete there.
+func handedOff(pass *Pass, body ast.Node) map[string]bool {
+	out := map[string]bool{}
+	escapes(pass, body, func(e escape) {
+		named := namedOf(pass.Info.TypeOf(e.value))
+		if named == nil || e.kind == escCaptured {
+			return
+		}
+		switch named.Obj().Name() {
+		case "Graph":
+			if e.kind == escCallArg || e.kind == escGoArg {
+				return
+			}
+		case "DeltaExchanger":
+		default:
+			return
+		}
+		out[exprString(e.value)] = true
+	})
+	return out
 }

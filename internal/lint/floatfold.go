@@ -31,17 +31,6 @@ var FloatFold = &Analyzer{
 	Run:  runFloatFold,
 }
 
-// parWorkerArg maps par entry points to the index of the worker
-// function-literal argument whose body runs concurrently.
-var parWorkerArg = map[callee]int{
-	{parPath, "", "For"}:               3,
-	{parPath, "", "ForChunk"}:          3,
-	{parPath, "", "ReduceInt64"}:       3,
-	{parPath, "", "MaxInt64"}:          4,
-	{parPath, "", "MaxFloat64"}:        4,
-	{parPath, "", "SumFloat64Ordered"}: 4,
-}
-
 var recvFuncs = map[callee]bool{
 	{mpiPath, "", "Recv64"}:    true,
 	{mpiPath, "", "Recv64Tag"}: true,
@@ -50,92 +39,23 @@ var recvFuncs = map[callee]bool{
 func runFloatFold(pass *Pass) {
 	base := strings.TrimSuffix(pass.Pkg.Path(), "-test")
 	onceTargets, onceExempt := collectOnceTargets(pass)
-	for _, unit := range funcUnits(pass.Files) {
+	for _, decl := range funcDecls(pass.Files) {
 		if base != parPath {
-			checkParFloatFold(pass, unit.decl)
+			checkParFloatFold(pass, decl)
 		}
 		if base != mpiPath {
-			checkArrivalOrderFold(pass, unit.decl)
+			checkArrivalOrderFold(pass, decl)
 		}
-		checkOnceBypass(pass, unit.decl, onceTargets, onceExempt)
+		checkOnceBypass(pass, decl, onceTargets, onceExempt)
 	}
 }
 
-func isFloatExpr(info *types.Info, e ast.Expr) bool {
-	t := info.TypeOf(e)
-	if t == nil {
-		return false
-	}
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsFloat != 0
-}
-
-// floatAccumulations walks a subtree and calls found for every
-// compound (+=, -=) or x = x + v float accumulation whose target root
-// identifier is declared outside the given scope node.
-func floatAccumulations(info *types.Info, body ast.Node, scope ast.Node, found func(pos token.Pos, target string)) {
-	scopeLocal := func(id *ast.Ident) bool {
-		obj := objOf(info, id)
-		return obj != nil && obj.Pos() >= scope.Pos() && obj.Pos() <= scope.End()
-	}
-	outerDeclared := func(e ast.Expr) (string, bool) {
-		root := e
-		for {
-			switch x := ast.Unparen(root).(type) {
-			case *ast.Ident:
-				if scopeLocal(x) {
-					return "", false // worker-local: fine
-				}
-				if objOf(info, x) == nil {
-					return "", false
-				}
-				return exprString(e), true
-			case *ast.SelectorExpr:
-				root = x.X
-			case *ast.IndexExpr:
-				// hc[v] += ... where v is the worker's own index:
-				// each invocation owns its slot, so there is no
-				// cross-thread fold — the slot-owned scatter idiom.
-				ownSlot := false
-				ast.Inspect(x.Index, func(m ast.Node) bool {
-					if id, ok := m.(*ast.Ident); ok && scopeLocal(id) {
-						ownSlot = true
-					}
-					return true
-				})
-				if ownSlot {
-					return "", false
-				}
-				root = x.X
-			case *ast.StarExpr:
-				root = x.X
-			default:
-				return "", false
-			}
-		}
-	}
+// floatAccumulations calls found for every float accumulation in body
+// into a target declared outside scope (see floatFolds).
+func floatAccumulations(info *types.Info, body ast.Node, scope ast.Node, found func(rhs, target ast.Expr)) {
 	ast.Inspect(body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Lhs) != len(as.Rhs) {
-			return true
-		}
-		for i, l := range as.Lhs {
-			if !isFloatExpr(info, l) {
-				continue
-			}
-			switch as.Tok {
-			case token.ADD_ASSIGN, token.SUB_ASSIGN:
-				if name, outer := outerDeclared(l); outer {
-					found(as.Rhs[i].Pos(), name)
-				}
-			case token.ASSIGN:
-				bin, isBin := ast.Unparen(as.Rhs[i]).(*ast.BinaryExpr)
-				if isBin && (bin.Op == token.ADD || bin.Op == token.SUB) && exprString(bin.X) == exprString(l) {
-					if name, outer := outerDeclared(l); outer {
-						found(as.Rhs[i].Pos(), name)
-					}
-				}
-			}
+		if as, ok := n.(*ast.AssignStmt); ok {
+			floatFolds(info, as, scope, found)
 		}
 		return true
 	})
@@ -162,10 +82,10 @@ func checkParFloatFold(pass *Pass, fd *ast.FuncDecl) {
 		if !ok {
 			return true
 		}
-		floatAccumulations(info, worker.Body, worker, func(pos token.Pos, target string) {
-			pass.Reportf(pos,
+		floatAccumulations(info, worker.Body, worker, func(rhs, target ast.Expr) {
+			pass.Reportf(rhs.Pos(),
 				"float accumulation into captured %s inside a par.%s worker: the fold order follows thread scheduling, so the sum's bits differ run to run; use par.SumFloat64Ordered (chunk-ordered partials) instead",
-				target, c.name)
+				exprString(target), c.name)
 		})
 		return true
 	})
@@ -185,22 +105,13 @@ func checkArrivalOrderFold(pass *Pass, fd *ast.FuncDecl) {
 		default:
 			return true
 		}
-		receives := false
-		ast.Inspect(body, func(m ast.Node) bool {
-			if call, ok := m.(*ast.CallExpr); ok {
-				if c, ok := calleeOf(info, call); ok && recvFuncs[c] {
-					receives = true
-				}
-			}
-			return true
-		})
-		if !receives {
+		if _, receives := findCall(info, body, recvFuncs); !receives {
 			return true
 		}
-		floatAccumulations(info, body, n, func(pos token.Pos, target string) {
-			pass.Reportf(pos,
+		floatAccumulations(info, body, n, func(rhs, target ast.Expr) {
+			pass.Reportf(rhs.Pos(),
 				"float accumulation into %s inside a receive loop: the fold follows message arrival order, which the socket substrate does not fix; fold contributions in rank order (TallyRound.FoldFloat) instead",
-				target)
+				exprString(target))
 		})
 		return false // inner loops already covered by this walk
 	})
@@ -221,8 +132,8 @@ func collectOnceTargets(pass *Pass) (map[*types.Func]onceTarget, map[*ast.CallEx
 	info := pass.Info
 	out := map[*types.Func]onceTarget{}
 	exempt := map[*ast.CallExpr]bool{}
-	for _, unit := range funcUnits(pass.Files) {
-		ast.Inspect(unit.decl.Body, func(n ast.Node) bool {
+	for _, decl := range funcDecls(pass.Files) {
+		ast.Inspect(decl.Body, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok || len(call.Args) != 1 {
 				return true
@@ -235,33 +146,21 @@ func collectOnceTargets(pass *Pass) (map[*types.Func]onceTarget, map[*ast.CallEx
 			if named == nil || named.Obj().Name() != "Once" || named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != "sync" {
 				return true
 			}
-			// Do(g.classifyBoundary) — a method value or plain func.
+			// Do(g.classifyBoundary) — a method value or plain func — or
+			// a literal, which can only run through this Do: look inside
+			// for the single wrapped call, Do(func() { g.classify() }).
 			arg := ast.Unparen(call.Args[0])
-			var obj types.Object
-			switch a := arg.(type) {
-			case *ast.SelectorExpr:
-				if s, ok := info.Selections[a]; ok {
-					obj = s.Obj()
-				} else {
-					obj = info.Uses[a.Sel]
-				}
-			case *ast.Ident:
-				obj = info.Uses[a]
-			case *ast.FuncLit:
-				// A literal can only run through this Do; look inside
-				// for the single wrapped call — Do(func() { g.classify() }).
-				if len(a.Body.List) == 1 {
-					if es, ok := a.Body.List[0].(*ast.ExprStmt); ok {
-						if inner, ok := es.X.(*ast.CallExpr); ok {
-							if fn := calleeFunc(info, inner); fn != nil {
-								obj = fn
-								exempt[inner] = true
-							}
+			fn := calleeFunc(info, arg)
+			if lit, ok := arg.(*ast.FuncLit); ok && len(lit.Body.List) == 1 {
+				if es, ok := lit.Body.List[0].(*ast.ExprStmt); ok {
+					if inner, ok := es.X.(*ast.CallExpr); ok {
+						if fn = calleeFunc(info, inner.Fun); fn != nil {
+							exempt[inner] = true
 						}
 					}
 				}
 			}
-			if fn, ok := obj.(*types.Func); ok && pass.Graph.DeclOf(fn) != nil {
+			if fn != nil && pass.Graph.DeclOf(fn) != nil {
 				if _, seen := out[fn]; !seen {
 					out[fn] = onceTarget{oncePos: call.Pos(), once: exprString(sel.X)}
 				}
@@ -289,10 +188,7 @@ func checkOnceBypass(pass *Pass, fd *ast.FuncDecl, targets map[*types.Func]onceT
 		// The registration itself (once.Do(f)) passes f, it does not
 		// call it; only genuine call expressions with f as the callee
 		// count.
-		fn := calleeFunc(info, call)
-		if fn == nil {
-			return true
-		}
+		fn := calleeFunc(info, call.Fun)
 		t, isTarget := targets[fn]
 		if !isTarget {
 			return true

@@ -25,12 +25,12 @@ var HotPathAlloc = &Analyzer{
 
 func runHotPathAlloc(pass *Pass) {
 	probed := map[*types.Func][]allocFinding{}
-	for _, unit := range funcUnits(pass.Files) {
-		if hasDirective(unit.decl, "//repro:hotpath") {
-			checkHotPath(pass, unit.decl, func(pos token.Pos, format string, args ...any) {
+	for _, decl := range funcDecls(pass.Files) {
+		if hasDirective(decl, "//repro:hotpath") {
+			checkHotPath(pass, decl, func(pos token.Pos, format string, args ...any) {
 				pass.Reportf(pos, format, args...)
 			})
-			checkHotPathHelpers(pass, unit.decl, probed)
+			checkHotPathHelpers(pass, decl, probed)
 		}
 	}
 }
@@ -61,10 +61,7 @@ func checkHotPathHelpers(pass *Pass, fd *ast.FuncDecl, probed map[*types.Func][]
 		if !ok {
 			return true
 		}
-		fn := calleeFunc(info, call)
-		if fn == nil {
-			return true
-		}
+		fn := calleeFunc(info, call.Fun)
 		decl := pass.Graph.DeclOf(fn)
 		if decl == nil || hasDirective(decl, "//repro:hotpath") {
 			return true // not same-package, or already checked directly
@@ -93,44 +90,10 @@ func checkHotPath(pass *Pass, fd *ast.FuncDecl, report func(pos token.Pos, forma
 	// (append-into-caller-buffer is the arena idiom, the caller owns
 	// the growth).
 	params := map[types.Object]bool{}
-	for _, f := range fd.Type.Params.List {
-		for _, name := range f.Names {
-			if o := info.Defs[name]; o != nil {
-				params[o] = true
-			}
-		}
-	}
-	if fd.Recv != nil {
-		for _, f := range fd.Recv.List {
-			for _, name := range f.Names {
-				if o := info.Defs[name]; o != nil {
-					params[o] = true
-				}
-			}
-		}
-	}
+	paramObjs(info, params, fd.Recv, fd.Type.Params)
 	paramRooted := func(e ast.Expr) bool {
-		for {
-			switch x := ast.Unparen(e).(type) {
-			case *ast.Ident:
-				return params[objOf(info, x)]
-			case *ast.SelectorExpr:
-				e = x.X
-			case *ast.IndexExpr:
-				e = x.X
-			case *ast.SliceExpr:
-				e = x.X
-			case *ast.CallExpr:
-				// append(e.buf[:0], ...) style nesting
-				if id, ok := ast.Unparen(x.Fun).(*ast.Ident); ok && id.Name == "append" && len(x.Args) > 0 {
-					e = x.Args[0]
-					continue
-				}
-				return false
-			default:
-				return false
-			}
-		}
+		root, _ := rootIdent(e)
+		return root != nil && params[objOf(info, root)]
 	}
 
 	type ctx struct {
@@ -145,7 +108,7 @@ func checkHotPath(pass *Pass, fd *ast.FuncDecl, report func(pos token.Pos, forma
 		ast.Inspect(cond, func(n ast.Node) bool {
 			if call, ok := n.(*ast.CallExpr); ok {
 				if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && (id.Name == "cap" || id.Name == "len") {
-					if o, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin && o != nil {
+					if _, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin {
 						found = true
 						return false
 					}
@@ -156,39 +119,28 @@ func checkHotPath(pass *Pass, fd *ast.FuncDecl, report func(pos token.Pos, forma
 		return found
 	}
 
-	// selfAppend reports whether an assignment statement follows the
-	// allowed `x = append(x, ...)` / `x = append(x[:0], ...)` shape.
-	selfAppend := func(as *ast.AssignStmt) map[ast.Expr]bool {
-		ok := map[ast.Expr]bool{}
-		if len(as.Lhs) != len(as.Rhs) {
-			return ok
+	// Appends of the allowed `x = append(x, ...)` / `x =
+	// append(x[:0], ...)` shape: the growth feeds back into its base.
+	allowedAppends := map[ast.Expr]bool{}
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		as, ok := n.(*ast.AssignStmt)
+		if !ok || len(as.Lhs) != len(as.Rhs) {
+			return true
 		}
 		for i, rhs := range as.Rhs {
 			call, isCall := ast.Unparen(rhs).(*ast.CallExpr)
 			if !isCall || len(call.Args) == 0 {
 				continue
 			}
-			id, isIdent := ast.Unparen(call.Fun).(*ast.Ident)
-			if !isIdent || id.Name != "append" {
+			if id, isIdent := ast.Unparen(call.Fun).(*ast.Ident); !isIdent || id.Name != "append" {
 				continue
 			}
-			base := call.Args[0]
-			baseStr := exprString(base)
-			if s, isSlice := ast.Unparen(base).(*ast.SliceExpr); isSlice {
-				baseStr = exprString(s.X)
+			base := ast.Unparen(call.Args[0])
+			if s, isSlice := base.(*ast.SliceExpr); isSlice {
+				base = s.X
 			}
-			if baseStr == exprString(as.Lhs[i]) {
-				ok[call] = true
-			}
-		}
-		return ok
-	}
-
-	allowedAppends := map[ast.Expr]bool{}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if as, okAs := n.(*ast.AssignStmt); okAs {
-			for e := range selfAppend(as) {
-				allowedAppends[e] = true
+			if exprString(base) == exprString(as.Lhs[i]) {
+				allowedAppends[call] = true
 			}
 		}
 		return true

@@ -59,12 +59,19 @@ var collectivePayloadFuncs = map[callee]bool{
 	{dgraphPath, "DeltaExchanger", "BeginPush"}:   true,
 }
 
-// reportTypeName reports whether a named struct type is a results
-// container: per-run values every rank (and every run at fixed seeds)
-// must agree on.
-func reportTypeName(name string) bool {
-	return name == "Report" || name == "Result" ||
-		strings.HasSuffix(name, "Report") || strings.HasSuffix(name, "Result")
+// reportType returns the name of e's type when it is a results
+// container — per-run values every rank (and every run at fixed seeds)
+// must agree on — and "" otherwise.
+func reportType(info *types.Info, e ast.Expr) string {
+	named := namedOf(info.TypeOf(e))
+	if named == nil {
+		return ""
+	}
+	name := named.Obj().Name()
+	if strings.HasSuffix(name, "Report") || strings.HasSuffix(name, "Result") {
+		return name
+	}
+	return ""
 }
 
 func runMapOrder(pass *Pass) {
@@ -76,37 +83,14 @@ func runMapOrder(pass *Pass) {
 	}
 	// Interprocedural: a same-package helper that (transitively) calls
 	// a wire sink makes calls to it sinks too.
-	sinkHelpers := pass.Graph.propagate(pass.Files, func(fn *types.Func, decl *ast.FuncDecl) bool {
-		found := false
-		ast.Inspect(decl.Body, func(n ast.Node) bool {
-			if found {
-				return false
-			}
-			if call, ok := n.(*ast.CallExpr); ok {
-				if c, ok := calleeOf(pass.Info, call); ok && wireSinkFuncs[c] {
-					found = true
-				}
-			}
-			return true
-		})
+	sinkHelpers := pass.Graph.propagate(func(_ *types.Func, decl *ast.FuncDecl) bool {
+		_, found := findCall(pass.Info, decl.Body, wireSinkFuncs)
 		return found
 	})
-	for _, unit := range funcUnits(pass.Files) {
-		checkMapOrder(pass, unit.decl, sinkHelpers)
-		checkMapCountReport(pass, unit.decl)
+	for _, decl := range funcDecls(pass.Files) {
+		checkMapOrder(pass, decl, sinkHelpers)
+		checkMapCountReport(pass, decl)
 	}
-}
-
-// mapRangeOf returns the range statement's map-typed operand, or nil.
-func mapRangeOf(pass *Pass, st *ast.RangeStmt) ast.Expr {
-	t := pass.Info.TypeOf(st.X)
-	if t == nil {
-		return nil
-	}
-	if _, isMap := t.Underlying().(*types.Map); isMap {
-		return st.X
-	}
-	return nil
 }
 
 func checkMapOrder(pass *Pass, fd *ast.FuncDecl, sinkHelpers map[*types.Func]*types.Func) {
@@ -117,43 +101,6 @@ func checkMapOrder(pass *Pass, fd *ast.FuncDecl, sinkHelpers map[*types.Func]*ty
 	// cursor-advancing stores under a map range. A sort over the slice
 	// clears the taint; a sink use reports it.
 	tainted := map[string]token.Pos{}
-
-	isFloat := func(e ast.Expr) bool {
-		t := info.TypeOf(e)
-		if t == nil {
-			return false
-		}
-		b, ok := t.Underlying().(*types.Basic)
-		return ok && b.Info()&types.IsFloat != 0
-	}
-
-	// declaredIn reports whether ident's declaration lies within node.
-	declaredIn := func(id *ast.Ident, n ast.Node) bool {
-		obj := objOf(info, id)
-		if obj == nil {
-			return false
-		}
-		return obj.Pos() >= n.Pos() && obj.Pos() <= n.End()
-	}
-
-	rootIdent := func(e ast.Expr) *ast.Ident {
-		for {
-			switch x := ast.Unparen(e).(type) {
-			case *ast.Ident:
-				return x
-			case *ast.SelectorExpr:
-				e = x.X
-			case *ast.IndexExpr:
-				e = x.X
-			case *ast.SliceExpr:
-				e = x.X
-			case *ast.StarExpr:
-				e = x.X
-			default:
-				return nil
-			}
-		}
-	}
 
 	// incremented collects the exprString of every operand of ++/+= in
 	// a subtree: an indexed store whose index mentions one of these is
@@ -178,13 +125,12 @@ func checkMapOrder(pass *Pass, fd *ast.FuncDecl, sinkHelpers map[*types.Func]*ty
 	}
 
 	// checkBody walks one map-range body.
-	var checkBody func(rng *ast.RangeStmt)
-	checkBody = func(rng *ast.RangeStmt) {
+	checkBody := func(rng *ast.RangeStmt) {
 		cursors := incremented(rng.Body)
 		ast.Inspect(rng.Body, func(n ast.Node) bool {
 			switch x := n.(type) {
 			case *ast.RangeStmt:
-				if mapRangeOf(pass, x) != nil && x != rng {
+				if x != rng && isMapExpr(info, x.X) {
 					return false // nested map range handled by its own visit
 				}
 			case *ast.CallExpr:
@@ -194,7 +140,7 @@ func checkMapOrder(pass *Pass, fd *ast.FuncDecl, sinkHelpers map[*types.Func]*ty
 						c.name)
 					return true
 				}
-				if fn := calleeFunc(info, x); fn != nil {
+				if fn := calleeFunc(info, x.Fun); fn != nil {
 					if _, viaHelper := sinkHelpers[fn]; viaHelper {
 						pass.Reportf(x.Pos(),
 							"call to %s, which emits wire frames, inside range over a map: frame contents and order become map-iteration-order dependent",
@@ -203,28 +149,14 @@ func checkMapOrder(pass *Pass, fd *ast.FuncDecl, sinkHelpers map[*types.Func]*ty
 				}
 			case *ast.AssignStmt:
 				// Float accumulation in map order.
-				if x.Tok == token.ADD_ASSIGN || x.Tok == token.SUB_ASSIGN || x.Tok == token.MUL_ASSIGN {
-					for i, l := range x.Lhs {
-						if isFloat(l) {
-							if id := rootIdent(l); id != nil && !declaredIn(id, rng) {
-								pass.Reportf(x.Rhs[i].Pos(),
-									"float accumulation in map iteration order: FP addition is not associative, so the result differs run to run; fold in a deterministic order (sort the keys, or par.SumFloat64Ordered over a dense range)")
-							}
-						}
+				floatFolds(info, x, rng, func(rhs, _ ast.Expr) {
+					advice := " (sort the keys, or par.SumFloat64Ordered over a dense range)"
+					if x.Tok == token.ASSIGN {
+						advice = ""
 					}
-				}
-				// x = x + v float form.
-				if x.Tok == token.ASSIGN && len(x.Lhs) == len(x.Rhs) {
-					for i, l := range x.Lhs {
-						if bin, ok := ast.Unparen(x.Rhs[i]).(*ast.BinaryExpr); ok && bin.Op == token.ADD &&
-							isFloat(l) && exprString(bin.X) == exprString(l) {
-							if id := rootIdent(l); id != nil && !declaredIn(id, rng) {
-								pass.Reportf(x.Rhs[i].Pos(),
-									"float accumulation in map iteration order: FP addition is not associative, so the result differs run to run; fold in a deterministic order")
-							}
-						}
-					}
-				}
+					pass.Reportf(rhs.Pos(),
+						"float accumulation in map iteration order: FP addition is not associative, so the result differs run to run; fold in a deterministic order%s", advice)
+				})
 				// Append to an outer slice: order-dependent sequence.
 				for i := range x.Lhs {
 					if i >= len(x.Rhs) {
@@ -236,7 +168,7 @@ func checkMapOrder(pass *Pass, fd *ast.FuncDecl, sinkHelpers map[*types.Func]*ty
 					}
 					if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "append" {
 						if _, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin {
-							if root := rootIdent(x.Lhs[i]); root != nil && !declaredIn(root, rng) {
+							if root, _ := rootIdent(x.Lhs[i]); root != nil && !declaredIn(info, root, rng) {
 								tainted[exprString(x.Lhs[i])] = x.Pos()
 							}
 						}
@@ -262,7 +194,7 @@ func checkMapOrder(pass *Pass, fd *ast.FuncDecl, sinkHelpers map[*types.Func]*ty
 						if !cursorIdx {
 							continue
 						}
-						if root := rootIdent(ix.X); root != nil && !declaredIn(root, rng) {
+						if root, _ := rootIdent(ix.X); root != nil && !declaredIn(info, root, rng) {
 							tainted[exprString(ix.X)] = l.Pos()
 						}
 					}
@@ -274,7 +206,7 @@ func checkMapOrder(pass *Pass, fd *ast.FuncDecl, sinkHelpers map[*types.Func]*ty
 
 	// First pass: find map ranges, taint order-dependent collections.
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if rng, ok := n.(*ast.RangeStmt); ok && mapRangeOf(pass, rng) != nil {
+		if rng, ok := n.(*ast.RangeStmt); ok && isMapExpr(info, rng.X) {
 			checkBody(rng)
 		}
 		return true
@@ -320,10 +252,9 @@ func checkMapOrder(pass *Pass, fd *ast.FuncDecl, sinkHelpers map[*types.Func]*ty
 			if wireSinkFuncs[c] || collectivePayloadFuncs[c] {
 				for _, a := range x.Args {
 					if t, hit := taintedArg(a); hit {
-						name := c.name
 						pass.Reportf(a.Pos(),
 							"%s was built in map iteration order and reaches %s unsorted: the payload's element order differs per process; sort it (or fill it through a gid-indexed pass) first",
-							t, name)
+							t, c.name)
 						delete(tainted, t)
 					}
 				}
@@ -337,13 +268,16 @@ func checkMapOrder(pass *Pass, fd *ast.FuncDecl, sinkHelpers map[*types.Func]*ty
 					delete(tainted, t)
 				}
 			}
-		case *ast.KeyValueExpr:
-			if t, hit := taintedArg(x.Value); hit {
-				if outer := enclosingReportLiteral(pass, fd, x); outer != "" {
-					pass.Reportf(x.Value.Pos(),
-						"%s was built in map iteration order and reaches %s field %s unsorted: report fields must be identical across runs; sort it first",
-						t, outer, exprString(x.Key))
-					delete(tainted, t)
+		case *ast.CompositeLit:
+			outer := reportType(info, x)
+			for _, e := range x.Elts {
+				if kv, ok := e.(*ast.KeyValueExpr); ok && outer != "" {
+					if t, hit := taintedArg(kv.Value); hit {
+						pass.Reportf(kv.Value.Pos(),
+							"%s was built in map iteration order and reaches %s field %s unsorted: report fields must be identical across runs; sort it first",
+							t, outer, exprString(kv.Key))
+						delete(tainted, t)
+					}
 				}
 			}
 		case *ast.AssignStmt:
@@ -354,11 +288,7 @@ func checkMapOrder(pass *Pass, fd *ast.FuncDecl, sinkHelpers map[*types.Func]*ty
 				if i >= len(x.Rhs) {
 					break
 				}
-				sel, ok := ast.Unparen(l).(*ast.SelectorExpr)
-				if !ok {
-					continue
-				}
-				if named := namedOf(info.TypeOf(sel.X)); named != nil && reportTypeName(named.Obj().Name()) {
+				if sel, ok := ast.Unparen(l).(*ast.SelectorExpr); ok && reportType(info, sel.X) != "" {
 					if t, hit := taintedArg(x.Rhs[i]); hit {
 						pass.Reportf(x.Rhs[i].Pos(),
 							"%s was built in map iteration order and reaches report field %s unsorted: report fields must be identical across runs; sort it first",
@@ -370,28 +300,6 @@ func checkMapOrder(pass *Pass, fd *ast.FuncDecl, sinkHelpers map[*types.Func]*ty
 		}
 		return true
 	})
-}
-
-// enclosingReportLiteral returns the type name of the innermost
-// composite literal containing kv, when that type is a Report/Result
-// container, else "".
-func enclosingReportLiteral(pass *Pass, fd *ast.FuncDecl, kv *ast.KeyValueExpr) string {
-	name := ""
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		lit, ok := n.(*ast.CompositeLit)
-		if !ok {
-			return true
-		}
-		for _, e := range lit.Elts {
-			if e == kv {
-				if named := namedOf(pass.Info.TypeOf(lit)); named != nil && reportTypeName(named.Obj().Name()) {
-					name = named.Obj().Name()
-				}
-			}
-		}
-		return true
-	})
-	return name
 }
 
 // checkMapCountReport flags rank-local map counts (len of a map,
@@ -412,45 +320,26 @@ func checkMapCountReport(pass *Pass, fd *ast.FuncDecl) {
 		if !ok {
 			return false
 		}
-		if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "len" && len(call.Args) == 1 {
+		if len(call.Args) != 1 {
+			return false
+		}
+		if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "len" {
 			if _, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin {
-				t := info.TypeOf(call.Args[0])
-				if t != nil {
-					_, isMap := t.Underlying().(*types.Map)
-					return isMap
-				}
+				return isMapExpr(info, call.Args[0])
 			}
 		}
 		// Conversion: T(len(m)).
-		if len(call.Args) == 1 {
-			if _, isConv := info.Types[call.Fun]; isConv {
-				if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
-					return lenOfMap(call.Args[0])
-				}
-			}
-		}
-		return false
+		tv, ok := info.Types[call.Fun]
+		return ok && tv.IsType() && lenOfMap(call.Args[0])
 	}
 
 	// Locals assigned from len(map) expressions.
-	counts := map[types.Object]token.Pos{}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Lhs) != len(as.Rhs) {
-			return true
+	counts := map[types.Object]bool{}
+	assignSweep(info, fd.Body, func(a assignment) bool {
+		if a.res < 0 && lenOfMap(a.rhs) {
+			counts[a.obj] = true
 		}
-		for i, l := range as.Lhs {
-			id, ok := ast.Unparen(l).(*ast.Ident)
-			if !ok {
-				continue
-			}
-			if lenOfMap(as.Rhs[i]) {
-				if obj := objOf(info, id); obj != nil {
-					counts[obj] = as.Rhs[i].Pos()
-				}
-			}
-		}
-		return true
+		return false
 	})
 
 	// mapCountExpr: e is len(map) directly, or mentions a counted
@@ -475,11 +364,7 @@ func checkMapCountReport(pass *Pass, fd *ast.FuncDecl) {
 					return false
 				}
 			case *ast.Ident:
-				if obj := objOf(info, x); obj != nil {
-					if _, hit := counts[obj]; hit {
-						found = true
-					}
-				}
+				found = counts[objOf(info, x)]
 			}
 			return true
 		})
@@ -495,17 +380,10 @@ func checkMapCountReport(pass *Pass, fd *ast.FuncDecl) {
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.CompositeLit:
-			named := namedOf(info.TypeOf(x))
-			if named == nil || !reportTypeName(named.Obj().Name()) {
-				return true
-			}
+			outer := reportType(info, x)
 			for _, e := range x.Elts {
-				kv, ok := e.(*ast.KeyValueExpr)
-				if !ok {
-					continue
-				}
-				if mapCountExpr(kv.Value) {
-					report(kv.Value.Pos(), named.Obj().Name()+"."+exprString(kv.Key))
+				if kv, ok := e.(*ast.KeyValueExpr); ok && outer != "" && mapCountExpr(kv.Value) {
+					report(kv.Value.Pos(), outer+"."+exprString(kv.Key))
 				}
 			}
 		case *ast.AssignStmt:
@@ -513,15 +391,7 @@ func checkMapCountReport(pass *Pass, fd *ast.FuncDecl) {
 				return true
 			}
 			for i, l := range x.Lhs {
-				sel, ok := ast.Unparen(l).(*ast.SelectorExpr)
-				if !ok {
-					continue
-				}
-				named := namedOf(info.TypeOf(sel.X))
-				if named == nil || !reportTypeName(named.Obj().Name()) {
-					continue
-				}
-				if mapCountExpr(x.Rhs[i]) {
+				if sel, ok := ast.Unparen(l).(*ast.SelectorExpr); ok && reportType(info, sel.X) != "" && mapCountExpr(x.Rhs[i]) {
 					report(x.Rhs[i].Pos(), exprString(l))
 				}
 			}

@@ -40,7 +40,7 @@ func runSeedFlow(pass *Pass) {
 	if len(surface) == 0 {
 		return
 	}
-	for _, fn := range pass.Graph.funcsByDecl(pass.Files) {
+	for _, fn := range pass.Graph.funcs {
 		if _, onSurface := surface[fn]; !onSurface {
 			continue
 		}
@@ -56,26 +56,17 @@ func checkSeedFlow(pass *Pass, fd *ast.FuncDecl) {
 	// base are rooted transitively, so a config struct parameter roots
 	// cfg.Seed.
 	rooted := map[types.Object]bool{}
-	addFields := func(fl *ast.FieldList) {
-		if fl == nil {
-			return
-		}
-		for _, f := range fl.List {
-			for _, name := range f.Names {
-				if o := info.Defs[name]; o != nil {
-					rooted[o] = true
-				}
-			}
-		}
-	}
-	addFields(fd.Recv)
-	addFields(fd.Type.Params)
+	paramObjs(info, rooted, fd.Recv, fd.Type.Params)
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		if lit, ok := n.(*ast.FuncLit); ok {
-			addFields(lit.Type.Params)
+			paramObjs(info, rooted, lit.Type.Params)
 		}
 		return true
 	})
+	isConst := func(id *ast.Ident) bool {
+		_, ok := objOf(info, id).(*types.Const)
+		return ok
+	}
 
 	// isRooted decides whether an expression traces to a seed source.
 	var isRooted func(e ast.Expr) bool
@@ -83,28 +74,10 @@ func checkSeedFlow(pass *Pass, fd *ast.FuncDecl) {
 		switch x := ast.Unparen(e).(type) {
 		case *ast.BasicLit:
 			return true
-		case *ast.Ident:
-			obj := objOf(info, x)
-			if obj == nil {
-				return false
-			}
-			if _, isConst := obj.(*types.Const); isConst {
-				return true
-			}
-			return rooted[obj]
 		case *ast.SelectorExpr:
-			// A package-qualified constant, or a field chain on a
-			// rooted base.
-			if obj := objOf(info, x.Sel); obj != nil {
-				if _, isConst := obj.(*types.Const); isConst {
-					return true
-				}
+			if isConst(x.Sel) {
+				return true // a package-qualified constant
 			}
-			return isRooted(x.X)
-		case *ast.IndexExpr:
-			return isRooted(x.X)
-		case *ast.StarExpr:
-			return isRooted(x.X)
 		case *ast.BinaryExpr:
 			return isRooted(x.X) && isRooted(x.Y)
 		case *ast.UnaryExpr:
@@ -128,35 +101,27 @@ func checkSeedFlow(pass *Pass, fd *ast.FuncDecl) {
 			}
 			return false
 		}
-		return false
+		// A constant, or a variable access (a field or element chain)
+		// whose root variable is rooted.
+		root, _ := rootIdent(e)
+		return root != nil && (isConst(root) || rooted[objOf(info, root)])
 	}
 
 	// Forward pass: a local assigned only from rooted expressions is
 	// rooted. Two sweeps handle simple forward chains (a := seed;
 	// b := a + 1) without full dataflow.
 	for sweep := 0; sweep < 2; sweep++ {
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			as, ok := n.(*ast.AssignStmt)
-			if !ok || len(as.Lhs) != len(as.Rhs) {
-				return true
+		assignSweep(info, fd.Body, func(a assignment) bool {
+			if a.res >= 0 {
+				return false
 			}
-			for i, l := range as.Lhs {
-				id, ok := ast.Unparen(l).(*ast.Ident)
-				if !ok || id.Name == "_" {
-					continue
-				}
-				obj := objOf(info, id)
-				if obj == nil {
-					continue
-				}
-				if isRooted(as.Rhs[i]) {
-					rooted[obj] = true
-				} else if as.Tok == token.ASSIGN {
-					// Reassigned from a non-rooted value: taint.
-					delete(rooted, obj)
-				}
+			if isRooted(a.rhs) {
+				rooted[a.obj] = true
+			} else if a.tok == token.ASSIGN {
+				// Reassigned from a non-rooted value: taint.
+				delete(rooted, a.obj)
 			}
-			return true
+			return false
 		})
 	}
 

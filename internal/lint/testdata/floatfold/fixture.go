@@ -126,12 +126,12 @@ func slotOwnedAccumulation(hc []float64, levels []int64, threads int) {
 }
 
 // capturedProductInParFor folds a product into a captured variable
-// across workers: the same race and schedule-ordered fold as a sum.
-// Not reported: only += and -= (and x = x ± v) are matched.
+// across workers: the same race and schedule-ordered fold as a sum,
+// since FP multiplication is no more associative than addition.
 func capturedProductInParFor(vals []float64, threads int) float64 {
 	prod := 1.0
 	par.For(0, len(vals), threads, func(i int) {
-		prod *= vals[i]
+		prod *= vals[i] // want "float accumulation into captured prod inside a par.For worker"
 	})
 	return prod
 }

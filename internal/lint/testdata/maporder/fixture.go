@@ -165,21 +165,21 @@ func differenceInMapOrder(weights map[int64]float64) float64 {
 }
 
 // spelledDifferenceInMapOrder is the same fold as differenceInMapOrder
-// spelled s = s - w. Not reported: only the x = x + v spelling is
-// matched.
+// spelled s = s - w: the spelling does not change the order the
+// differences fold in.
 func spelledDifferenceInMapOrder(weights map[int64]float64) float64 {
 	var s float64
 	for _, w := range weights {
-		s = s - w
+		s = s - w // want "float accumulation in map iteration order"
 	}
 	return s
 }
 
 // keyIndexedAccumulation adds each entry into the slot its own key
-// indexes. Reported, although every key is visited once and so each
-// slot takes exactly one addition whatever the order.
+// indexes: every key is visited once, so each slot takes exactly one
+// addition whatever the order. Clean.
 func keyIndexedAccumulation(acc []float64, weights map[int]float64) {
 	for k, w := range weights {
-		acc[k] += w // want "float accumulation in map iteration order"
+		acc[k] += w
 	}
 }

@@ -15,6 +15,18 @@ const (
 	rngPath    = "repro/internal/rng"
 )
 
+// parWorkerArg maps the internal/par entry points that run a
+// caller-supplied body on worker goroutines to the index of that
+// worker function-literal argument.
+var parWorkerArg = map[callee]int{
+	{parPath, "", "For"}:               3,
+	{parPath, "", "ForChunk"}:          3,
+	{parPath, "", "ReduceInt64"}:       3,
+	{parPath, "", "MaxInt64"}:          4,
+	{parPath, "", "MaxFloat64"}:        4,
+	{parPath, "", "SumFloat64Ordered"}: 4,
+}
+
 // callee identifies a resolved call target: the defining package path,
 // the receiver's named-type name ("" for package-level functions), and
 // the function name.
@@ -25,10 +37,43 @@ type callee struct {
 }
 
 // calleeOf resolves a call expression to its target, or ok=false for
-// builtins, conversions, and calls the type info cannot resolve.
+// builtins, conversions, and calls the type info cannot resolve. It
+// names the function calleeFunc resolves, for the analyzers' callee
+// tables.
 func calleeOf(info *types.Info, call *ast.CallExpr) (callee, bool) {
-	fun := ast.Unparen(call.Fun)
-	// Strip explicit generic instantiation (mpi.Allreduce[float64]).
+	fn := calleeFunc(info, call.Fun)
+	if fn == nil {
+		return callee{}, false
+	}
+	c := callee{name: fn.Name()}
+	if fn.Pkg() != nil {
+		c.pkg = fn.Pkg().Path()
+	}
+	if recv := fn.Signature().Recv(); recv != nil {
+		if named := namedOf(recv.Type()); named != nil {
+			c.recv = named.Obj().Name()
+		}
+	}
+	return c, true
+}
+
+// qualName is the callee's name as diagnostics print it: "Recv.Name"
+// for methods, "Name" for package-level functions.
+func (c callee) qualName() string {
+	if c.recv != "" {
+		return c.recv + "." + c.name
+	}
+	return c.name
+}
+
+// calleeFunc resolves a function expression — a call's Fun, or a
+// function value such as the method handed to sync.Once.Do — to the
+// *types.Func it names, seeing through parentheses and explicit
+// generic instantiation (mpi.Allreduce[float64]). It returns nil for
+// builtins, conversions, function literals, and function variables.
+// The interprocedural layer keys its call graph on the result.
+func calleeFunc(info *types.Info, fun ast.Expr) *types.Func {
+	fun = ast.Unparen(fun)
 	switch ix := fun.(type) {
 	case *ast.IndexExpr:
 		fun = ast.Unparen(ix.X)
@@ -46,20 +91,8 @@ func calleeOf(info *types.Info, call *ast.CallExpr) (callee, bool) {
 	case *ast.Ident:
 		obj = info.Uses[f]
 	}
-	fn, ok := obj.(*types.Func)
-	if !ok {
-		return callee{}, false
-	}
-	c := callee{name: fn.Name()}
-	if fn.Pkg() != nil {
-		c.pkg = fn.Pkg().Path()
-	}
-	if recv := fn.Signature().Recv(); recv != nil {
-		if named := namedOf(recv.Type()); named != nil {
-			c.recv = named.Obj().Name()
-		}
-	}
-	return c, true
+	fn, _ := obj.(*types.Func)
+	return fn
 }
 
 // namedOf unwraps pointers down to a named type, or nil.
@@ -111,49 +144,21 @@ func exprString(e ast.Expr) string {
 	}
 }
 
-// funcUnits returns every function declaration of the files together
-// with its body; function literals are analyzed as part of their
-// enclosing declaration (the analyzers' heuristics are function-local,
-// and splitting a closure from the code that flushes or closes what it
-// began would manufacture false positives).
-type funcUnit struct {
-	decl *ast.FuncDecl
-	name string
-}
-
-func funcUnits(files []*ast.File) []funcUnit {
-	var out []funcUnit
+// funcDecls returns every function declaration of the files that has
+// a body. Function literals are analyzed as part of their enclosing
+// declaration: the analyzers' heuristics are function-local, and
+// splitting a closure from the code that flushes or closes what it
+// began would manufacture false positives.
+func funcDecls(files []*ast.File) []*ast.FuncDecl {
+	var out []*ast.FuncDecl
 	for _, f := range files {
 		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
+				out = append(out, fd)
 			}
-			out = append(out, funcUnit{decl: fd, name: fd.Name.Name})
 		}
 	}
 	return out
-}
-
-// recvTypeName returns the name of a declaration's receiver type, or
-// "".
-func recvTypeName(fd *ast.FuncDecl) string {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return ""
-	}
-	t := fd.Recv.List[0].Type
-	for {
-		switch tt := t.(type) {
-		case *ast.StarExpr:
-			t = tt.X
-		case *ast.IndexExpr:
-			t = tt.X
-		case *ast.Ident:
-			return tt.Name
-		default:
-			return ""
-		}
-	}
 }
 
 // hasDirective reports whether the declaration's doc comment carries
@@ -178,39 +183,13 @@ func objOf(info *types.Info, id *ast.Ident) types.Object {
 	return info.Defs[id]
 }
 
-// calleeFunc resolves a call expression to the *types.Func it invokes,
-// or nil for builtins, conversions, and dynamic calls through function
-// values. Unlike calleeOf it returns the object itself, which is what
-// the interprocedural layer keys its call graph on.
-func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	fun := ast.Unparen(call.Fun)
-	switch ix := fun.(type) {
-	case *ast.IndexExpr:
-		fun = ast.Unparen(ix.X)
-	case *ast.IndexListExpr:
-		fun = ast.Unparen(ix.X)
-	}
-	var obj types.Object
-	switch f := fun.(type) {
-	case *ast.SelectorExpr:
-		if sel, ok := info.Selections[f]; ok {
-			obj = sel.Obj()
-		} else {
-			obj = info.Uses[f.Sel]
-		}
-	case *ast.Ident:
-		obj = info.Uses[f]
-	}
-	fn, _ := obj.(*types.Func)
-	return fn
-}
-
 // CallGraph is the per-package call graph behind the interprocedural
 // analyses: for every function declared in the package it records the
 // same-package functions it calls directly. Calls through function
 // values, interfaces, and other packages are not edges — the analyses
 // that consume the graph treat those conservatively at the call site.
 type CallGraph struct {
+	funcs   []*types.Func // in declaration source order, for stable reports
 	decls   map[*types.Func]*ast.FuncDecl
 	callees map[*types.Func][]*types.Func
 }
@@ -229,12 +208,11 @@ func buildCallGraph(pkg *Package) *CallGraph {
 		decls:   map[*types.Func]*ast.FuncDecl{},
 		callees: map[*types.Func][]*types.Func{},
 	}
-	for _, unit := range funcUnits(pkg.Files) {
-		fn, ok := pkg.Info.Defs[unit.decl.Name].(*types.Func)
-		if !ok {
-			continue
+	for _, decl := range funcDecls(pkg.Files) {
+		if fn, ok := pkg.Info.Defs[decl.Name].(*types.Func); ok {
+			g.funcs = append(g.funcs, fn)
+			g.decls[fn] = decl
 		}
-		g.decls[fn] = unit.decl
 	}
 	for fn, decl := range g.decls {
 		seen := map[*types.Func]bool{}
@@ -243,7 +221,7 @@ func buildCallGraph(pkg *Package) *CallGraph {
 			if !ok {
 				return true
 			}
-			callee := calleeFunc(pkg.Info, call)
+			callee := calleeFunc(pkg.Info, call.Fun)
 			if callee == nil || seen[callee] {
 				return true
 			}
@@ -274,43 +252,21 @@ func (g *CallGraph) Callees(fn *types.Func) []*types.Func {
 	return g.callees[fn]
 }
 
-// funcsByDecl returns a deterministic (declaration source order) list
-// of the package's functions, so analyses iterating the graph report
-// in stable order.
-func (g *CallGraph) funcsByDecl(files []*ast.File) []*types.Func {
-	byDecl := map[*ast.FuncDecl]*types.Func{}
-	for fn, d := range g.decls {
-		byDecl[d] = fn
-	}
-	var out []*types.Func
-	for _, f := range files {
-		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok {
-				if fn, ok := byDecl[fd]; ok {
-					out = append(out, fn)
-				}
-			}
-		}
-	}
-	return out
-}
-
 // propagate computes, for every package function, whether it reaches a
 // function satisfying seed within maxHelperDepth call-graph hops. The
 // returned map carries, per reaching function, the first hop of one
 // witness path ("" for functions satisfying seed directly) — enough to
 // name the helper in a diagnostic without storing whole paths.
-func (g *CallGraph) propagate(files []*ast.File, seed func(fn *types.Func, decl *ast.FuncDecl) bool) map[*types.Func]*types.Func {
+func (g *CallGraph) propagate(seed func(fn *types.Func, decl *ast.FuncDecl) bool) map[*types.Func]*types.Func {
 	reach := map[*types.Func]*types.Func{}
-	order := g.funcsByDecl(files)
-	for _, fn := range order {
+	for _, fn := range g.funcs {
 		if seed(fn, g.decls[fn]) {
 			reach[fn] = nil
 		}
 	}
 	for depth := 0; depth < maxHelperDepth; depth++ {
 		changed := false
-		for _, fn := range order {
+		for _, fn := range g.funcs {
 			if _, done := reach[fn]; done {
 				continue
 			}
@@ -369,7 +325,7 @@ func deterministicSurface(pass *Pass) map[*types.Func]*types.Func {
 			visit(callee, root, depth+1)
 		}
 	}
-	for _, fn := range pass.Graph.funcsByDecl(pass.Files) {
+	for _, fn := range pass.Graph.funcs {
 		if roots[fn] {
 			visit(fn, fn, 0)
 		}

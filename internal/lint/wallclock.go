@@ -43,7 +43,7 @@ func runWallClock(pass *Pass) {
 	if len(surface) == 0 {
 		return
 	}
-	for _, fn := range pass.Graph.funcsByDecl(pass.Files) {
+	for _, fn := range pass.Graph.funcs {
 		root, onSurface := surface[fn]
 		if !onSurface {
 			continue
