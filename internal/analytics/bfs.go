@@ -146,7 +146,7 @@ func (e *engine) expandFrontier(rd *bfsRound, all []int64, frontier []int32, dep
 // reached vertex. It returns the accumulated centralities for owned
 // vertices.
 //
-// The sources run as HCWaves(g) concurrent waves sharing the
+// The sources run as hcWaves(g) concurrent waves sharing the
 // exchanger's depth-k pipeline (see hc_waves.go): wave i's push and
 // refresh rounds interleave with wave i+1's, and no per-source
 // eccentricity Allreduce is paid; in async mode on a complete rank
@@ -170,7 +170,7 @@ func HarmonicCentrality(g *dgraph.Graph, sources []int64) ([]float64, Result) {
 			}
 		})
 	}
-	bfsWaves(g, e, sources, HCWaves(g), accumulate)
+	bfsWaves(g, e, sources, hcWaves(g), accumulate)
 	maxHC := par.MaxFloat64(0, len(hc), e.threads, 0, func(i int) float64 { return hc[i] })
 	maxHC = mpi.AllreduceScalar(g.Comm, maxHC, mpi.Max)
 	return hc, Result{Name: "HC", Iterations: len(sources), Time: time.Since(start), SweepTime: e.sweepTime, Value: maxHC}

@@ -12,7 +12,7 @@ import (
 // engine batches sources into k concurrent waves that share one deep
 // exchange pipeline: each wave keeps its discovery-push round and its
 // ghost-refresh round in flight, so with the exchanger built at depth
-// d (Graph.SetPipeDepth) HC runs k = d/2 waves (HCWaves) and the
+// d (Graph.SetPipeDepth) HC runs k = d/2 waves (hcWaves) and the
 // pipeline holds d rounds while each rank sweeps the waves' frontiers
 // back to back. A single BFS (BFS, SCC's sweeps, ApproxDiameter) is the
 // one-wave case: one source, k = 1, two rounds in flight.
@@ -80,12 +80,12 @@ func (w *bfsWave) reset(g *dgraph.Graph, src int64) {
 	w.active = true
 }
 
-// HCWaves reports how many BFS waves HarmonicCentrality runs
+// hcWaves reports how many BFS waves HarmonicCentrality runs
 // concurrently on g: half the exchange pipeline depth (each wave keeps
 // one push and one refresh round in flight).
 //
 //repro:deterministic
-func HCWaves(g *dgraph.Graph) int {
+func hcWaves(g *dgraph.Graph) int {
 	// PipeDepth is at least dgraph.MinPipeDepth = 2, so k >= 1.
 	return min(g.PipeDepth()/2, mpi.MaxTagWave+1)
 }

@@ -69,8 +69,8 @@ func TestHCWavesBitIdenticalAcrossDepthsAndModes(t *testing.T) {
 			if wantWaves < 1 {
 				wantWaves = 1
 			}
-			if got := HCWaves(dg); got != wantWaves {
-				t.Errorf("rank %d: HCWaves at depth %d = %d, want %d", c.Rank(), depth, got, wantWaves)
+			if got := hcWaves(dg); got != wantWaves {
+				t.Errorf("rank %d: hcWaves at depth %d = %d, want %d", c.Rank(), depth, got, wantWaves)
 			}
 			hc, res := HarmonicCentrality(dg, srcs)
 			if res.Value != wantMax {

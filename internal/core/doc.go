@@ -35,6 +35,5 @@
 //
 // Partition reports the exchanged-element volume and Allreduce count
 // of a run (Report.ExchangeVolume, Report.ReductionOps) so the two
-// modes can be compared; the harness "exchange" experiment does
-// exactly that.
+// modes can be compared.
 package core

@@ -315,7 +315,7 @@ type DeltaExchanger struct {
 
 	// Rounds counts completed rounds; MaxDepth is the high-water mark
 	// of simultaneously pending rounds (2 once a caller pipelines).
-	// Both are diagnostics for tests and the exchange experiment.
+	// Both are diagnostics for tests.
 	Rounds   int64
 	MaxDepth int
 }

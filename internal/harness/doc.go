@@ -10,13 +10,10 @@
 // Table I inputs to seeded synthetic proxies so every run is
 // deterministic for a fixed Config.Seed.
 //
-// Beyond the paper's tables and figures, the "exchange" experiment
-// compares the repository's two exchange modes — per-round Allreduce
-// settles versus counters and tallies piggybacked on the boundary
-// messages — across all three communication paths (partitioning
-// updates, analytics value flows, SpMV expand/fold, where the modes
-// also differ in transport), reporting exchanged-element volume,
-// Allreduce counts, and the invariant edge cut. docs/ARCHITECTURE.md
-// explains the engine; README.md has a walkthrough of reading the
-// tables.
+// Two repository-grown studies supplement the paper's views:
+// convergence (the per-iteration balance trajectory) and ablation (the
+// design choices XtraPuLP adds to prior work). The sync-versus-async
+// exchange comparison is not an experiment: the end-to-end benchmark
+// (benchmark/) reports it as per-layer rows of its rmat17_proc_async
+// and rmat17_proc_sync workloads.
 package harness

@@ -5,8 +5,6 @@ import (
 	"io"
 	"strings"
 	"time"
-
-	"repro/internal/par"
 )
 
 // Scale selects experiment sizing.
@@ -49,24 +47,7 @@ type Config struct {
 	Scale Scale
 	// Seed fixes all randomness.
 	Seed uint64
-	// PipeDepth is forwarded to the async exchange engine of
-	// experiments that drive it (currently exchange): how many rounds
-	// of boundary messages may be in flight per exchanger (0 = default
-	// 2; see repro.AnalyticsConfig.PipeDepth). Depths >= 4 run HC as
-	// PipeDepth/2 concurrent BFS waves.
-	PipeDepth int
-	// Threads is the intra-rank thread budget forwarded to the
-	// analytics and SpMV worlds of experiments that drive them
-	// (currently exchange). The repo-wide rule: 0 (or negative) selects
-	// one worker per core (par.DefaultThreads), an explicit 1 runs
-	// serial. The partitioning path stays pinned at one thread — its
-	// balance stage is bit-deterministic only serially, and the
-	// exchange comparison asserts identical cuts across modes.
-	Threads int
 }
-
-// threads returns the effective intra-rank thread budget of the run.
-func (c *Config) threads() int { return par.ResolveThreads(c.Threads) }
 
 // value of Seed when the caller leaves it zero.
 const defaultSeed = 1
@@ -141,7 +122,7 @@ func secs(d time.Duration) string {
 var Names = []string{
 	"table1", "fig1", "fig2", "trillion", "table2", "fig3",
 	"fig4", "fig5", "fig6", "fig7", "fig8", "table3",
-	"convergence", "ablation", "exchange",
+	"convergence", "ablation",
 }
 
 // Run dispatches an experiment by name.
@@ -175,8 +156,6 @@ func Run(name string, cfg Config) error {
 		return Convergence(cfg)
 	case "ablation":
 		return Ablation(cfg)
-	case "exchange":
-		return Exchange(cfg)
 	default:
 		return fmt.Errorf("harness: unknown experiment %q (have %v)", name, Names)
 	}

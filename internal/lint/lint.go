@@ -29,15 +29,18 @@
 //
 // The detlint four and collectivesym/hotpathalloc reason
 // interprocedurally through a per-package call graph (helper depth 4),
-// so moving a violation into a helper does not hide it.
+// so moving a violation into a helper does not hide it. Within a
+// function the analyzers share one dataflow layer (dataflow.go): the
+// access-path root walk, the parameter set, the object-keyed assignment
+// sweep, the float-accumulation matcher, and the escape classifier.
 //
 // The suite is intentionally self-contained on the standard library's
 // go/ast + go/types (no golang.org/x/tools dependency): packages are
 // enumerated with `go list`, parsed with go/parser, and type-checked
 // with a module-aware importer that falls back to the source importer
-// for the standard library. cmd/reprolint is the multichecker driver;
-// fixtures under testdata/ are exercised analysistest-style by the
-// package tests.
+// for the standard library; each module is type-checked once per
+// process. cmd/reprolint is the multichecker driver; fixtures under
+// testdata/ are exercised analysistest-style by the package tests.
 //
 // Findings can be suppressed with an explicit, reasoned directive on
 // the preceding (or same) line:

@@ -111,8 +111,8 @@ type Config struct {
 	// rounds of boundary messages may be in flight per exchanger at
 	// once (0 = default 2; values 1 and below rejected). The
 	// partitioner's own schedule never pipelines past 2, but the knob
-	// travels with the graph, so analytics run on the same shards (and
-	// the exchange experiment) inherit it. See AnalyticsConfig.PipeDepth
+	// travels with the graph, so analytics run on the same shards
+	// inherit it. See AnalyticsConfig.PipeDepth
 	// for the depth/2-wave HC engine it enables.
 	PipeDepth int
 	// Init selects the initialization strategy; zero value is the
