@@ -77,8 +77,8 @@ func checkBeginFlush(pass *Pass, fd *ast.FuncDecl) {
 	if len(calls) == 0 {
 		return
 	}
-	// An exchanger handed to another call or returned moves the pairing
-	// obligation with it.
+	// An exchanger handed to a new owner (passed to a call, returned,
+	// sent or stored) takes the pairing obligation with it.
 	escapes := handedOff(pass, fd.Body)
 
 	// Rule A: a receiver with Begin* calls but zero Flush*/Close calls

@@ -213,8 +213,8 @@ type escape struct {
 }
 
 // escapes walks body in source order and calls visit for every value
-// that is returned, sent, stored anywhere but a local, passed to a
-// call, or handed to a goroutine (as an argument or a captured
+// that is returned, sent, stored anywhere but a local variable, passed
+// to a call, or handed to a goroutine (as an argument or a captured
 // variable, once per variable and go statement).
 func escapes(pass *Pass, body ast.Node, visit func(escape)) {
 	info := pass.Info

@@ -5,6 +5,7 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/lint"
@@ -108,6 +109,23 @@ func TestBareIgnoreIsError(t *testing.T) {
 	if bare != 1 || errcheck != 1 {
 		t.Errorf("got %d bare-ignore and %d errcheck findings, want 1 and 1 (bare ignores must not suppress)", bare, errcheck)
 	}
+}
+
+// TestLoadDirConcurrent loads fixtures from several goroutines at
+// once: every load in the process shares one importer per module, so
+// concurrent callers must be serialized (run it under -race).
+func TestLoadDirConcurrent(t *testing.T) {
+	var wg sync.WaitGroup
+	for _, dir := range []string{"errcheck", "wallclock", "seedflow", "ignore"} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := lint.LoadDir("testdata/" + dir); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestTreeIsClean runs the full suite over the module — the same gate

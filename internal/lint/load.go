@@ -42,8 +42,10 @@ type moduleImporter struct {
 
 // importers holds one moduleImporter per module root for the life of
 // the process, so every Load and LoadDir call type-checks each module
-// and standard-library package once. importMu serializes their use:
-// an importer and its FileSet are not safe for concurrent checks.
+// and standard-library package once (a source file edited after its
+// package was first imported is not re-read). importMu serializes
+// their use: an importer and its FileSet are not safe for concurrent
+// checks.
 var (
 	importMu  sync.Mutex
 	importers = map[string]*moduleImporter{}
