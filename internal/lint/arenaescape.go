@@ -93,12 +93,20 @@ func checkArenaEscapes(pass *Pass, fd *ast.FuncDecl) {
 		return nil
 	}
 
-	isTaintedExpr := func(e ast.Expr) bool {
-		if _, ok := taintedObjOf(e); ok {
-			return true
+	// taintedName names the arena-backed value e is, or ok=false when e
+	// is not one: a tainted variable (or a view of it), or a call whose
+	// results alias an arena.
+	taintedName := func(e ast.Expr) (string, bool) {
+		if o, ok := taintedObjOf(e); ok {
+			return o.Name(), true
 		}
-		call, ok := ast.Unparen(e).(*ast.CallExpr)
-		return ok && len(arenaResultIndices(call)) > 0
+		if call, ok := ast.Unparen(e).(*ast.CallExpr); ok && len(arenaResultIndices(call)) > 0 {
+			if c, ok := calleeOf(info, call); ok {
+				return c.name + " result", true
+			}
+			return "arena-backed value", true
+		}
+		return "", false
 	}
 
 	// Pass 1: propagate taint to a fixpoint over the assignments of the
@@ -106,8 +114,10 @@ func checkArenaEscapes(pass *Pass, fd *ast.FuncDecl) {
 	// tuple-valued call (v, rest := ex.FlushTally(...)) only the
 	// arena-backed results taint.
 	taint := func(a assignment) bool {
-		hit := a.res < 0 && isTaintedExpr(a.rhs)
-		if call, ok := ast.Unparen(a.rhs).(*ast.CallExpr); ok && a.res >= 0 {
+		hit := false
+		if a.res < 0 {
+			_, hit = taintedName(a.rhs)
+		} else if call, ok := ast.Unparen(a.rhs).(*ast.CallExpr); ok {
 			hit = slices.Contains(arenaResultIndices(call), a.res)
 		}
 		if _, already := tainted[a.obj]; !hit || already {
@@ -121,19 +131,6 @@ func checkArenaEscapes(pass *Pass, fd *ast.FuncDecl) {
 	}
 	if len(tainted) == 0 {
 		return
-	}
-
-	taintedName := func(e ast.Expr) (string, bool) {
-		if o, ok := taintedObjOf(e); ok {
-			return o.Name(), true
-		}
-		if call, ok := ast.Unparen(e).(*ast.CallExpr); ok && len(arenaResultIndices(call)) > 0 {
-			if c, ok := calleeOf(info, call); ok {
-				return c.name + " result", true
-			}
-			return "arena-backed value", true
-		}
-		return "", false
 	}
 
 	// Pass 2: tainted values leaving the round window. A closure's

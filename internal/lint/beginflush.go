@@ -79,7 +79,7 @@ func checkBeginFlush(pass *Pass, fd *ast.FuncDecl) {
 	}
 	// An exchanger handed to a new owner (passed to a call, returned,
 	// sent or stored) takes the pairing obligation with it.
-	escapes := handedOff(pass, fd.Body)
+	handed := handedOff(pass, fd.Body)
 
 	// Rule A: a receiver with Begin* calls but zero Flush*/Close calls
 	// anywhere in the function (and which never escapes) leaves its
@@ -95,7 +95,7 @@ func checkBeginFlush(pass *Pass, fd *ast.FuncDecl) {
 	}
 	reportedA := map[string]bool{}
 	for _, c := range calls {
-		if c.begin && !hasFlush[c.recv] && !escapes[c.recv] && !reportedA[c.recv] &&
+		if c.begin && !hasFlush[c.recv] && !handed[c.recv] && !reportedA[c.recv] &&
 			!strings.Contains(c.recv, ".") {
 			reportedA[c.recv] = true
 			pass.Reportf(c.pos,

@@ -32,7 +32,7 @@ func runExLifecycle(pass *Pass) {
 	}
 }
 
-// owned is one value this function must close.
+// ownedValue is one value this function must close.
 type ownedValue struct {
 	call *ast.CallExpr // construction site
 	recv string        // the variable it was bound to ("" if discarded)
