@@ -235,10 +235,9 @@ func TestExchangeUpdatesOnlyTouchedVertices(t *testing.T) {
 		recv := dg.AsyncExchanger().Flush(q)
 		// Received updates must reference ghosts whose gid is one of the
 		// announced vertices (gid = first owned vertex of some rank).
-		firstOwned := mpi.Allgather(c, dg.L2G[0])
 		valid := map[int64]bool{}
-		for _, gid := range firstOwned {
-			valid[gid] = true
+		for _, firstOwned := range mpi.Allgatherv(c, dg.L2G[:1]) {
+			valid[firstOwned[0]] = true
 		}
 		for _, upd := range recv {
 			if !valid[dg.L2G[upd.LID]] {

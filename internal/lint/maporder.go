@@ -50,7 +50,6 @@ var wireSinkFuncs = map[callee]bool{
 var collectivePayloadFuncs = map[callee]bool{
 	{mpiPath, "", "Alltoallv"}:                    true,
 	{mpiPath, "", "Allgatherv"}:                   true,
-	{mpiPath, "", "Allgather"}:                    true,
 	{mpiPath, "", "Bcast"}:                        true,
 	{mpiPath, "", "Allreduce"}:                    true,
 	{dgraphPath, "DeltaExchanger", "Begin"}:       true,
@@ -150,12 +149,8 @@ func checkMapOrder(pass *Pass, fd *ast.FuncDecl, sinkHelpers map[*types.Func]*ty
 			case *ast.AssignStmt:
 				// Float accumulation in map order.
 				floatFolds(info, x, rng, func(rhs, _ ast.Expr) {
-					advice := " (sort the keys, or par.SumFloat64Ordered over a dense range)"
-					if x.Tok == token.ASSIGN {
-						advice = ""
-					}
 					pass.Reportf(rhs.Pos(),
-						"float accumulation in map iteration order: FP addition is not associative, so the result differs run to run; fold in a deterministic order%s", advice)
+						"float accumulation in map iteration order: FP addition is not associative, so the result differs run to run; fold in a deterministic order (sort the keys, or par.SumFloat64Ordered over a dense range)")
 				})
 				// Append to an outer slice: order-dependent sequence.
 				for i := range x.Lhs {

@@ -159,18 +159,18 @@ func productInMapOrder(weights map[int64]float64) float64 {
 func differenceInMapOrder(weights map[int64]float64) float64 {
 	var s float64
 	for _, w := range weights {
-		s -= w // want "float accumulation in map iteration order"
+		s -= w // want "float accumulation in map iteration order.*deterministic order \\(sort the keys, or par.SumFloat64Ordered"
 	}
 	return s
 }
 
 // spelledDifferenceInMapOrder is the same fold as differenceInMapOrder
 // spelled s = s - w: the spelling does not change the order the
-// differences fold in.
+// differences fold in, nor the diagnostic's text.
 func spelledDifferenceInMapOrder(weights map[int64]float64) float64 {
 	var s float64
 	for _, w := range weights {
-		s = s - w // want "float accumulation in map iteration order"
+		s = s - w // want "float accumulation in map iteration order.*deterministic order \\(sort the keys, or par.SumFloat64Ordered"
 	}
 	return s
 }

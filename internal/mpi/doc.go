@@ -1,13 +1,12 @@
 // Package mpi provides the communicator that stands in for MPI in the
 // XtraPuLP reproduction. Ranks interact only through collective
-// operations (Barrier, Bcast, Allgather, Allgatherv, Alltoall,
-// Alltoallv, Allreduce) and nonblocking point-to-point messages
-// (Isend64, Recv64, Recycle64) — exactly the operation set the
-// distributed partitioner and its downstream applications use. Like
-// XtraPuLP's own MPI code, every operation moves integer words:
-// Allreduce also folds float64 vectors, and any other float64 payload
-// travels as math.Float64bits words, which every transport carries
-// bit-exactly.
+// operations (Barrier, Bcast, Allgatherv, Alltoallv, Allreduce) and
+// nonblocking point-to-point messages (Isend64, Recv64, Recycle64) —
+// exactly the operation set the distributed partitioner and its
+// downstream applications use. Like XtraPuLP's own MPI code, every
+// operation moves integer words: Allreduce also folds float64 vectors,
+// and any other float64 payload travels as math.Float64bits words,
+// which every transport carries bit-exactly.
 //
 // # Pluggable transport
 //
@@ -16,8 +15,7 @@
 // typed collectives, and Abort/Close. Two implementations exist:
 //
 //   - The in-process world (Run/RunThreads/RunWorld): each rank is a
-//     goroutine, messages move through shared-memory mailboxes, and
-//     collective contributions through per-rank publication slots.
+//     goroutine and messages move through shared-memory mailboxes.
 //     This is the default and the fast path — its steady-state
 //     exchange rounds keep the AllocsPerRun == 0 guarantee.
 //   - The socket transport (DialSocket/NewSocketWorld): each rank is
@@ -36,7 +34,13 @@
 //     of docs/ARCHITECTURE.md for the full retry/watchdog state
 //     machine.
 //
-// Both transports fold reductions in ascending rank order, so
+// The collectives are written once (coll.go) from point-to-point
+// messages, as MPICH builds them: each transport supplies a collective
+// lane — one FIFO per ordered rank pair, disjoint from the data FIFOs
+// — and both transports run the same algorithms over it. The
+// in-process lane lends payloads, and a collective returns only once
+// its peers have read what it lent; the socket lane copies at encode.
+// Reductions fold in ascending rank order at rank 0, so
 // floating-point collective results — and therefore partitions and
 // analytics values — are bit-identical across substrates at fixed
 // seeds. internal/mpitest's RunTransportConformance holds every
@@ -78,19 +82,18 @@
 // Unlike the collectives, the point-to-point operations are safe to
 // complete from one helper goroutine concurrently with point-to-point
 // traffic — or a collective — on the rank's main goroutine (all
-// traffic counters are atomic, mailboxes are locked, and the mailbox
-// and barrier synchronization states are disjoint). This is what lets
-// a rank drain incoming boundary updates on a background goroutine
-// while its main goroutine is still computing (communication/
-// computation overlap), and lets the pipelined exchange engine keep a
-// posted round draining while the main goroutine enters an epoch
-// Allreduce.
+// traffic counters are atomic, mailboxes are locked, and the data and
+// collective mailboxes are disjoint). This is what lets a rank drain
+// incoming boundary updates on a background goroutine while its main
+// goroutine is still computing (communication/computation overlap),
+// and lets the pipelined exchange engine keep a posted round draining
+// while the main goroutine enters an epoch Allreduce.
 //
 // # Poison-on-panic
 //
-// When any rank panics, Run poisons the barrier and every mailbox so
-// sibling ranks blocked in a collective or a point-to-point wait wake
-// up and unwind (as barrierPoisoned panics) instead of hanging; the
+// When any rank panics, Run poisons every mailbox, data and collective,
+// so sibling ranks blocked in a collective or a point-to-point wait
+// wake up and unwind (as worldPoisoned panics) instead of hanging; the
 // original panic is then re-raised on the caller. Code that receives on
 // a helper goroutine must ferry a recovered panic back to the rank's
 // main goroutine and re-raise it there, so Run's per-rank recovery

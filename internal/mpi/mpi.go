@@ -6,25 +6,22 @@ import (
 )
 
 // world is the shared state of one in-process communicator group: the
-// publication slots behind the collectives, the reusable barrier, the
-// point-to-point mailboxes, and the pooled transfer buffers. It is
-// created by Run (via NewProcWorld) and never escapes to user code
-// except through Comm handles.
+// per-pair FIFO mailboxes, data and collective, and the pooled transfer
+// buffers. It is created by Run (via NewProcWorld) and never escapes to
+// user code except through Comm handles.
 type world struct {
-	size  int
-	slots []any // one publication slot per rank, reused per collective
-	bar   *barrier
-	boxes []*mailbox // point-to-point FIFOs, indexed [src*size+dst]
-	pool  pool64     // transfer-copy pool shared by sender and receiver
+	size int
+	// boxes holds the point-to-point FIFOs, indexed [src*size+dst],
+	// followed by the collective lane's, indexed [(size+dst)*size+src]
+	// so each rank's incoming ones are contiguous. The two sets are
+	// disjoint so a helper goroutine can receive data while the main
+	// goroutine is in a collective.
+	boxes []*mailbox
+	pool  pool64 // transfer-copy pool shared by sender and receiver
 }
 
 func newWorld(n int) *world {
-	w := &world{
-		size:  n,
-		slots: make([]any, n),
-		bar:   newBarrier(n),
-		boxes: make([]*mailbox, n*n),
-	}
+	w := &world{size: n, boxes: make([]*mailbox, 2*n*n)}
 	for i := range w.boxes {
 		w.boxes[i] = newMailbox()
 	}
@@ -34,9 +31,8 @@ func newWorld(n int) *world {
 // poisonAll releases every rank parked in a collective or a
 // point-to-point wait after a sibling panic.
 func (w *world) poisonAll() {
-	w.bar.poison()
 	for _, b := range w.boxes {
-		b.poison()
+		b.fail(worldPoisoned{})
 	}
 }
 
@@ -48,9 +44,9 @@ func (w *world) poisonAll() {
 // additionally be completed from one helper goroutine concurrently with
 // point-to-point traffic — or a collective — on the main goroutine:
 // traffic counters are atomic, and the transports keep their
-// point-to-point and collective synchronization states disjoint. The
-// pipelined exchange engine relies on this (its drainer receives a
-// posted round while the main goroutine enters an epoch Allreduce).
+// point-to-point and collective FIFOs disjoint. The pipelined exchange
+// engine relies on this (its drainer receives a posted round while the
+// main goroutine enters an epoch Allreduce).
 type Comm struct {
 	t       Transport
 	rank    int // cached Transport.Rank(), hot on every guard
@@ -122,7 +118,8 @@ func (c *Comm) ResetStats() {
 // Run executes fn on nprocs simulated ranks, each on its own goroutine
 // with one intra-rank worker thread, and returns when all ranks finish.
 // Panics on any rank are re-raised on the caller after all other ranks
-// are released (they would otherwise hang on the next barrier).
+// are released (they would otherwise hang in their next collective or
+// receive).
 func Run(nprocs int, fn func(c *Comm)) {
 	RunThreads(nprocs, 1, fn)
 }
@@ -155,19 +152,6 @@ func Bcast(c *Comm, root int, data []int64) []int64 {
 	return out
 }
 
-// Allgather collects one value from each rank; out[r] is rank r's value.
-func Allgather(c *Comm, v int64) []int64 {
-	atomic.AddInt64(&c.stats.Collectives, 1)
-	atomic.AddInt64(&c.stats.ElemsSent, 1)
-	parts := c.t.AllgathervI64([]int64{v})
-	out := make([]int64, len(parts))
-	for r, p := range parts {
-		out[r] = p[0]
-	}
-	atomic.AddInt64(&c.stats.ElemsRecv, int64(c.size))
-	return out
-}
-
 // Allgatherv collects a variable-length slice from each rank; out[r] is
 // an independent copy of rank r's contribution.
 func Allgatherv(c *Comm, data []int64) [][]int64 {
@@ -182,29 +166,11 @@ func Allgatherv(c *Comm, data []int64) [][]int64 {
 	return out
 }
 
-// Alltoall exchanges one element per rank pair: send[r] goes to rank r,
-// and out[r] is what rank r sent to this rank. len(send) must be Size().
-func Alltoall(c *Comm, send []int64) []int64 {
-	if len(send) != c.size {
-		panic(fmt.Sprintf("mpi: Alltoall send length %d != world size %d", len(send), c.size))
-	}
-	atomic.AddInt64(&c.stats.Collectives, 1)
-	atomic.AddInt64(&c.stats.ElemsSent, int64(len(send)))
-	counts := make([]int, c.size)
-	for i := range counts {
-		counts[i] = 1
-	}
-	out, _ := c.t.AlltoallvI64(send, counts)
-	atomic.AddInt64(&c.stats.ElemsRecv, int64(c.size))
-	return out
-}
-
 // Alltoallv performs a variable-size personalized exchange. sendBuf
 // holds the data for all destinations packed contiguously in rank order;
 // sendCounts[r] elements go to rank r. It returns the received data
 // packed in source-rank order along with per-source counts.
 func Alltoallv(c *Comm, sendBuf []int64, sendCounts []int) (recv []int64, recvCounts []int) {
-	alltoallvOffsets(len(sendBuf), sendCounts, c.size) // validate on every transport
 	atomic.AddInt64(&c.stats.Collectives, 1)
 	atomic.AddInt64(&c.stats.ExchangeOps, 1)
 	atomic.AddInt64(&c.stats.ElemsSent, int64(len(sendBuf)))

@@ -71,30 +71,42 @@ func TestBcast(t *testing.T) {
 	})
 }
 
+// allgather1 gathers one value per rank through Allgatherv.
+func allgather1(c *Comm, v int64) []int64 {
+	out := make([]int64, 0, c.Size())
+	for _, p := range Allgatherv(c, []int64{v}) {
+		out = append(out, p...)
+	}
+	return out
+}
+
 func TestAllgather(t *testing.T) {
 	const p = 6
 	Run(p, func(c *Comm) {
-		got := Allgather(c, int64(c.Rank())*10)
+		got := allgather1(c, int64(c.Rank())*10)
 		for r := 0; r < p; r++ {
 			if got[r] != int64(r)*10 {
-				t.Errorf("rank %d Allgather[%d] = %d, want %d", c.Rank(), r, got[r], r*10)
+				t.Errorf("rank %d Allgatherv[%d] = %d, want %d", c.Rank(), r, got[r], r*10)
 			}
 		}
 	})
 }
 
+// TestAlltoall exchanges one element per rank pair through Alltoallv.
 func TestAlltoall(t *testing.T) {
 	const p = 4
 	Run(p, func(c *Comm) {
 		send := make([]int64, p)
+		counts := make([]int, p)
 		for r := range send {
 			send[r] = int64(c.Rank()*100 + r) // tagged (src, dst)
+			counts[r] = 1
 		}
-		got := Alltoall(c, send)
+		got, _ := Alltoallv(c, send, counts)
 		for r := 0; r < p; r++ {
 			want := int64(r*100 + c.Rank())
 			if got[r] != want {
-				t.Errorf("rank %d Alltoall[%d] = %d, want %d", c.Rank(), r, got[r], want)
+				t.Errorf("rank %d Alltoallv[%d] = %d, want %d", c.Rank(), r, got[r], want)
 			}
 		}
 	})
@@ -214,14 +226,14 @@ func TestPanicPropagatesFromRank(t *testing.T) {
 		}
 		// Other ranks park in a collective; poison must release them.
 		c.Barrier()
-		Allgather(c, 1)
+		allgather1(c, 1)
 	})
 }
 
 func TestStatsCountTraffic(t *testing.T) {
 	Run(3, func(c *Comm) {
 		c.ResetStats()
-		Allgather(c, 1)
+		allgather1(c, 1)
 		Alltoallv(c, []int64{1, 2, 3}, []int{1, 1, 1})
 		AllreduceScalar(c, int64(1), Sum)
 		s := c.Stats()
@@ -238,14 +250,14 @@ func TestStatsCountTraffic(t *testing.T) {
 }
 
 func TestCollectiveSequenceStress(t *testing.T) {
-	// Many back-to-back collectives must not corrupt each other's slots.
+	// Many back-to-back collectives must not corrupt each other's frames.
 	const p = 8
 	Run(p, func(c *Comm) {
 		for iter := 0; iter < 50; iter++ {
-			v := Allgather(c, int64(c.Rank()+iter))
+			v := allgather1(c, int64(c.Rank()+iter))
 			for r := 0; r < p; r++ {
 				if v[r] != int64(r+iter) {
-					t.Errorf("iter %d: Allgather[%d] = %d", iter, r, v[r])
+					t.Errorf("iter %d: Allgatherv[%d] = %d", iter, r, v[r])
 					return
 				}
 			}

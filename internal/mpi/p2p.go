@@ -4,50 +4,41 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
-// Nonblocking point-to-point messaging over int64 words. Each ordered
-// rank pair (src, dst) owns one FIFO channel — an in-process mailbox or
-// a socket stream, depending on the transport — so messages between a
-// pair are delivered in send order (MPI's non-overtaking guarantee)
-// while messages from different sources are independent. Isend64
-// copies its buffer at call time — the sender may reuse it
-// immediately, and the receiver gets a slice no other rank aliases.
-// Other element types travel as words: float64 values as
-// math.Float64bits, which every transport carries bit-exactly.
-//
-// Unlike the collectives, the point-to-point operations are safe to
-// complete from a goroutine other than the rank's main goroutine: all
-// traffic counters are updated atomically and the transports keep
-// their point-to-point and collective synchronization states disjoint.
-// This is what lets a rank drain incoming boundary updates on a
-// background goroutine while its main goroutine is still computing
-// (communication/computation overlap) — or, on the pipelined exchange
-// engine, while the main goroutine is inside a collective.
-//
-// Messages may carry a round tag (Isend64Tag/Recv64Tag). Tags never
-// affect matching — delivery stays strict FIFO per pair — they only
-// let a round-structured receiver assert that the frame it dequeued
-// belongs to the round it is draining.
+// Nonblocking point-to-point messaging over int64 words, and the
+// mailbox FIFO both transports queue messages in. The ordering, tag and
+// helper-goroutine contract is the package doc's "Point-to-point
+// mailboxes and ordering" section.
 
-// message is one in-flight point-to-point transfer: a pooled private
-// copy of the payload, so enqueueing allocates nothing, and the
-// sender's round tag (Isend64Tag), zero for untagged sends.
+// message is one queued transfer: the payload, and the sender's round
+// tag (Isend64Tag, zero for untagged sends) or, on a collective lane,
+// the collective's sequence number. Point-to-point payloads are pooled
+// private copies, so enqueueing allocates nothing.
 type message struct {
 	i64 []int64
 	tag uint32
 }
 
-// mailbox is the unbounded FIFO for one ordered (src, dst) rank pair.
+// worldPoisoned is the panic payload delivered to ranks parked in an
+// in-process mailbox wait — point-to-point or collective — when a
+// sibling rank panics; Run swallows these secondary panics and
+// re-raises only the original.
+type worldPoisoned struct{}
+
+// mailbox is the unbounded FIFO for one ordered (src, dst) rank pair on
+// either transport: the in-process world's data and collective lanes,
+// and the per-peer receive queues a socket's reader goroutines fill.
 // Dequeuing advances head instead of reslicing so the backing array —
 // and with it the steady-state zero-allocation property of put — is
 // never lost to the front of the slice.
 type mailbox struct {
-	mu       sync.Mutex
-	cond     *sync.Cond
-	msgs     []message
-	head     int
-	poisoned bool
+	mu     sync.Mutex
+	cond   *sync.Cond
+	msgs   []message
+	head   int
+	poison any // panic payload once poisoned: worldPoisoned or a TransportFailure
 }
 
 func newMailbox() *mailbox {
@@ -56,8 +47,8 @@ func newMailbox() *mailbox {
 	return m
 }
 
-// put enqueues a message; put never blocks (the simulator models an
-// eager/buffered transport, so Isend64 completes immediately).
+// put enqueues a message; put never blocks (both transports are eager:
+// a send completes without waiting for its receiver).
 //
 //repro:hotpath
 func (m *mailbox) put(msg message) {
@@ -67,19 +58,62 @@ func (m *mailbox) put(msg message) {
 	m.mu.Unlock()
 }
 
-// take dequeues the oldest message, blocking until one arrives. It
-// panics with barrierPoisoned after a sibling rank's panic so blocked
-// receivers unwind instead of hanging.
+// take dequeues the oldest message, blocking until one arrives. A
+// poisoned mailbox still delivers what it holds; once it is empty,
+// take panics with the poison payload so blocked receivers unwind
+// instead of hanging.
 //
 //repro:hotpath
 func (m *mailbox) take() message {
 	m.mu.Lock()
-	for m.head >= len(m.msgs) && !m.poisoned {
+	for m.head == len(m.msgs) && m.poison == nil {
 		m.cond.Wait()
 	}
-	if m.poisoned {
+	return m.pop()
+}
+
+// takeTimeout is take with an optional bound: with timeout > 0 a wait
+// that exceeds it returns ok == false instead of blocking forever (the
+// collective watchdog's hook). A queued message always wins over an
+// expired timer.
+func (m *mailbox) takeTimeout(timeout time.Duration) (msg message, ok bool) {
+	if timeout <= 0 {
+		return m.take(), true
+	}
+	m.mu.Lock()
+	expired := false
+	var timer *time.Timer
+	for m.head == len(m.msgs) && m.poison == nil && !expired {
+		if timer == nil {
+			timer = time.AfterFunc(timeout, func() {
+				m.mu.Lock()
+				expired = true
+				m.mu.Unlock()
+				m.cond.Broadcast()
+			})
+		}
+		m.cond.Wait()
+	}
+	if timer != nil {
+		timer.Stop()
+	}
+	if m.head == len(m.msgs) && m.poison == nil {
 		m.mu.Unlock()
-		panic(barrierPoisoned{})
+		return message{}, false
+	}
+	return m.pop(), true
+}
+
+// pop dequeues the oldest message with m.mu held and releases the
+// lock; on an empty, poisoned mailbox it panics with the poison
+// payload instead.
+//
+//repro:hotpath
+func (m *mailbox) pop() message {
+	if m.head == len(m.msgs) {
+		p := m.poison
+		m.mu.Unlock()
+		panic(p)
 	}
 	msg := m.msgs[m.head]
 	m.msgs[m.head] = message{} // release the buffer reference
@@ -102,16 +136,18 @@ func (m *mailbox) take() message {
 	return msg
 }
 
-// poison wakes all blocked receivers and makes every subsequent take
-// panic.
-func (m *mailbox) poison() {
+// fail poisons the mailbox with panic payload p — the first poison
+// sticks — and wakes every blocked taker.
+func (m *mailbox) fail(p any) {
 	m.mu.Lock()
-	m.poisoned = true
+	if m.poison == nil {
+		m.poison = p
+	}
 	m.cond.Broadcast()
 	m.mu.Unlock()
 }
 
-// box returns the mailbox for the ordered pair (src, dst).
+// box returns the point-to-point mailbox for the ordered pair (src, dst).
 func (w *world) box(src, dst int) *mailbox {
 	return w.boxes[src*w.size+dst]
 }

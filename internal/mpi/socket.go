@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"net"
 	"os"
@@ -182,93 +181,6 @@ const helloMagic = 0x5245_5052_4f31 // "REPRO1"
 // drain frames into unbounded queues — so this cannot deadlock.
 const writerQueueDepth = 256
 
-// sockFrame is a decoded frame parked in a receive queue.
-type sockFrame struct {
-	payload []int64
-	tag     uint32
-}
-
-// frameQueue is an unbounded FIFO of decoded frames with error
-// poisoning: fail wakes all blocked takers, and every take after a
-// failure panics with TransportFailure so a dead peer surfaces as a
-// clean error instead of a hang.
-type frameQueue struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	frames []sockFrame
-	head   int
-	err    error
-}
-
-func newFrameQueue() *frameQueue {
-	q := &frameQueue{}
-	q.cond = sync.NewCond(&q.mu)
-	return q
-}
-
-func (q *frameQueue) put(payload []int64, tag uint32) {
-	q.mu.Lock()
-	q.frames = append(q.frames, sockFrame{payload: payload, tag: tag})
-	q.mu.Unlock()
-	q.cond.Signal()
-}
-
-func (q *frameQueue) take() ([]int64, uint32) {
-	payload, tag, _ := q.takeTimeout(0)
-	return payload, tag
-}
-
-// takeTimeout is take with an optional bound: with timeout > 0 a wait
-// that exceeds it returns ok == false instead of blocking forever (the
-// collective watchdog's hook). A queued frame always wins over an
-// expired timer, and a poisoned queue still panics with
-// TransportFailure.
-func (q *frameQueue) takeTimeout(timeout time.Duration) (payload []int64, tag uint32, ok bool) {
-	q.mu.Lock()
-	expired := false
-	var timer *time.Timer
-	for q.head == len(q.frames) && q.err == nil && !expired {
-		if timeout > 0 && timer == nil {
-			timer = time.AfterFunc(timeout, func() {
-				q.mu.Lock()
-				expired = true
-				q.mu.Unlock()
-				q.cond.Broadcast()
-			})
-		}
-		q.cond.Wait()
-	}
-	if timer != nil {
-		timer.Stop()
-	}
-	if q.head == len(q.frames) {
-		if err := q.err; err != nil {
-			q.mu.Unlock()
-			panic(TransportFailure{Err: err})
-		}
-		q.mu.Unlock()
-		return nil, 0, false
-	}
-	f := q.frames[q.head]
-	q.frames[q.head] = sockFrame{}
-	q.head++
-	if q.head == len(q.frames) {
-		q.frames = q.frames[:0]
-		q.head = 0
-	}
-	q.mu.Unlock()
-	return f.payload, f.tag, true
-}
-
-func (q *frameQueue) fail(err error) {
-	q.mu.Lock()
-	if q.err == nil {
-		q.err = err
-	}
-	q.mu.Unlock()
-	q.cond.Broadcast()
-}
-
 // sockConn is one neighbor connection: the net.Conn, the buffered
 // reader its reader goroutine decodes from (created at handshake so no
 // buffered bytes are lost), and the bounded writer channel. dead marks
@@ -305,21 +217,20 @@ func newSockConn(peer int, nc net.Conn, br *bufio.Reader) *sockConn {
 // j > i and dials every j < i), and the internal/wire frame codec on
 // each connection. Data and collective frames demultiplex on arrival
 // into disjoint per-source queues, mirroring the in-process transport's
-// disjoint mailbox and barrier states, so the exchange engine's drainer
-// goroutine and a main-goroutine collective can make progress
-// concurrently. Collectives gather at rank 0 and fold in ascending
-// rank order, so reduction results are bit-identical to the in-process
-// transport.
+// disjoint data and collective mailboxes, so the exchange engine's
+// drainer goroutine and a main-goroutine collective can make progress
+// concurrently. The collective queues are the lane the shared
+// collective algorithms (coll.go) run over, so reduction results are
+// bit-identical to the in-process transport.
 type SocketTransport struct {
 	rank, size int
 	pool       pool64
 	conns      []*sockConn // indexed by peer rank; nil at self
-	dataQ      []*frameQueue
-	collQ      []*frameQueue
-	seq        uint32 // collective sequence; main goroutine only
+	dataQ      []*mailbox
+	collQ      []*mailbox
+	coll       coll
 
-	heartbeat   time.Duration // liveness watchdog threshold; 0 disables
-	collTimeout time.Duration // collective watchdog bound; 0 disables
+	heartbeat time.Duration // liveness watchdog threshold; 0 disables
 
 	closing   atomic.Bool
 	failed    atomic.Bool
@@ -358,18 +269,22 @@ func DialSocket(cfg SocketConfig) (*SocketTransport, error) {
 	deadline := time.Now().Add(timeout)
 
 	t := &SocketTransport{
-		rank:        cfg.Rank,
-		size:        cfg.Size,
-		conns:       make([]*sockConn, cfg.Size),
-		dataQ:       make([]*frameQueue, cfg.Size),
-		collQ:       make([]*frameQueue, cfg.Size),
-		heartbeat:   cfg.Heartbeat,
-		collTimeout: cfg.CollTimeout,
-		done:        make(chan struct{}),
+		rank:      cfg.Rank,
+		size:      cfg.Size,
+		conns:     make([]*sockConn, cfg.Size),
+		dataQ:     make([]*mailbox, cfg.Size),
+		collQ:     make([]*mailbox, cfg.Size),
+		heartbeat: cfg.Heartbeat,
+		done:      make(chan struct{}),
 	}
+	// The collective lane copies at encode, so it never lends.
+	encode := func(dst int, seq uint32, payload []int64) {
+		t.enqueueFrame(dst, wire.KindColl, seq, payload)
+	}
+	t.coll = coll{rank: cfg.Rank, size: cfg.Size, in: t.collQ, send: encode, pool: &t.pool, timeout: cfg.CollTimeout}
 	for r := range t.dataQ {
-		t.dataQ[r] = newFrameQueue()
-		t.collQ[r] = newFrameQueue()
+		t.dataQ[r] = newMailbox()
+		t.collQ[r] = newMailbox()
 	}
 
 	// Accept from higher ranks concurrently with dialing lower ranks:
@@ -530,21 +445,31 @@ func sleepJittered(d time.Duration, deadline time.Time) {
 // exercise the wire path without spawning processes. Addrs[r] is rank
 // r's listen address.
 func NewSocketWorld(network string, addrs []string, timeout time.Duration) ([]Transport, error) {
-	n := len(addrs)
-	ts := make([]Transport, n)
-	errs := make([]error, n)
+	cfgs := make([]SocketConfig, len(addrs))
+	for r := range cfgs {
+		cfgs[r] = SocketConfig{Network: network, Rank: r, Size: len(addrs), Addrs: addrs, Timeout: timeout}
+	}
+	return DialSocketWorld(cfgs)
+}
+
+// DialSocketWorld runs DialSocket for every config concurrently, one
+// rank each, and returns the transports in config order. If any rank
+// fails, the others are closed and the first failure is returned.
+func DialSocketWorld(cfgs []SocketConfig) ([]Transport, error) {
+	ts := make([]Transport, len(cfgs))
+	errs := make([]error, len(cfgs))
 	var wg sync.WaitGroup
-	for r := 0; r < n; r++ {
+	for r, cfg := range cfgs {
 		wg.Add(1)
-		go func(r int) {
+		go func() {
 			defer wg.Done()
-			t, err := DialSocket(SocketConfig{Network: network, Rank: r, Size: n, Addrs: addrs, Timeout: timeout})
+			t, err := DialSocket(cfg)
 			if err != nil {
 				errs[r] = err
 				return
 			}
 			ts[r] = t
-		}(r)
+		}()
 	}
 	wg.Wait()
 	for r, err := range errs {
@@ -644,8 +569,8 @@ func (t *SocketTransport) fail(err error) {
 	t.failMu.Unlock()
 	t.failed.Store(true)
 	for r := range t.dataQ {
-		t.dataQ[r].fail(err)
-		t.collQ[r].fail(err)
+		t.dataQ[r].fail(TransportFailure{Err: err})
+		t.collQ[r].fail(TransportFailure{Err: err})
 	}
 }
 
@@ -656,8 +581,8 @@ func (t *SocketTransport) fail(err error) {
 // connections while slower ranks still talk to each other.
 func (t *SocketTransport) failPeer(peer int, err error) {
 	t.conns[peer].dead.Store(true)
-	t.dataQ[peer].fail(err)
-	t.collQ[peer].fail(err)
+	t.dataQ[peer].fail(TransportFailure{Err: err})
+	t.collQ[peer].fail(TransportFailure{Err: err})
 }
 
 func (t *SocketTransport) failure() TransportFailure {
@@ -705,9 +630,9 @@ func (t *SocketTransport) readLoop(sc *sockConn) {
 		sc.lastRecv.Store(time.Now().UnixNano())
 		switch kind {
 		case wire.KindData:
-			t.dataQ[sc.peer].put(payload, tag)
+			t.dataQ[sc.peer].put(message{i64: payload, tag: tag})
 		case wire.KindColl:
-			t.collQ[sc.peer].put(payload, tag)
+			t.collQ[sc.peer].put(message{i64: payload, tag: tag})
 		case wire.KindPing:
 			t.pool.put(payload) // progress marker only; never queued
 		default:
@@ -840,7 +765,7 @@ func (t *SocketTransport) Send64(dst int, tag uint32, data []int64) {
 	if dst == t.rank {
 		cp := t.pool.get(len(data))
 		copy(cp, data)
-		t.dataQ[dst].put(cp, tag)
+		t.dataQ[dst].put(message{i64: cp, tag: tag})
 		return
 	}
 	t.enqueueFrame(dst, wire.KindData, tag, data)
@@ -853,215 +778,31 @@ func (t *SocketTransport) Recv64(src int) ([]int64, uint32) {
 	if src < 0 || src >= t.size {
 		panic(fmt.Sprintf("mpi: Recv64 from rank %d outside [0,%d)", src, t.size))
 	}
-	return t.dataQ[src].take()
+	msg := t.dataQ[src].take()
+	return msg.i64, msg.tag
 }
 
 func (t *SocketTransport) Recycle64(buf []int64) {
 	t.pool.put(buf)
 }
 
-// nextSeq advances the collective sequence; all ranks call collectives
-// in the same order, so matching sequence numbers on KindColl frames
-// assert that peers are inside the same collective.
-func (t *SocketTransport) nextSeq() uint32 {
-	t.seq++
-	return t.seq
-}
+// The collectives run the shared algorithms of coll.go over this
+// transport's lane.
 
-func (t *SocketTransport) collSend(dst int, seq uint32, payload []int64) {
-	t.enqueueFrame(dst, wire.KindColl, seq, payload)
-}
-
-// collRecv waits for rank src's contribution to collective seq. With
-// SocketConfig.CollTimeout set, a wait past the bound panics with a
-// diagnostic naming the silent peer — the runtime complement to
-// reprolint's static collectivesym check: a conditional collective
-// (one rank skipped Barrier) or a dead peer becomes a named panic
-// instead of a world-wide hang. The panic is deliberately not a
-// TransportFailure: it is an original failure on this rank, so
-// RunWorld-style supervisors report it rather than suppressing it as
-// secondary poison.
-func (t *SocketTransport) collRecv(src int, seq uint32) []int64 {
-	payload, tag, ok := t.collQ[src].takeTimeout(t.collTimeout)
-	if !ok {
-		panic(fmt.Sprintf("mpi: collective watchdog: rank %d received nothing from rank %d inside collective %d for %v — peer dead, skewed, or in a conditional collective",
-			t.rank, src, seq, t.collTimeout))
-	}
-	if tag != seq {
-		panic(fmt.Sprintf("mpi: collective sequence skew with rank %d: frame %d arrived inside collective %d", src, tag, seq))
-	}
-	return payload
-}
-
-// Barrier gathers an empty frame from every rank at rank 0 and fans an
-// empty release frame back out.
-func (t *SocketTransport) Barrier() {
-	seq := t.nextSeq()
-	if t.rank == 0 {
-		for r := 1; r < t.size; r++ {
-			t.pool.put(t.collRecv(r, seq))
-		}
-		for r := 1; r < t.size; r++ {
-			t.collSend(r, seq, nil)
-		}
-	} else {
-		t.collSend(0, seq, nil)
-		t.pool.put(t.collRecv(0, seq))
-	}
-}
-
-// AllreduceI64 gathers contributions at rank 0, folds them in
-// ascending rank order, and broadcasts the result.
+func (t *SocketTransport) Barrier() { t.coll.barrier() }
 func (t *SocketTransport) AllreduceI64(vals []int64, op Op) []int64 {
-	seq := t.nextSeq()
-	if t.rank != 0 {
-		t.collSend(0, seq, vals)
-		out := t.collRecv(0, seq)
-		if len(out) != len(vals) {
-			panic("mpi: Allreduce length mismatch across ranks")
-		}
-		return out
-	}
-	acc := append([]int64(nil), vals...)
-	for r := 1; r < t.size; r++ {
-		contrib := t.collRecv(r, seq)
-		if len(contrib) != len(vals) {
-			panic("mpi: Allreduce length mismatch across ranks")
-		}
-		foldVec(acc, contrib, op)
-		t.pool.put(contrib)
-	}
-	for r := 1; r < t.size; r++ {
-		t.collSend(r, seq, acc)
-	}
-	return acc
+	return allreduce(&t.coll, vals, op)
 }
-
-// AllreduceF64 is AllreduceI64 with payloads bit-converted through
-// math.Float64bits; the fold itself runs in float64 at rank 0 in
-// ascending rank order, so results are bit-identical to the in-process
-// transport's slot fold.
 func (t *SocketTransport) AllreduceF64(vals []float64, op Op) []float64 {
-	seq := t.nextSeq()
-	if t.rank != 0 {
-		t.collSend(0, seq, f64ToWords(vals))
-		words := t.collRecv(0, seq)
-		if len(words) != len(vals) {
-			panic("mpi: Allreduce length mismatch across ranks")
-		}
-		out := wordsToF64(words)
-		t.pool.put(words)
-		return out
-	}
-	acc := append([]float64(nil), vals...)
-	for r := 1; r < t.size; r++ {
-		words := t.collRecv(r, seq)
-		if len(words) != len(vals) {
-			panic("mpi: Allreduce length mismatch across ranks")
-		}
-		foldVec(acc, wordsToF64(words), op)
-		t.pool.put(words)
-	}
-	for r := 1; r < t.size; r++ {
-		t.collSend(r, seq, f64ToWords(acc))
-	}
-	return acc
+	return allreduce(&t.coll, vals, op)
 }
-
-// BcastI64 sends root's data directly to every other rank.
-func (t *SocketTransport) BcastI64(root int, data []int64) []int64 {
-	seq := t.nextSeq()
-	if t.rank == root {
-		for r := 0; r < t.size; r++ {
-			if r != root {
-				t.collSend(r, seq, data)
-			}
-		}
-		return append([]int64(nil), data...)
-	}
-	return t.collRecv(root, seq)
-}
-
-// AllgathervI64 gathers every rank's vector at rank 0, then broadcasts
-// the concatenation with a per-rank length header.
-func (t *SocketTransport) AllgathervI64(data []int64) [][]int64 {
-	seq := t.nextSeq()
-	out := make([][]int64, t.size)
-	if t.rank == 0 {
-		out[0] = append([]int64(nil), data...)
-		total := len(data)
-		for r := 1; r < t.size; r++ {
-			out[r] = t.collRecv(r, seq)
-			total += len(out[r])
-		}
-		flat := make([]int64, 0, t.size+total)
-		for r := 0; r < t.size; r++ {
-			flat = append(flat, int64(len(out[r])))
-		}
-		for r := 0; r < t.size; r++ {
-			flat = append(flat, out[r]...)
-		}
-		for r := 1; r < t.size; r++ {
-			t.collSend(r, seq, flat)
-		}
-		return out
-	}
-	t.collSend(0, seq, data)
-	flat := t.collRecv(0, seq)
-	if len(flat) < t.size {
-		panic(fmt.Sprintf("mpi: Allgatherv result frame too short: %d words for %d ranks", len(flat), t.size))
-	}
-	off := t.size
-	for r := 0; r < t.size; r++ {
-		n := int(flat[r])
-		if n < 0 || off+n > len(flat) {
-			panic("mpi: Allgatherv result frame corrupt length header")
-		}
-		out[r] = append([]int64(nil), flat[off:off+n]...)
-		off += n
-	}
-	t.pool.put(flat)
-	return out
-}
-
-// AlltoallvI64 sends each destination its chunk directly and receives
-// chunks packed in ascending source-rank order; a chunk's length is
-// its own count, so no count exchange is needed.
+func (t *SocketTransport) BcastI64(root int, data []int64) []int64 { return t.coll.bcast(root, data) }
+func (t *SocketTransport) AllgathervI64(data []int64) [][]int64    { return t.coll.allgatherv(data) }
 func (t *SocketTransport) AlltoallvI64(send []int64, counts []int) ([]int64, []int) {
-	seq := t.nextSeq()
-	offsets := alltoallvOffsets(len(send), counts, t.size)
-	for dst := 0; dst < t.size; dst++ {
-		if dst != t.rank {
-			t.collSend(dst, seq, send[offsets[dst]:offsets[dst+1]])
-		}
-	}
-	recvCounts := make([]int, t.size)
-	parts := make([][]int64, t.size)
-	total := 0
-	for src := 0; src < t.size; src++ {
-		if src == t.rank {
-			parts[src] = send[offsets[src]:offsets[src+1]]
-		} else {
-			parts[src] = t.collRecv(src, seq)
-		}
-		recvCounts[src] = len(parts[src])
-		total += len(parts[src])
-	}
-	recv := make([]int64, 0, total)
-	for src := 0; src < t.size; src++ {
-		recv = append(recv, parts[src]...)
-		if src != t.rank {
-			t.pool.put(parts[src])
-		}
-	}
-	return recv, recvCounts
+	return alltoallv(&t.coll, send, counts)
 }
-
-// AlltoallvF64 is AlltoallvI64 with payloads bit-converted through
-// math.Float64bits.
 func (t *SocketTransport) AlltoallvF64(send []float64, counts []int) ([]float64, []int) {
-	recvWords, recvCounts := t.AlltoallvI64(f64ToWords(send), counts)
-	return wordsToF64(recvWords), recvCounts
+	return alltoallv(&t.coll, send, counts)
 }
 
 // Abort poisons the transport and tears down its connections so peers
@@ -1098,26 +839,8 @@ func (t *SocketTransport) Close() error {
 	t.rwg.Wait()
 	closedErr := errors.New("transport closed")
 	for r := range t.dataQ {
-		t.dataQ[r].fail(closedErr)
-		t.collQ[r].fail(closedErr)
+		t.dataQ[r].fail(TransportFailure{Err: closedErr})
+		t.collQ[r].fail(TransportFailure{Err: closedErr})
 	}
 	return nil
-}
-
-// f64ToWords bit-converts a float64 vector for the wire.
-func f64ToWords(vals []float64) []int64 {
-	words := make([]int64, len(vals))
-	for i, v := range vals {
-		words[i] = int64(math.Float64bits(v))
-	}
-	return words
-}
-
-// wordsToF64 is the inverse of f64ToWords.
-func wordsToF64(words []int64) []float64 {
-	vals := make([]float64, len(words))
-	for i, w := range words {
-		vals[i] = math.Float64frombits(uint64(w))
-	}
-	return vals
 }

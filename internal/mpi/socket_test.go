@@ -101,22 +101,22 @@ func TestRendezvousRetryable(t *testing.T) {
 // bounded take on an empty queue reports ok == false after the bound, a
 // queued frame always wins over the timer, and poison still panics.
 func TestFrameQueueTakeTimeout(t *testing.T) {
-	q := newFrameQueue()
+	q := newMailbox()
 	start := time.Now()
-	if _, _, ok := q.takeTimeout(20 * time.Millisecond); ok {
+	if _, ok := q.takeTimeout(20 * time.Millisecond); ok {
 		t.Fatal("empty queue returned a frame")
 	}
 	if elapsed := time.Since(start); elapsed < 20*time.Millisecond {
 		t.Fatalf("takeTimeout returned after %v, before the bound", elapsed)
 	}
 
-	q.put([]int64{42}, 7)
-	payload, tag, ok := q.takeTimeout(time.Nanosecond)
-	if !ok || tag != 7 || len(payload) != 1 || payload[0] != 42 {
-		t.Fatalf("queued frame lost to the timer: (%v, %d, %v)", payload, tag, ok)
+	q.put(message{i64: []int64{42}, tag: 7})
+	msg, ok := q.takeTimeout(time.Nanosecond)
+	if !ok || msg.tag != 7 || len(msg.i64) != 1 || msg.i64[0] != 42 {
+		t.Fatalf("queued frame lost to the timer: (%v, %d, %v)", msg.i64, msg.tag, ok)
 	}
 
-	q.fail(errors.New("poisoned"))
+	q.fail(TransportFailure{Err: errors.New("poisoned")})
 	defer func() {
 		if _, isTF := AsTransportFailure(recover()); !isTF {
 			t.Fatal("take on a poisoned queue did not panic with TransportFailure")

@@ -31,8 +31,13 @@ import (
 //     be completed from one helper goroutine concurrently with a
 //     collective on the main goroutine (the exchange engine's drainer
 //     relies on this).
-//   - Reductions fold contributions in ascending rank order, so
-//     floating-point results are bit-identical across transports.
+//   - Both transports implement the collective methods by running the
+//     same algorithms (coll.go) over their own collective lane, so
+//     reductions fold in ascending rank order and floating-point
+//     results are bit-identical across transports. A collective
+//     returns only when the caller owns both its arguments and its
+//     result again. The collective methods stay on this interface only
+//     so a timing decorator (the benchmark's) can forward them.
 //   - Abort poisons the transport: every blocked or future operation
 //     panics (in-process: the shared world's poison; socket: connection
 //     teardown surfaces as TransportFailure panics on every peer)
@@ -107,17 +112,10 @@ func AsTransportFailure(p any) (error, bool) {
 	switch v := p.(type) {
 	case TransportFailure:
 		return v, true
-	case barrierPoisoned:
+	case worldPoisoned:
 		return fmt.Errorf("mpi: world poisoned by a sibling rank's panic"), true
 	}
 	return nil, false
-}
-
-// isPoisonPanic reports whether a panic payload is a secondary-victim
-// sentinel rather than an original failure.
-func isPoisonPanic(p any) bool {
-	_, ok := AsTransportFailure(p)
-	return ok
 }
 
 // NewComm wraps a per-rank Transport in a Comm handle with fresh
@@ -136,7 +134,7 @@ func NewComm(t Transport, threadsPerRank int) *Comm {
 // any rank abort that rank's transport — releasing siblings blocked in
 // a collective or a point-to-point wait — and the original panic is
 // re-raised on the caller after all ranks have unwound. Secondary
-// poison panics (barrier poison, TransportFailure) are suppressed when
+// poison panics (world poison, TransportFailure) are suppressed when
 // an original panic exists; if every panic is a poison (an external
 // fault, not a rank's own bug), the first one is re-raised instead of
 // being swallowed.
@@ -168,7 +166,7 @@ func RunWorld(ts []Transport, threadsPerRank int, fn func(c *Comm)) {
 		if p == nil {
 			continue
 		}
-		if isPoisonPanic(p) {
+		if _, poison := AsTransportFailure(p); poison {
 			if firstPoison == nil {
 				firstPoison = p
 			}

@@ -252,41 +252,23 @@ func sockAddrs(tb testing.TB, n int) []string {
 // CollTimeout knobs.
 func chaosWorld(tb testing.TB, real []string, proxies []*ChaosProxy, base mpi.SocketConfig) ([]mpi.Transport, error) {
 	n := len(real)
-	ts := make([]mpi.Transport, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for r := 0; r < n; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			cfg := base
-			cfg.Network, cfg.Rank, cfg.Size = "unix", r, n
-			cfg.Addrs = make([]string, n)
-			for j := range cfg.Addrs {
-				if j != r && proxies != nil && proxies[j] != nil {
-					cfg.Addrs[j] = proxies[j].Addr()
-				} else {
-					cfg.Addrs[j] = real[j]
-				}
+	cfgs := make([]mpi.SocketConfig, n)
+	for r := range cfgs {
+		cfg := base
+		cfg.Network, cfg.Rank, cfg.Size = "unix", r, n
+		cfg.Addrs = make([]string, n)
+		for j := range cfg.Addrs {
+			if j != r && proxies != nil && proxies[j] != nil {
+				cfg.Addrs[j] = proxies[j].Addr()
+			} else {
+				cfg.Addrs[j] = real[j]
 			}
-			t, err := mpi.DialSocket(cfg)
-			if err != nil {
-				errs[r] = err
-				return
-			}
-			ts[r] = t
-		}(r)
-	}
-	wg.Wait()
-	for r, err := range errs {
-		if err != nil {
-			for _, t := range ts {
-				if t != nil {
-					t.Close()
-				}
-			}
-			return nil, fmt.Errorf("chaos world rank %d: %w", r, err)
 		}
+		cfgs[r] = cfg
+	}
+	ts, err := mpi.DialSocketWorld(cfgs)
+	if err != nil {
+		return nil, err
 	}
 	tb.Cleanup(func() {
 		for _, t := range ts {

@@ -14,7 +14,7 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -41,12 +41,7 @@ func ProcFactory(tb testing.TB, n int) []mpi.Transport {
 // writer goroutines, rendezvous handshake — without spawning
 // processes.
 func UnixSocketFactory(tb testing.TB, n int) []mpi.Transport {
-	dir := tb.TempDir()
-	addrs := make([]string, n)
-	for r := range addrs {
-		addrs[r] = filepath.Join(dir, fmt.Sprintf("rank%d.sock", r))
-	}
-	ts, err := mpi.NewSocketWorld("unix", addrs, 30*time.Second)
+	ts, err := mpi.NewSocketWorld("unix", sockAddrs(tb, n), 30*time.Second)
 	if err != nil {
 		tb.Fatalf("socket world: %v", err)
 	}
@@ -105,6 +100,7 @@ func RunTransportConformance(t *testing.T, factory Factory, opts ...Option) {
 	t.Run("FloatFoldBits", func(t *testing.T) { testFloatFoldBits(t, factory) })
 	t.Run("FloatBitsP2P", func(t *testing.T) { testFloatBitsP2P(t, factory) })
 	t.Run("Barrier", func(t *testing.T) { testBarrier(t, factory) })
+	t.Run("Ownership", func(t *testing.T) { testOwnership(t, factory) })
 	t.Run("TallyFold", func(t *testing.T) { testTallyFold(t, factory) })
 	t.Run("RecycleStability", func(t *testing.T) { testRecycleStability(t, factory) })
 	t.Run("EngineDeterminism", func(t *testing.T) { testEngineDeterminism(t, factory) })
@@ -170,71 +166,162 @@ func testPoisonOnPanic(t *testing.T, factory Factory) {
 	})
 }
 
-// testCollectives checks every typed collective against locally
-// computed references.
+// testCollectives checks every collective against locally computed
+// references.
 func testCollectives(t *testing.T, factory Factory) {
-	const n = 4
-	mpi.RunWorld(factory(t, n), 1, func(c *mpi.Comm) {
-		me := int64(c.Rank())
-
-		// Allreduce int64, all ops.
-		vals := []int64{me + 1, -me, 100 * me}
-		for _, op := range []mpi.Op{mpi.Sum, mpi.Max, mpi.Min} {
-			got := mpi.Allreduce(c, vals, op)
-			want := make([]int64, len(vals))
-			for i := range want {
-				want[i] = refFold1(op, func(r int64) int64 { return [3]int64{r + 1, -r, 100 * r}[i] }, n)
-			}
-			assertEq64(c, "Allreduce", got, want)
-		}
-		if got := mpi.AllreduceScalar(c, me+1, mpi.Sum); got != int64(n*(n+1)/2) {
-			panic(fmt.Sprintf("AllreduceScalar = %d", got))
-		}
-
-		// Bcast from a non-zero root.
-		b := mpi.Bcast(c, 2, []int64{7 * me, 7*me + 1})
-		assertEq64(c, "Bcast", b, []int64{14, 15})
-
-		// Allgatherv with rank-dependent lengths (rank r contributes r+1
-		// elements, value 10r+i).
-		mine := make([]int64, c.Rank()+1)
-		for i := range mine {
-			mine[i] = 10*me + int64(i)
-		}
-		all := mpi.Allgatherv(c, mine)
-		for r := 0; r < n; r++ {
-			want := make([]int64, r+1)
-			for i := range want {
-				want[i] = int64(10*r + i)
-			}
-			assertEq64(c, "Allgatherv", all[r], want)
-		}
-
-		// Allgather of scalars.
-		g := mpi.Allgather(c, me*me)
-		assertEq64(c, "Allgather", g, []int64{0, 1, 4, 9})
-
-		// Alltoallv: rank r sends d+1 elements of value 100r+d to rank d.
-		counts := make([]int, n)
-		var send []int64
-		for d := 0; d < n; d++ {
-			counts[d] = d + 1
-			for i := 0; i < d+1; i++ {
-				send = append(send, 100*me+int64(d))
+	mpi.RunWorld(factory(t, 4), 1, func(c *mpi.Comm) {
+		for _, cc := range collectiveCases {
+			if err := cc.run(c).check(); err != nil {
+				panic(fmt.Sprintf("rank %d: %s: %v", c.Rank(), cc.name, err))
 			}
 		}
-		recv, rc := mpi.Alltoallv(c, send, counts)
-		var wantRecv []int64
-		for src := 0; src < n; src++ {
-			if rc[src] != c.Rank()+1 {
-				panic(fmt.Sprintf("Alltoallv recvCounts[%d] = %d, want %d", src, rc[src], c.Rank()+1))
-			}
-			for i := 0; i <= c.Rank(); i++ {
-				wantRecv = append(wantRecv, int64(100*src+c.Rank()))
-			}
-		}
-		assertEq64(c, "Alltoallv", recv, wantRecv)
 	})
+}
+
+// testOwnership checks the buffer contract of every collective: once a
+// collective returns, the caller owns both what it handed in and what
+// it got back. Every rank overwrites its send buffer right after the
+// call, and one rank per round also overwrites its result; every other
+// rank's result must still read its expected value. A lender that
+// returns while a peer still reads its buffer, or a result that
+// aliases another rank's memory, fails here (and under -race).
+func testOwnership(t *testing.T, factory Factory) {
+	for _, n := range []int{1, 2, 3, 5} {
+		mpi.RunWorld(factory(t, n), 1, func(c *mpi.Comm) {
+			for _, cc := range collectiveCases {
+				for writer := range n {
+					b := cc.run(c)
+					if err := b.check(); err != nil {
+						panic(fmt.Sprintf("rank %d of %d: %s on return: %v", c.Rank(), n, cc.name, err))
+					}
+					b.scribble(c.Rank() == writer)
+					c.Barrier()
+					if err := b.check(); c.Rank() != writer && err != nil {
+						panic(fmt.Sprintf("rank %d of %d: %s after rank %d overwrote its buffers: %v", c.Rank(), n, cc.name, writer, err))
+					}
+				}
+			}
+		})
+	}
+}
+
+// collectiveCases runs each collective on fresh buffers, at any world
+// size, and returns them with the result every rank expects.
+var collectiveCases = []struct {
+	name string
+	run  func(c *mpi.Comm) ownedBuffers
+}{
+	{"Allreduce", func(c *mpi.Comm) ownedBuffers {
+		me, n := int64(c.Rank()), int64(c.Size())
+		send := []int64{me + 1, -me, 100 * me}
+		return buffers[int64]{
+			send: [][]int64{send},
+			result: [][]int64{
+				mpi.Allreduce(c, send, mpi.Sum), mpi.Allreduce(c, send, mpi.Max), mpi.Allreduce(c, send, mpi.Min),
+				{mpi.AllreduceScalar(c, me+1, mpi.Sum)},
+			},
+			want: [][]int64{
+				{n * (n + 1) / 2, -n * (n - 1) / 2, 50 * n * (n - 1)}, {n, 0, 100 * (n - 1)}, {1, 1 - n, 0},
+				{n * (n + 1) / 2},
+			},
+		}
+	}},
+	{"AllreduceF64", func(c *mpi.Comm) ownedBuffers {
+		send := []float64{0.5 * float64(c.Rank()+1)}
+		want := 0.0
+		for r := range c.Size() {
+			want += 0.5 * float64(r+1)
+		}
+		return buffers[float64]{[][]float64{send}, [][]float64{mpi.Allreduce(c, send, mpi.Sum)}, [][]float64{{want}}}
+	}},
+	{"Bcast", func(c *mpi.Comm) ownedBuffers {
+		root := c.Size() - 1 // non-zero from two ranks up
+		send := []int64{7*int64(c.Rank()) + 1, 9}
+		want := []int64{7*int64(root) + 1, 9}
+		return buffers[int64]{[][]int64{send}, [][]int64{mpi.Bcast(c, root, send)}, [][]int64{want}}
+	}},
+	{"Allgatherv", func(c *mpi.Comm) ownedBuffers {
+		// Rank r contributes r+1 elements, value 10r+i, then one scalar r².
+		ramp := func(r int) []int64 {
+			v := make([]int64, r+1)
+			for i := range v {
+				v[i] = int64(10*r + i)
+			}
+			return v
+		}
+		me := int64(c.Rank())
+		send, scalar := ramp(c.Rank()), []int64{me * me}
+		var want [][]int64
+		for r := range c.Size() {
+			want = append(want, ramp(r))
+		}
+		for r := range int64(c.Size()) {
+			want = append(want, []int64{r * r})
+		}
+		return buffers[int64]{[][]int64{send, scalar}, append(mpi.Allgatherv(c, send), mpi.Allgatherv(c, scalar)...), want}
+	}},
+	{"Alltoallv", func(c *mpi.Comm) ownedBuffers {
+		send, counts, want := alltoallvLayout[int64](c.Rank(), c.Size())
+		res, rc := mpi.Alltoallv(c, send, counts)
+		if slices.ContainsFunc(rc, func(k int) bool { return k != c.Rank()+1 }) || len(rc) != c.Size() {
+			panic(fmt.Sprintf("rank %d: Alltoallv recvCounts %v, want %d from each rank", c.Rank(), rc, c.Rank()+1))
+		}
+		return buffers[int64]{[][]int64{send}, [][]int64{res}, [][]int64{want}}
+	}},
+	{"AlltoallvF64", func(c *mpi.Comm) ownedBuffers {
+		send, counts, want := alltoallvLayout[float64](c.Rank(), c.Size())
+		res, _ := c.Transport().AlltoallvF64(send, counts)
+		return buffers[float64]{[][]float64{send}, [][]float64{res}, [][]float64{want}}
+	}},
+}
+
+// alltoallvLayout is the cases' Alltoallv: rank r sends d+1 copies of
+// 100r+d to rank d.
+func alltoallvLayout[T int64 | float64](me, n int) (send []T, counts []int, want []T) {
+	counts = make([]int, n)
+	for d := range n {
+		counts[d] = d + 1
+		for range d + 1 {
+			send = append(send, T(100*me+d))
+		}
+	}
+	for src := range n {
+		for range me + 1 {
+			want = append(want, T(100*src+me))
+		}
+	}
+	return send, counts, want
+}
+
+// ownedBuffers is what one collective call handed in and got back on
+// one rank.
+type ownedBuffers interface {
+	// check reports a result that differs from what every rank expects.
+	check() error
+	// scribble overwrites the send buffers, and the results too if
+	// result is set.
+	scribble(result bool)
+}
+
+type buffers[T int64 | float64] struct{ send, result, want [][]T }
+
+func (b buffers[T]) check() error {
+	if !slices.EqualFunc(b.result, b.want, slices.Equal) {
+		return fmt.Errorf("got %v, want %v", b.result, b.want)
+	}
+	return nil
+}
+
+func (b buffers[T]) scribble(result bool) {
+	parts := b.send
+	if result {
+		parts = append(slices.Clip(parts), b.result...)
+	}
+	for _, p := range parts {
+		for i := range p {
+			p[i] = -7777
+		}
+	}
 }
 
 // testFloatFoldBits checks that float64 reductions are bit-identical
@@ -499,27 +586,6 @@ func testEngineDeterminism(t *testing.T, factory Factory) {
 				want.Name, got.Iterations, got.Value, want.Iterations, want.Value)
 		}
 	}
-}
-
-// refFold1 folds f(0)..f(n-1) in ascending rank order with op.
-func refFold1(op mpi.Op, f func(r int64) int64, n int) int64 {
-	acc := f(0)
-	for r := int64(1); r < int64(n); r++ {
-		v := f(r)
-		switch op {
-		case mpi.Sum:
-			acc += v
-		case mpi.Max:
-			if v > acc {
-				acc = v
-			}
-		case mpi.Min:
-			if v < acc {
-				acc = v
-			}
-		}
-	}
-	return acc
 }
 
 func assertEq64(c *mpi.Comm, what string, got, want []int64) {

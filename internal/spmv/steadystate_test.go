@@ -79,7 +79,8 @@ func perCall(c *mpi.Comm, call func(), warm, n int) reading {
 // each received buffer at once. On the in-process transport a multiply
 // whose norm rides the expand messages (1D async on a complete
 // neighborhood) allocates nothing, and every other mode allocates no
-// more than its one AllreduceScalar. On the socket transport what a
+// more than its one AllreduceScalar, which itself allocates only its
+// argument and result slices on each rank. On the socket transport what a
 // multiply allocates is the frame encoding, about 8 bytes per remote
 // word; a per-message copy or a float conversion array at either end
 // breaks the 1.5x bound. Threads are pinned at 1: the bound is on
@@ -112,6 +113,9 @@ func TestMultiplySteadyState(t *testing.T) {
 				})
 				t.Logf("%s: ride=%v, multiply %d allocs / %d B / %d words, bare AllreduceScalar %d allocs / %d B",
 					name, ride, mul.mallocs, mul.bytes, mul.words, bare.mallocs, bare.bytes)
+				if f.name == "proc" && bare.mallocs > 2*ranks {
+					t.Errorf("%s: bare AllreduceScalar %d allocs over %d ranks, want <= %d (argument and result per rank)", name, bare.mallocs, ranks, 2*ranks)
+				}
 				if layout == OneD && async && !ride {
 					// The zero-allocation claim needs the ride taken.
 					t.Errorf("%s: a random %d-way partition did not take the norm ride", name, ranks)

@@ -26,8 +26,8 @@
 //	    is what keeps a drainer goroutine
 //	    receiving data frames while the main goroutine completes a
 //	    collective — the two streams demultiplex into disjoint queues on
-//	    arrival, mirroring the in-process transport's disjoint mailbox
-//	    and barrier states.
+//	    arrival, mirroring the in-process transport's disjoint data and
+//	    collective mailboxes.
 //	  - tag is the sender's 32-bit round tag (mpi.RoundTag: 8-bit wave id
 //	    + 24-bit sequence) on data frames, the collective sequence number
 //	    on collective frames, and the sender's rank on hello frames. Tags
