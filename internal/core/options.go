@@ -168,15 +168,23 @@ type Report struct {
 	// during the stages. Both modes post the same sends.
 	SendOps int64
 	// Candidates is the number of vertices whose neighborhood the
-	// balance and refine sweeps scored, summed over all ranks.
+	// balance and refine sweeps scored, summed over all ranks. The
+	// refine sweeps skip, uncounted, every vertex whose clean bit is
+	// set: it was last found locally stable (no other part holds
+	// strictly more of its neighbors) and no neighbor has changed part
+	// since. Stability reads labels only, never sizes or caps, so its
+	// scan could not move it.
 	Candidates int64
 	// PartScans is the number of (candidate, part) pairs those sweeps
 	// examined, summed over all ranks: one per part a candidate's
 	// neighborhood touches (one for a vertex its own part wins before
-	// any count is stored),
-	// plus p per full fallback scan or fallback summary rebuild.
-	// PartScans/Candidates is the sweeps' per-vertex cost in parts,
-	// flat in p when the fallbacks stay rare.
+	// any count is stored), plus p per full fallback scan, plus one per
+	// node of the balance stages' fallback summary (a tournament tree
+	// over the parts) that a round-start rebuild or a moved part's
+	// re-scoring recomputes: 2n−1 for a rebuild and 1+log2 n per
+	// re-scored part, n the power of two ≥ p. PartScans/Candidates is
+	// the sweeps' per-vertex cost in parts, flat in p when the full
+	// fallback scans stay rare.
 	PartScans int64
 	// Quality holds the final partition metrics.
 	Quality partition.Quality

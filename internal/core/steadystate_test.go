@@ -52,11 +52,12 @@ func partitionBytes(t *testing.T, g *gen.Generator, nranks int, opts []Options) 
 
 // TestPartitionRoundsSteadyState: the balance and refine rounds reuse
 // one update queue, merge buffer, tally vector and per-thread sweep
-// scratch per Partition call, so what an extra round allocates is its
-// worker closure and the settle's collective result: about 220 B at 1
-// rank and 370-460 B at 2. A counts array per worker and a fresh tally
-// per round read 410 B and 750-820 B, and the 2-rank reading fails the
-// cap. Doubling Ibal and Iref adds Iouter*(Ibal+Iref) rounds to each of
+// scratch per Partition call, and run sweep bodies bound once per call,
+// so what an extra round allocates is the settle's collective result:
+// 66-128 B at 1 rank and 187-256 B at 2. A worker closure allocated
+// per round read 172-234 B and 278-343 B, and the 2-rank reading fails
+// the cap; a counts array per worker and a fresh tally per round read
+// 410 B and 750-820 B. Doubling Ibal and Iref adds Iouter*(Ibal+Iref) rounds to each of
 // the vertex and edge stages; the bytes per added round must not grow
 // from mesh 16^3 to 32^3 at the same rank count. A queue or merge slice
 // allocated per round grows with the boundary and fails.
@@ -64,7 +65,7 @@ func TestPartitionRoundsSteadyState(t *testing.T) {
 	short, long := DefaultOptions(8), DefaultOptions(8)
 	long.Ibal, long.Iref = 2*short.Ibal, 2*short.Iref
 	extra := uint64(2 * short.Iouter * (short.Ibal + short.Iref))
-	const perRoundCap, growthCap = 512, 256
+	const perRoundCap, growthCap = 320, 256
 	for _, ranks := range []int{1, 2} {
 		var perRound []uint64
 		for _, side := range []int64{16, 32} {

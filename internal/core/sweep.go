@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"math/bits"
 	"sync/atomic"
 )
@@ -21,25 +20,10 @@ type scratch struct {
 	mask   []uint64 // (p+63)/64 words, bit i set when part i was touched
 	cands  []int32  // initBFS's distinct neighbor parts
 
-	// built is the state's move count when the fallback summaries were
-	// last rebuilt. A balance move by any thread and the start of a
-	// round (sizes and multiplier change at settles) advance that
-	// count, and the next query rebuilds, so a summary answers from
-	// the sizes after the last completed move.
-	built int64
-	// under holds vertBalance's fallback receivers: the two parts of
-	// largest underweight Wv > 0 under the vertex cap, ties to the
-	// lower index, -1 where absent.
-	under [2]int32
-	// light holds edgeBalance's two smallest capped edge loads
-	// se+capMult·ce over parts under the vertex cap (+Inf where
-	// absent), and lightIdx the part holding light[0].
-	light    [2]float64
-	lightIdx int32
-
 	// candidates counts the vertices whose neighborhood was scored;
 	// partScans the (candidate, part) pairs examined: once per touched
-	// part, p per full fallback scan or summary rebuild.
+	// part, p per full fallback scan, and one per summary node a
+	// rebuild or a move recomputes.
 	candidates, partScans int64
 
 	_ [64]byte // keeps neighboring threads' fields off one cache line
@@ -50,7 +34,6 @@ func newScratch(p int) scratch {
 		wcount: make([]float64, p),
 		icount: make([]int64, p),
 		mask:   make([]uint64, (p+63)/64),
-		built:  -1,
 	}
 }
 
@@ -161,103 +144,77 @@ func argmaxTouched[T int64 | float64](counts []T, mask []uint64, x int32, gated 
 	return w, best, touched
 }
 
-// underFor returns the vertBalance fallback receiver for a vertex in
-// part x, or x when no other part qualifies. A stale summary (see
-// summaryStale) is first rebuilt: over the parts the vertex cap admits, the two largest
-// Wv = idealV/est − 1 > 0 in (Wv desc, index asc) order. The first of
-// them that is not x is what a scan of every other part in index order,
-// taking strictly larger Wv, returns.
-func (s *state) underFor(sc *scratch, x int32, mult, capMult, idealV float64) int32 {
-	if s.summaryStale(sc) {
-		sc.under = [2]int32{-1, -1}
-		var top [2]float64 // Wv of under[0], under[1]; 0 admits only Wv > 0
-		for i := 0; i < s.p; i++ {
-			cvi := float64(atomic.LoadInt64(&s.cv[i]))
-			if float64(s.sv[i])+capMult*cvi+1 > s.imbV {
-				continue
-			}
-			est := float64(s.sv[i]) + mult*cvi
-			if est < 1 {
-				est = 1
-			}
-			switch wv := idealV/est - 1; {
-			case wv > top[0]:
-				top[1], sc.under[1] = top[0], sc.under[0]
-				top[0], sc.under[0] = wv, int32(i)
-			case wv > top[1]:
-				top[1], sc.under[1] = wv, int32(i)
-			}
-		}
-		sc.partScans += int64(s.p)
-	}
-	for _, i := range sc.under {
-		if i != x {
-			if i < 0 {
-				return x
-			}
-			return i
-		}
-	}
-	return x
-}
+// The refine sweeps skip every owned vertex whose clean bit is set. The
+// bit says the vertex was last found locally stable, no other part
+// holding strictly more of its neighbors than its own, and that no
+// neighbor has changed part since. Stability reads labels only, never
+// sizes or caps, and a stable vertex's scan moves nothing and calls no
+// cap gate, so skipping it is exact. A round sets the bit before it
+// scans the vertex (markClean) and keeps it when the scan finds the
+// vertex stable; a move clears it on the mover and its owned neighbors
+// after storing the new label (unsettle). A neighbor's move either
+// lands before the scan reads it, or clears the bit after the scan set
+// it, so a set bit is never stale at round end, at any thread count.
+// Ghost neighbors change only at settles, which mark them in
+// ghostMoved; a clean vertex that ships (that some peer ghosts, and by
+// symmetry that has ghost neighbors) rescans when one of those is
+// marked. Bits clear when each refine stage starts, since balance moves
+// do not maintain them.
 
-// lightestOther returns the smallest capped edge load se+capMult·ce
-// over the parts other than x that the vertex cap admits (+Inf when
-// there is none). A stale summary is first rebuilt: the two smallest
-// loads and the part holding the smallest. Both edgeBalance fallback
-// scans accept a part only if its load passes a test monotone in that
-// load, so when the lightest fails, every part fails and the scan can
-// be skipped without changing its answer.
-func (s *state) lightestOther(sc *scratch, x int32, capMult float64) float64 {
-	if s.summaryStale(sc) {
-		sc.light = [2]float64{math.Inf(1), math.Inf(1)}
-		sc.lightIdx = -1
-		for i := 0; i < s.p; i++ {
-			cvi := float64(atomic.LoadInt64(&s.cv[i]))
-			if float64(s.sv[i])+capMult*cvi+1 > s.imbV {
-				continue
-			}
-			e := float64(s.se[i]) + capMult*float64(atomic.LoadInt64(&s.ce[i]))
-			if e < sc.light[0] {
-				sc.light[1] = sc.light[0]
-				sc.light[0], sc.lightIdx = e, int32(i)
-			} else if e < sc.light[1] {
-				sc.light[1] = e
-			}
-		}
-		sc.partScans += int64(s.p)
-	}
-	if sc.lightIdx != x {
-		return sc.light[0]
-	}
-	return sc.light[1]
-}
-
-// summaryStale reports whether sc's fallback summaries predate the
-// state's last move or round start, and if so records the current
-// move count as the one the caller is about to rebuild them at. The
-// count is read before the rebuild and advanced after a move's size
-// updates, so a move that lands during a rebuild marks the summaries
-// stale again. At one thread that is exactly after each of the
-// thread's own moves.
-func (s *state) summaryStale(sc *scratch) bool {
-	n := atomic.LoadInt64(&s.moves)
-	if n == sc.built {
+// settled reports whether a refine round may skip owned vertex v.
+func (s *state) settled(v int32) bool {
+	if s.clean[v>>6].Load()&(1<<(uint32(v)&63)) == 0 {
 		return false
 	}
-	sc.built = n
+	if !s.ghostsMoved || !s.ex.Ships(v) {
+		return true
+	}
+	n := int32(s.g.NLocal)
+	for _, u := range s.g.Neighbors(v) {
+		if gi := u - n; gi >= 0 && s.ghostMoved[gi>>6]&(1<<(uint32(gi)&63)) != 0 {
+			return false
+		}
+	}
 	return true
 }
 
-// moved advances the move count after a balance move has updated the
-// part sizes, marking every thread's fallback summaries stale.
-func (s *state) moved() {
-	atomic.AddInt64(&s.moves, 1)
+// nextScan returns the first owned vertex in [v, hi) that a refine
+// round may not skip, or hi. Without marked ghosts it skips whole runs
+// of set clean bits a word at a time.
+func (s *state) nextScan(v, hi int) int {
+	for ; v < hi; v++ {
+		if s.ghostsMoved {
+			if !s.settled(int32(v)) {
+				return v
+			}
+			continue
+		}
+		if m := ^s.clean[v>>6].Load() >> (uint(v) & 63); m != 0 {
+			return min(v+bits.TrailingZeros64(m), hi)
+		}
+		v |= 63
+	}
+	return hi
 }
 
-// beginRound marks every thread's fallback summaries stale, since the
-// settle that ended the previous round changed the sizes they derive
-// from.
-func (s *state) beginRound() {
-	s.moved()
+// markClean sets owned vertex v's clean bit ahead of its scan.
+func (s *state) markClean(v int32) {
+	s.clean[v>>6].Or(1 << (uint32(v) & 63))
+}
+
+// markDirty clears owned vertex v's clean bit.
+func (s *state) markDirty(v int32) {
+	s.clean[v>>6].And(^(1 << (uint32(v) & 63)))
+}
+
+// unsettle clears the clean bits of owned vertex v, which has just
+// changed part, and of its owned neighbors.
+func (s *state) unsettle(v int32) {
+	s.markDirty(v)
+	n := int32(s.g.NLocal)
+	for _, u := range s.g.Neighbors(v) {
+		if u < n {
+			s.markDirty(u)
+		}
+	}
 }

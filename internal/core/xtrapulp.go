@@ -35,17 +35,30 @@ type state struct {
 	qbuf []dgraph.Update
 
 	// scr is each worker thread's sweep scratch (counts, touched mask,
-	// fallback summaries, work counters), indexed by par's tid; tally
-	// is the reused per-round delta tally takeTally fills.
+	// work counters), indexed by par's tid; tally is the reused
+	// per-round delta tally takeTally fills.
 	scr   []scratch
 	tally []int64
 
-	// moves counts balance moves and round starts; a thread's fallback
-	// summaries are stale once it advances (summaryStale). The padding
-	// keeps its cache line apart from the fields the sweeps read.
-	_     [64]byte
-	moves int64
-	_     [64]byte
+	// rnd is the running balance or refine round's parameters, and the
+	// four sweep bodies, bound once per Partition call, read them, so
+	// no round allocates a worker closure.
+	rnd                                    round
+	vbalBody, vrefBody, ebalBody, erefBody func(lo, hi, tid int)
+
+	// sum is the balance stages' fallback summary (summary.go). The
+	// padding keeps its lock's cache line apart from the fields the
+	// sweeps read.
+	_   [64]byte
+	sum summary
+	_   [64]byte
+
+	// clean holds one bit per owned vertex that a refine round may skip
+	// (settled), and ghostMoved one bit per ghost the last settle
+	// changed; ghostsMoved reports whether any bit of it is set.
+	clean       []atomic.Uint64
+	ghostMoved  []uint64
+	ghostsMoved bool
 
 	// parts holds assignments for owned and ghost vertices. Hot-loop
 	// reads and writes go through atomics because intra-rank threads
@@ -72,6 +85,19 @@ type state struct {
 	imbE float64 // max edge endpoints per part
 }
 
+// round holds one balance or refine round's parameters, set before its
+// sweep starts.
+type round struct {
+	mult    float64 // size-estimate multiplier (refine: nprocs)
+	capMult float64 // balance receiver caps' multiplier, nprocs
+	idealV  float64 // vertBalance's target part size n/p
+	maxV    float64 // vertBalance's vertex cap, max(largest part, Imbv)
+	maxC    float64 // largest incident cut, floored at 1 (edge stages)
+	avgC    float64 // mean incident cut (edgeBalance)
+	re, rc  float64 // edgeBalance's edge and cut weight ramps
+	edges   bool    // the summary keys edge loads (edgeBalance)
+}
+
 // Partition runs XtraPuLP on the distributed graph shard g. It is a
 // collective call: every rank of g.Comm must invoke it with identical
 // options. It returns the part assignment for this rank's owned and
@@ -83,34 +109,8 @@ func Partition(g *dgraph.Graph, opt Options) ([]int32, Report, error) {
 	if err := opt.validate(); err != nil {
 		return nil, Report{}, err
 	}
-	if int64(opt.NumParts) > g.NGlobal && g.NGlobal > 0 {
-		opt.NumParts = int(g.NGlobal)
-	}
-	s := &state{
-		g:     g,
-		opt:   opt,
-		p:     opt.NumParts,
-		parts: make([]int32, g.NTotal()),
-		sv:    make([]int64, opt.NumParts),
-		se:    make([]int64, opt.NumParts),
-		sc:    make([]int64, opt.NumParts),
-		cv:    make([]int64, opt.NumParts),
-		ce:    make([]int64, opt.NumParts),
-		cc:    make([]int64, opt.NumParts),
-		iTot:  opt.Iouter * (opt.Ibal + opt.Iref),
-		q:     par.NewQueues[dgraph.Update](g.Comm.Threads()),
-		scr:   make([]scratch, g.Comm.Threads()),
-		tally: make([]int64, 3*opt.NumParts),
-	}
-	for i := range s.scr {
-		s.scr[i] = newScratch(s.p)
-	}
-	s.imbV = (1 + opt.VertImbalance) * float64(g.NGlobal) / float64(s.p)
-	s.imbE = (1 + opt.EdgeImbalance) * float64(2*g.MGlobal) / float64(s.p)
-	// Shared with the analytics engines: collective on the first call
-	// per graph, cached after.
-	s.ex = g.AsyncExchanger()
-	s.piggyback = opt.Exchange == ExchangeAsyncDelta && s.ex.NeighborhoodComplete()
+	s := newState(g, opt)
+	opt = s.opt
 
 	var rep Report
 	before := g.Comm.Stats()
@@ -153,6 +153,46 @@ func Partition(g *dgraph.Graph, opt Options) ([]int32, Report, error) {
 	rep.ExchangeVolume, rep.Candidates, rep.PartScans = tot[0], tot[1], tot[2]
 	rep.Quality = dgraph.EvaluateDistributed(g, s.parts, s.p)
 	return s.parts, rep, nil
+}
+
+// newState sets up one Partition call's state for g under validated
+// options: every buffer the rounds reuse, the constraint targets, and
+// the graph's exchanger (collective on the graph's first call).
+func newState(g *dgraph.Graph, opt Options) *state {
+	if int64(opt.NumParts) > g.NGlobal && g.NGlobal > 0 {
+		opt.NumParts = int(g.NGlobal)
+	}
+	s := &state{
+		g:          g,
+		opt:        opt,
+		p:          opt.NumParts,
+		parts:      make([]int32, g.NTotal()),
+		sv:         make([]int64, opt.NumParts),
+		se:         make([]int64, opt.NumParts),
+		sc:         make([]int64, opt.NumParts),
+		cv:         make([]int64, opt.NumParts),
+		ce:         make([]int64, opt.NumParts),
+		cc:         make([]int64, opt.NumParts),
+		iTot:       opt.Iouter * (opt.Ibal + opt.Iref),
+		q:          par.NewQueues[dgraph.Update](g.Comm.Threads()),
+		scr:        make([]scratch, g.Comm.Threads()),
+		tally:      make([]int64, 3*opt.NumParts),
+		sum:        newSummary(opt.NumParts),
+		clean:      make([]atomic.Uint64, (g.NLocal+63)/64),
+		ghostMoved: make([]uint64, (g.NGhost+63)/64),
+	}
+	for i := range s.scr {
+		s.scr[i] = newScratch(s.p)
+	}
+	s.vbalBody, s.vrefBody = s.vertBalanceChunk, s.vertRefineChunk
+	s.ebalBody, s.erefBody = s.edgeBalanceChunk, s.edgeRefineChunk
+	s.imbV = (1 + opt.VertImbalance) * float64(g.NGlobal) / float64(s.p)
+	s.imbE = (1 + opt.EdgeImbalance) * float64(2*g.MGlobal) / float64(s.p)
+	// Shared with the analytics engines: collective on the first call
+	// per graph, cached after.
+	s.ex = g.AsyncExchanger()
+	s.piggyback = opt.Exchange == ExchangeAsyncDelta && s.ex.NeighborhoodComplete()
+	return s
 }
 
 // mult computes the dynamic multiplier for the current iteration,
@@ -271,10 +311,17 @@ func (s *state) merged() []dgraph.Update {
 	return s.qbuf
 }
 
-// applyGhostUpdates writes received boundary updates into parts.
+// applyGhostUpdates writes received boundary updates into parts and
+// marks the changed ghosts in ghostMoved, replacing the last settle's
+// marks.
 func (s *state) applyGhostUpdates(recv []dgraph.Update) {
+	clear(s.ghostMoved)
+	s.ghostsMoved = len(recv) > 0
+	n := int32(s.g.NLocal)
 	for _, upd := range recv {
 		s.storePart(upd.LID, upd.Value)
+		gi := upd.LID - n
+		s.ghostMoved[gi>>6] |= 1 << (uint32(gi) & 63)
 	}
 }
 

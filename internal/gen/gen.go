@@ -119,30 +119,43 @@ func RMAT(scale int, avgDeg int64, seed uint64) *Generator {
 		blocks:     numBlocksFor(m),
 		blockEdges: blockSize,
 	}
+	// Each level draws k = Uint64()>>11, the 53 bits behind Float64() =
+	// k/2^53, and compares it with integer thresholds: Float64() < t
+	// exactly when k < ceil(t·2^53). k passes 0, 1, 2 or 3 of the
+	// quadrant bounds a, a+b, a+b+c; u's bit is set past a+b, and v's
+	// where an odd number is passed (quadrants b and d), all without a
+	// branch.
+	t1, t2, t3 := rmatThreshold(a), rmatThreshold(a+b), rmatThreshold(a+b+c)
 	gen.genBlock = func(blk int64, out []graph.Edge) []graph.Edge {
 		r := rng.NewStream(seed, uint64(blk))
 		lo, hi := blockBounds(blk, m)
 		for i := lo; i < hi; i++ {
-			var u, v int64
+			var u, v uint64
 			for bit := 0; bit < scale; bit++ {
-				p := r.Float64()
-				switch {
-				case p < a:
-					// upper-left: no bits set
-				case p < a+b:
-					v |= 1 << uint(bit)
-				case p < a+b+c:
-					u |= 1 << uint(bit)
-				default:
-					u |= 1 << uint(bit)
-					v |= 1 << uint(bit)
-				}
+				k := r.Uint64() >> 11
+				past2 := passes(k, t2)
+				u |= past2 << uint(bit)
+				v |= (passes(k, t1) ^ past2 ^ passes(k, t3)) << uint(bit)
 			}
-			out = append(out, graph.Edge{U: u, V: v})
+			out = append(out, graph.Edge{U: int64(u), V: int64(v)})
 		}
 		return out
 	}
 	return gen
+}
+
+// rmatThreshold returns ceil(t·2^53) for a probability t in (0, 1]: the
+// k in [0, 2^53) with k/2^53 < t are exactly those below it. t·2^53 only
+// rescales t's exponent, so the product and its ceiling are exact.
+func rmatThreshold(t float64) uint64 {
+	return uint64(math.Ceil(t * (1 << 53)))
+}
+
+// passes returns 1 when k ≥ t and 0 otherwise, for k < 2^53 and
+// 1 ≤ t ≤ 2^53: t−1−k wraps to a value with the top bit set exactly when
+// k ≥ t.
+func passes(k, t uint64) uint64 {
+	return (t - 1 - k) >> 63
 }
 
 // ER returns an Erdős–Rényi G(n, m) generator (the paper's RandER):

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/graph"
+	"repro/internal/rng"
 )
 
 // edgeSet builds a multiset signature of an edge list for union checks.
@@ -150,6 +151,61 @@ func TestRMATSkewedDegrees(t *testing.T) {
 	// R-MAT must be heavily skewed: max degree far above average.
 	if float64(stats.MaxDeg) < 8*stats.AvgDeg {
 		t.Errorf("R-MAT not skewed: max=%d avg=%.1f", stats.MaxDeg, stats.AvgDeg)
+	}
+}
+
+// rmatFloatEdges generates RMAT(scale, avgDeg, seed)'s edges with the
+// quadrant chosen by comparing Float64() against a, a+b and a+b+c.
+func rmatFloatEdges(scale int, avgDeg int64, seed uint64) []graph.Edge {
+	const a, b, c = 0.57, 0.19, 0.19
+	m := (int64(1) << uint(scale)) * avgDeg / 2
+	var out []graph.Edge
+	for blk := int64(0); blk < numBlocksFor(m); blk++ {
+		r := rng.NewStream(seed, uint64(blk))
+		lo, hi := blockBounds(blk, m)
+		for i := lo; i < hi; i++ {
+			var u, v int64
+			for bit := 0; bit < scale; bit++ {
+				switch p := r.Float64(); {
+				case p < a:
+				case p < a+b:
+					v |= 1 << uint(bit)
+				case p < a+b+c:
+					u |= 1 << uint(bit)
+				default:
+					u |= 1 << uint(bit)
+					v |= 1 << uint(bit)
+				}
+			}
+			out = append(out, graph.Edge{U: u, V: v})
+		}
+	}
+	return out
+}
+
+// TestRMATMatchesFloatQuadrants: the integer-threshold quadrant choice
+// gives the float comparisons' edges, edge for edge, over several seeds
+// and scales (scale 14 spans several generator blocks), and a threshold
+// splits the 53-bit draws exactly where Float64() < t does.
+func TestRMATMatchesFloatQuadrants(t *testing.T) {
+	for _, seed := range []uint64{1, 2, 7, 42} {
+		for _, scale := range []int{1, 5, 10, 14} {
+			got, want := RMAT(scale, 16, seed).Edges(), rmatFloatEdges(scale, 16, seed)
+			if !slices.Equal(got, want) {
+				t.Fatalf("seed %d, scale %d: integer thresholds change the edges", seed, scale)
+			}
+		}
+	}
+	for _, p := range []float64{0.57, 0.57 + 0.19, 0.57 + 0.19 + 0.19, 0.3, 1e-9, 1} {
+		th := rmatThreshold(p)
+		for k := th - 2; k <= th+1; k++ {
+			if k >= 1<<53 {
+				continue
+			}
+			if below := float64(k)/(1<<53) < p; below != (passes(k, th) == 0) {
+				t.Errorf("t=%v k=%d: Float64() < t is %v, threshold %d says %v", p, k, below, th, passes(k, th) == 0)
+			}
+		}
 	}
 }
 

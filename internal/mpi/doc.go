@@ -113,11 +113,15 @@
 // # Pooled transfer buffers
 //
 // Isend64, Recv64, and Comm.Recycle64 are allocation-free: transfer
-// copies are drawn from a per-world best-fit buffer pool and returned
-// to it by the receiver after decoding. Once the pool reaches the
-// transport's in-flight high-water mark (a warmup round or two),
-// steady-state exchange rounds — and SpMV's multiplies, which ship
-// float64 bits — perform no heap allocation.
+// copies are drawn from a buffer pool segregated into power-of-two
+// capacity classes (a request takes a buffer from the smallest class
+// that fits it) and returned to it by the receiver after decoding. The
+// in-process transport keeps one pool per world, shared by sender and
+// receiver; the socket transport keeps one per process, into which
+// received frames are decoded. Once the pool reaches the transport's
+// in-flight high-water mark (a warmup round or two), steady-state
+// exchange rounds — and SpMV's multiplies, which ship float64 bits —
+// perform no heap allocation.
 //
 // # Hot-path annotation
 //

@@ -154,13 +154,17 @@ type Report struct {
 	// same sends.
 	SendOps int64
 	// Candidates is the number of vertices whose neighborhood the
-	// balance and refine sweeps scored, summed over all ranks.
+	// balance and refine sweeps scored, summed over all ranks. The
+	// refine sweeps skip, uncounted, a vertex last found locally stable
+	// whose neighbors have not changed part since: its scan could not
+	// move it.
 	Candidates int64
 	// PartScans is the number of (candidate, part) pairs those sweeps
 	// examined, summed over all ranks: one per part a candidate's
 	// neighborhood touches (one for a vertex its own part wins before
-	// any count is stored),
-	// plus p per full fallback scan or fallback summary rebuild.
+	// any count is stored), plus p per full fallback scan, plus one per
+	// node of the balance stages' fallback summary that a round-start
+	// rebuild or a moved part's re-scoring recomputes.
 	PartScans int64
 }
 
